@@ -33,8 +33,6 @@ from .pipeline import (
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
-    write_csv,
-    write_jsonl,
 )
 from .xmlgrants import (
     XmlDocSlice,
@@ -83,6 +81,4 @@ __all__ = [
     "split_multivalue",
     "top_ipc_subclasses",
     "weekly_counts",
-    "write_csv",
-    "write_jsonl",
 ]

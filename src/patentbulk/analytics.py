@@ -68,19 +68,13 @@ def week_of_issue_date(d: dt.date) -> tuple[int, int]:
     return d.year, (d - first_grant_tuesday(d.year)).days // 7 + 1
 
 
-def weekly_counts(
-    records: Iterable[PatentRecord],
-    week_of: Optional[Callable[[PatentRecord], tuple[int, int]]] = None,
-) -> list[WeeklyCount]:
+def weekly_counts(records: Iterable[PatentRecord]) -> list[WeeklyCount]:
     """Exact group-and-count per week, sorted by (year, week).
 
-    The pipeline knows each record's source week; flat-file consumers
-    fall back to deriving the week from the issue date, which is the
-    grant Tuesday the weekly file is named after.
+    The week is derived from the issue date, which is the grant Tuesday
+    the weekly file is named after.
     """
-    if week_of is None:
-        week_of = lambda record: week_of_issue_date(record.issue_date)
-    counts: Counter = Counter(week_of(record) for record in records)
+    counts: Counter = Counter(week_of_issue_date(record.issue_date) for record in records)
     return [WeeklyCount(year, week, n) for (year, week), n in sorted(counts.items())]
 
 

@@ -77,7 +77,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=os.environ.get(ENV_BASE_URL, fetchmod.DEFAULT_BASE_URL),
         help="bulk data base URL (env %s)" % ENV_BASE_URL,
     )
-    parser.add_argument("--jobs", type=int, default=1, help="parallel week fetches")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="weeks fetched and parsed at once; at most N held in memory")
     parser.add_argument("--retries", type=int, default=3, help="download attempts per week")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -168,30 +169,26 @@ def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
     return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
 
 
+def _pipeline_config(
+    args: argparse.Namespace, transport=None, **fields
+) -> pipeline.PipelineConfig:
+    return pipeline.PipelineConfig(
+        cache_dir=args.cache_dir,
+        base_url=args.base_url,
+        transport=transport,
+        jobs=args.jobs,
+        retries=args.retries,
+        progress=_progress(args.quiet),
+        **fields,
+    )
+
+
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    weeks = _resolve_weeks(args)
-    progress = _progress(args.quiet)
-
-    def fetch_one(week: WeekSpec) -> None:
-        plan = fetchmod.resolve_plan(week, args.base_url)
-        if progress:
-            progress("fetching %s (%s)" % (week.label(), plan.url))
-        fetchmod.fetch(plan, args.cache_dir, retries=args.retries)
-
-    failures = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [(week, pool.submit(fetch_one, week)) for week in weeks]
-        for week, future in futures:
-            try:
-                future.result()
-            except (fetchmod.FetchError, fetchmod.IntegrityError, ValueError) as exc:
-                failures.append((week, str(exc)))
-                print("failed %s: %s" % (week.label(), exc), file=sys.stderr)
-    if failures and len(failures) == len(weeks):
-        return EXIT_FATAL
-    return EXIT_PARTIAL if failures else EXIT_OK
+    summary = pipeline.fetch_weeks(_resolve_weeks(args), _pipeline_config(args))
+    if args.quiet:  # the progress lines name failed weeks otherwise
+        for week, reason in summary.weeks_failed:
+            print("failed %s: %s" % (week.label(), reason), file=sys.stderr)
+    return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
 
 
 class _NoNetworkTransport:
@@ -203,15 +200,7 @@ class _NoNetworkTransport:
 
 def _run_weeks(args: argparse.Namespace, transport) -> int:
     weeks = _resolve_weeks(args)
-    config = pipeline.PipelineConfig(
-        cache_dir=args.cache_dir,
-        base_url=args.base_url,
-        transport=transport,
-        jobs=args.jobs,
-        encoding=args.encoding,
-        retries=args.retries,
-        progress=_progress(args.quiet),
-    )
+    config = _pipeline_config(args, transport, encoding=args.encoding)
     out, owned = _open_output(args)
     try:
         sink = _make_sink(out, args.format, args.append)

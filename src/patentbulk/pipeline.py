@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, Union
 
@@ -130,8 +132,7 @@ class CsvSink:
 class JsonlSink:
     """One JSON object per line; list fields stay arrays."""
 
-    def __init__(self, out: TextIO, write_header: bool = True) -> None:
-        # header parameter kept for sink interchangeability; JSONL has none
+    def __init__(self, out: TextIO) -> None:
         self._counter = _CountingWriter(out)
 
     def write(self, record: PatentRecord) -> None:
@@ -143,38 +144,6 @@ class JsonlSink:
 
 
 Sink = Union[CsvSink, JsonlSink]
-
-
-def _open_destination(destination: Union[str, Path, TextIO], append: bool = False):
-    if hasattr(destination, "write"):
-        return destination, False
-    mode = "a" if append else "w"
-    return open(destination, mode, encoding="utf-8", newline=""), True
-
-
-def write_csv(records: Iterable[PatentRecord], destination, append: bool = False) -> int:
-    """Write the canonical header plus one row per record; returns bytes."""
-    out, owned = _open_destination(destination, append)
-    try:
-        sink = CsvSink(out, write_header=not append)
-        for record in records:
-            sink.write(record)
-        return sink.bytes_written
-    finally:
-        if owned:
-            out.close()
-
-
-def write_jsonl(records: Iterable[PatentRecord], destination, append: bool = False) -> int:
-    out, owned = _open_destination(destination, append)
-    try:
-        sink = JsonlSink(out)
-        for record in records:
-            sink.write(record)
-        return sink.bytes_written
-    finally:
-        if owned:
-            out.close()
 
 
 def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
@@ -238,10 +207,16 @@ def parse_archive_stream(
     return parser.parse(stream), parser.report
 
 
-def _report_warning_count(report) -> int:
-    if isinstance(report, aps.ApsParseReport):
-        return report.warnings_total + report.records_skipped
-    return report.warnings_total + report.record_errors_total
+def _fetch_week(
+    week: WeekSpec, config: PipelineConfig
+) -> tuple[fetchmod.FetchPlan, fetchmod.CacheEntry]:
+    """Resolve one week's archive and fetch it, cache first."""
+    plan = fetchmod.resolve_plan(week, config.base_url, config.templates)
+    _emit_progress(config, "fetching %s (%s)" % (week.label(), plan.url))
+    entry = fetchmod.fetch(
+        plan, config.cache_dir, transport=config.transport, retries=config.retries
+    )
+    return plan, entry
 
 
 def _collect_week(
@@ -249,17 +224,62 @@ def _collect_week(
 ) -> tuple[list[PatentRecord], int, int, int]:
     """Fetch and parse one week; returns (records, warnings, compressed,
     decompressed).  Raises on any per-week failure."""
-    plan = fetchmod.resolve_plan(week, config.base_url, config.templates)
-    _emit_progress(config, "fetching %s (%s)" % (week.label(), plan.url))
-    entry = fetchmod.fetch(
-        plan, config.cache_dir, transport=config.transport, retries=config.retries
-    )
+    plan, entry = _fetch_week(week, config)
     compressed, decompressed = fetchmod.archive_sizes(entry)
     _emit_progress(config, "parsing %s" % week.label())
     with fetchmod.open_archive(entry) as stream:
         records_iter, report = parse_archive_stream(stream, plan.format, config.encoding)
         records = list(records_iter)
-    return records, _report_warning_count(report), compressed, decompressed
+    return records, report.warnings_total, compressed, decompressed
+
+
+def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig) -> Future:
+    """``step(week, config)`` run on the calling thread, as a finished future."""
+    future: Future = Future()
+    try:
+        future.set_result(step(week, config))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _ordered_weeks(
+    weeks: list[WeekSpec], step: Callable[..., object], config: PipelineConfig
+) -> Iterator[tuple[WeekSpec, object, Optional[BaseException]]]:
+    """Run ``step`` on each of ``weeks``; yield ``(week, result, error)``
+    in the order given, ``error`` being what the week raised, if anything.
+
+    At most ``max(1, config.jobs)`` weeks are submitted and not yet
+    consumed: the next week is submitted only after the caller has taken
+    the oldest, so finished weeks cannot pile up behind a slow one.  With
+    one job each step runs on the calling thread, where an interrupt stops
+    it at once.
+    """
+    jobs = max(1, config.jobs)
+    todo = iter(weeks)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        submit = pool.submit if jobs > 1 else _run_now
+        pending = deque((week, submit(step, week, config)) for week in islice(todo, jobs))
+        while pending:
+            week, future = pending.popleft()
+            error = future.exception()
+            yield week, None if error else future.result(), error
+            del future  # the caller is done with this week: free it first
+            pending.extend((week, submit(step, week, config)) for week in islice(todo, 1))
+
+
+def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
+    week_list = sorted(set(weeks))
+    if not week_list:
+        raise ValueError("weeks must be non-empty")
+    return week_list
+
+
+def _week_failed(
+    summary: RunSummary, config: PipelineConfig, week: WeekSpec, error: BaseException
+) -> None:
+    summary.weeks_failed.append((week, str(error)))
+    _emit_progress(config, "failed %s: %s" % (week.label(), error))
 
 
 def get_bulk_patent_data(
@@ -269,62 +289,55 @@ def get_bulk_patent_data(
 ) -> RunSummary:
     """Collect a range of weeks into one sink.
 
-    Weeks are fetched (cache-first) and parsed concurrently up to
-    ``config.jobs``; completed per-week batches reach the sink in
-    ascending (year, week) order.  A failing week is recorded in the
-    summary and does not abort the run; if every week fails a RunError is
-    raised instead.
+    Weeks are fetched (cache-first) and parsed ``config.jobs`` at a time,
+    and per-week batches reach the sink in ascending (year, week) order.
+    A week is parsed whole before its first row is written, so a week that
+    fails adds no rows, and at most ``config.jobs`` weeks are held in
+    memory.  A failing week is recorded in the summary and does not abort
+    the run; if every week fails a RunError is raised instead.
     """
-    week_list = sorted(set(weeks))
-    if not week_list:
-        raise ValueError("weeks must be non-empty")
+    week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
-
     summary = RunSummary(weeks_requested=len(week_list))
     seen_wkus: set[str] = set()
-
-    def sink_batch(week: WeekSpec, batch: list[PatentRecord]) -> None:
-        for record in batch:
+    for week, result, error in _ordered_weeks(week_list, _collect_week, config):
+        if error is not None:
+            _week_failed(summary, config, week, error)
+            continue
+        records, warnings, compressed, decompressed = result
+        summary.weeks_fetched += 1
+        summary.warnings_total += warnings
+        summary.input_bytes_compressed += compressed
+        summary.input_bytes_decompressed += decompressed
+        for record in records:
             if record.wku in seen_wkus:
                 summary.duplicate_wkus += 1
             else:
                 seen_wkus.add(record.wku)
             sink.write(record)
-        summary.records_written += len(batch)
-
-    def run_one(week: WeekSpec):
-        return _collect_week(week, config)
-
-    if config.jobs <= 1:
-        for week in week_list:
-            try:
-                records, warnings, compressed, decompressed = run_one(week)
-            except Exception as exc:
-                summary.weeks_failed.append((week, str(exc)))
-                _emit_progress(config, "failed %s: %s" % (week.label(), exc))
-                continue
-            summary.weeks_fetched += 1
-            summary.warnings_total += warnings
-            summary.input_bytes_compressed += compressed
-            summary.input_bytes_decompressed += decompressed
-            sink_batch(week, records)
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [(week, pool.submit(run_one, week)) for week in week_list]
-            for week, future in futures:
-                try:
-                    records, warnings, compressed, decompressed = future.result()
-                except Exception as exc:
-                    summary.weeks_failed.append((week, str(exc)))
-                    _emit_progress(config, "failed %s: %s" % (week.label(), exc))
-                    continue
-                summary.weeks_fetched += 1
-                summary.warnings_total += warnings
-                summary.input_bytes_compressed += compressed
-                summary.input_bytes_decompressed += decompressed
-                sink_batch(week, records)
+        summary.records_written += len(records)
+        # drop this week before the loop waits on the next one
+        result = records = None
 
     summary.output_bytes = sink.bytes_written
+    if summary.weeks_fetched == 0:
+        raise RunError(summary.weeks_failed)
+    return summary
+
+
+def fetch_weeks(
+    weeks: Iterable[WeekSpec], config: Optional[PipelineConfig] = None
+) -> RunSummary:
+    """Fetch a range of weeks into the cache without parsing them; jobs,
+    order and failure policy as in :func:`get_bulk_patent_data`."""
+    week_list = _sorted_weeks(weeks)
+    config = config or PipelineConfig()
+    summary = RunSummary(weeks_requested=len(week_list))
+    for week, _, error in _ordered_weeks(week_list, _fetch_week, config):
+        if error is None:
+            summary.weeks_fetched += 1
+        else:
+            _week_failed(summary, config, week, error)
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary
@@ -346,4 +359,4 @@ def convert_stream(
     for record in records:
         sink.write(record)
         count += 1
-    return count, _report_warning_count(report)
+    return count, report.warnings_total

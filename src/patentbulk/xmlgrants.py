@@ -119,14 +119,13 @@ class XmlParseReport:
     records_emitted: int = 0
     record_errors_total: int = 0
     warnings_total: int = 0
-    record_errors: list[tuple[int, str]] = field(default_factory=list)
     warnings: list[tuple[int, str]] = field(default_factory=list)
     entity_substitutions: int = 0
 
     def record_error(self, ordinal: int, message: str) -> None:
+        """A document dropped whole; also counted among the warnings."""
         self.record_errors_total += 1
-        if len(self.record_errors) < MAX_REPORT_MESSAGES:
-            self.record_errors.append((ordinal, message))
+        self.warn(ordinal, message)
 
     def warn(self, ordinal: int, message: str) -> None:
         self.warnings_total += 1

@@ -58,6 +58,16 @@ def fake_transport():
     return FakeTransport()
 
 
+def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
+    """Write ``records`` through a sink over ``path`` opened in ``mode``;
+    returns the sink's byte count."""
+    with open(path, mode, encoding="utf-8", newline="") as out:
+        sink = sink_class(out, **sink_args)
+        for record in records:
+            sink.write(record)
+    return sink.bytes_written
+
+
 def make_zip(members: dict[str, bytes]) -> bytes:
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:

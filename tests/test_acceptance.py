@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import FakeTransport, make_zip, random_records
+from conftest import FakeTransport, make_zip, random_records, sink_to_file
 from patentbulk.aps import ApsParser, parse_aps_stream
 from patentbulk.fetch import FetchError, fetch, resolve_plan
 from patentbulk.model import (
@@ -30,12 +30,11 @@ from patentbulk.model import (
 )
 from patentbulk.pipeline import (
     CsvSink,
+    JsonlSink,
     PipelineConfig,
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
-    write_csv,
-    write_jsonl,
 )
 from patentbulk.xmlgrants import split_concatenated_documents
 
@@ -62,8 +61,8 @@ def test_criterion_1_fixture_goldens(tmp_path):
             records, _ = parse_aps_stream(handle)
         csv_path = tmp_path / "out.csv"
         jsonl_path = tmp_path / "out.jsonl"
-        write_csv(records, csv_path)
-        write_jsonl(records, jsonl_path)
+        sink_to_file(csv_path, CsvSink, records)
+        sink_to_file(jsonl_path, JsonlSink, records)
         elapsed = time.perf_counter() - start
         assert csv_path.read_bytes() == (DATA / "golden_two_patents.csv").read_bytes()
         assert jsonl_path.read_bytes() == (DATA / "golden_two_patents.jsonl").read_bytes()
@@ -94,8 +93,8 @@ def test_criterion_3_serialization_round_trip(tmp_path):
         records = random_records(1000, seed=103)
         csv_path = tmp_path / "r.csv"
         jsonl_path = tmp_path / "r.jsonl"
-        write_csv(records, csv_path)
-        write_jsonl(records, jsonl_path)
+        sink_to_file(csv_path, CsvSink, records)
+        sink_to_file(jsonl_path, JsonlSink, records)
         assert list(read_csv(csv_path)) == records
         assert list(read_jsonl(jsonl_path)) == records
 

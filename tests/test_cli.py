@@ -227,6 +227,29 @@ class TestGetAndFetch:
         )
         assert code == 1
 
+    def test_fetch_partial_failure_names_failed_weeks_under_quiet(
+        self, monkeypatch, data_dir, tmp_path, capsys
+    ):
+        text = (data_dir / "aps_two_patents.txt").read_bytes()
+        _PatchedTransport(
+            monkeypatch,
+            {
+                resolve_plan(WeekSpec(1976, 1)).url: make_zip({"w.txt": text}),
+                # week 2 is missing (404); week 3 fails outside the fetch
+                # layer's own errors, as a full disk would
+                resolve_plan(WeekSpec(1976, 3)).url: OSError("disk full"),
+            },
+        )
+        code, _, err = run_cli(
+            ["fetch", "--years", "1976", "--weeks", "1-3", "--cache-dir", str(tmp_path),
+             "--quiet"],
+            capsys,
+        )
+        assert code == 2
+        assert "1976wk01" not in err
+        assert "failed 1976wk02" in err
+        assert "failed 1976wk03: disk full" in err
+
     def test_explicit_week_beyond_year_is_partial_failure(self, served_week, tmp_path, capsys):
         # 1976 has 52 grant Tuesdays; an explicit week 53 fails that week only
         code, _, err = run_cli(

@@ -1,9 +1,12 @@
 import io
 import json
+import threading
+import weakref
 
 import pytest
 
-from conftest import FakeTransport, make_zip, random_records
+from conftest import FakeTransport, make_zip, random_records, sink_to_file
+from patentbulk import pipeline
 from patentbulk.fetch import TransportError
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
@@ -15,8 +18,6 @@ from patentbulk.pipeline import (
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
-    write_csv,
-    write_jsonl,
 )
 
 
@@ -31,7 +32,7 @@ def fixture_records(aps_fixture_text):
 class TestCsv:
     def test_header_only_for_empty_stream(self):
         out = io.StringIO()
-        write_csv([], out)
+        CsvSink(out)
         assert out.getvalue() == (
             "wku,title,app_date,issue_date,inventors,assignees,ipc_codes,references,claims\n"
         )
@@ -40,25 +41,25 @@ class TestCsv:
         record = fixture_records[0]
         altered = record.__class__(**{**record.__dict__, "title": "Widget, press"})
         out = io.StringIO()
-        write_csv([altered], out)
+        CsvSink(out).write(altered)
         assert '"Widget, press"' in out.getvalue()
 
     def test_golden_bytes(self, fixture_records, data_dir, tmp_path):
         target = tmp_path / "out.csv"
-        count = write_csv(fixture_records, target)
+        count = sink_to_file(target, CsvSink, fixture_records)
         produced = target.read_bytes()
         assert produced == (data_dir / "golden_two_patents.csv").read_bytes()
         assert count == len(produced)
 
     def test_round_trip(self, fixture_records, tmp_path):
         target = tmp_path / "out.csv"
-        write_csv(fixture_records, target)
+        sink_to_file(target, CsvSink, fixture_records)
         assert list(read_csv(target)) == fixture_records
 
     def test_append_suppresses_header(self, fixture_records, tmp_path):
         target = tmp_path / "out.csv"
-        write_csv(fixture_records[:1], target)
-        write_csv(fixture_records[1:], target, append=True)
+        sink_to_file(target, CsvSink, fixture_records[:1])
+        sink_to_file(target, CsvSink, fixture_records[1:], mode="a", write_header=False)
         assert list(read_csv(target)) == fixture_records
         assert target.read_text().count("wku,title") == 1
 
@@ -66,25 +67,25 @@ class TestCsv:
 class TestJsonl:
     def test_empty_stream_empty_file(self, tmp_path):
         target = tmp_path / "out.jsonl"
-        write_jsonl([], target)
+        sink_to_file(target, JsonlSink, [])
         assert target.read_bytes() == b""
 
     def test_two_inventors_stay_an_array(self, fixture_records, tmp_path):
         target = tmp_path / "out.jsonl"
-        write_jsonl(fixture_records, target)
+        sink_to_file(target, JsonlSink, fixture_records)
         lines = target.read_text().splitlines()
         assert json.loads(lines[1])["inventors"] == ["Roe, Jane", "Stone, Alice M."]
 
     def test_golden_bytes(self, fixture_records, data_dir, tmp_path):
         target = tmp_path / "out.jsonl"
-        count = write_jsonl(fixture_records, target)
+        count = sink_to_file(target, JsonlSink, fixture_records)
         produced = target.read_bytes()
         assert produced == (data_dir / "golden_two_patents.jsonl").read_bytes()
         assert count == len(produced)
 
     def test_round_trip(self, fixture_records, tmp_path):
         target = tmp_path / "out.jsonl"
-        write_jsonl(fixture_records, target)
+        sink_to_file(target, JsonlSink, fixture_records)
         assert list(read_jsonl(target)) == fixture_records
 
 
@@ -93,8 +94,8 @@ class TestFormatAgreement:
         records = random_records(120, seed=9)
         csv_path = tmp_path / "r.csv"
         jsonl_path = tmp_path / "r.jsonl"
-        write_csv(records, csv_path)
-        write_jsonl(records, jsonl_path)
+        sink_to_file(csv_path, CsvSink, records)
+        sink_to_file(jsonl_path, JsonlSink, records)
         assert list(read_csv(csv_path)) == list(read_jsonl(jsonl_path)) == records
 
 
@@ -183,6 +184,63 @@ class TestGetBulkPatentData:
         )
         assert seq_out.getvalue() == par_out.getvalue()
 
+    def test_look_ahead_bounded_by_jobs(self, aps_fixture_text, tmp_path):
+        jobs = 2
+        weeks = [WeekSpec(1976, w) for w in range(1, 7)]
+        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
+        overrun = threading.Event()
+
+        class CountingTransport(FakeTransport):
+            def get(self, url):
+                response = super().get(url)
+                if len(self.requests) > jobs:
+                    overrun.set()
+                return response
+
+        transport = CountingTransport({_week_url(week): payload for week in weeks})
+        served_at_first_write = []
+
+        class StallingSink(CsvSink):
+            def write(self, record):
+                if not served_at_first_write:
+                    # gives a loop that looks further ahead time to fetch more weeks
+                    overrun.wait(timeout=1.0)
+                    served_at_first_write.append(len(transport.requests))
+                super().write(record)
+
+        summary = get_bulk_patent_data(
+            weeks, StallingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+        )
+        assert served_at_first_write[0] <= jobs
+        assert summary.records_written == 12
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_weeks_held_bounded_by_jobs(self, aps_fixture_text, tmp_path, monkeypatch, jobs):
+        weeks = [WeekSpec(1976, w) for w in range(1, 7)]
+        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
+        transport = FakeTransport({_week_url(week): payload for week in weeks})
+        held = weakref.WeakValueDictionary()
+        held_at_step_start = []
+
+        class Batch(list):  # a plain list cannot be weakly referenced
+            pass
+
+        collect = pipeline._collect_week
+
+        def tracked_collect(week, config):
+            held_at_step_start.append(len(held) + 1)  # + the week starting now
+            records, *rest = collect(week, config)
+            batch = Batch(records)
+            held[week] = batch
+            return (batch, *rest)
+
+        monkeypatch.setattr(pipeline, "_collect_week", tracked_collect)
+        summary = get_bulk_patent_data(
+            weeks, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+        )
+        assert summary.records_written == 12
+        assert max(held_at_step_start) <= jobs
+
     def test_determinism_from_cache(self, aps_fixture_text, tmp_path):
         week = WeekSpec(1976, 1)
         transport = FakeTransport(
@@ -222,6 +280,13 @@ class TestConvertStream:
         )
         assert written == 2
         assert warnings == 1  # the invalid APD in the second patent
+
+    def test_skipped_section_counts_one_warning(self):
+        text = "PATN\nWKU  039305672\nISD  19760106\nPATN\nTTL  Widget\nISD  19760106\n"
+        result = convert_stream(
+            io.BytesIO(text.encode("latin-1")), SourceFormat.APS, CsvSink(io.StringIO())
+        )
+        assert result == (1, 1)  # the second section has no WKU
 
     def test_xml_stream(self, data_dir):
         out = io.StringIO()

@@ -205,7 +205,7 @@ class TestWeeklyParser:
         assert len(records) == 1
         assert report.slices_seen == 2
         assert report.records_emitted + report.record_errors_total == report.slices_seen
-        assert report.record_errors[0][0] == 1
+        assert report.warnings[0][0] == 1
 
     def test_determinism(self, data_dir):
         data = (data_dir / "era_xml4.xml").read_bytes() * 3
