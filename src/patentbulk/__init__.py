@@ -12,10 +12,11 @@ from .analytics import (
     top_ipc_subclasses,
     weekly_counts,
 )
-from .aps import ApsParser, ApsParseReport
+from .aps import ApsParser
 from .fetch import CacheEntry, FetchPlan, open_archive, resolve_plan
 from .model import (
     IpcCode,
+    ParseReport,
     PatentRecord,
     SourceFormat,
     WeekSpec,
@@ -46,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApsParser",
-    "ApsParseReport",
     "CacheEntry",
     "ClassCount",
     "CsvSink",
@@ -54,6 +54,7 @@ __all__ = [
     "IpcCode",
     "JsonlSink",
     "LagStats",
+    "ParseReport",
     "PatentRecord",
     "PipelineConfig",
     "RunSummary",

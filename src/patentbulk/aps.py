@@ -9,10 +9,9 @@ through in bounded space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .model import IpcParseError, PatentRecord, build_record, ipc_parse, parse_date
+from .model import IpcParseError, ParseReport, PatentRecord, build_record, ipc_parse, parse_date
 
 # Section headers observed in the fixed-tag grant files.  Sections not in
 # the capture tables below are recognized so their data lines can be
@@ -42,35 +41,12 @@ CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
 
 DEFAULT_ENCODING = "latin-1"
 
-# Warning messages kept verbatim; beyond this only the total grows, so a
-# dirty multi-gigabyte file cannot balloon the report.
-MAX_REPORT_MESSAGES = 100
-
-
-@dataclass
-class ApsParseReport:
-    """Counters and anomalies accumulated over one parse."""
-
-    lines_read: int = 0
-    records_emitted: int = 0
-    records_skipped: int = 0
-    patn_sections: int = 0
-    skipped_fields: int = 0
-    warnings_total: int = 0
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-
-    def warn(self, line: int, message: str) -> None:
-        self.warnings_total += 1
-        if len(self.warnings) < MAX_REPORT_MESSAGES:
-            self.warnings.append((line, message))
-
-
 class _Pending:
     """Mutable accumulator for the patent section currently being read."""
 
     __slots__ = (
         "start_line", "wku", "title", "app_date", "issue_date",
-        "inventors", "assignees", "ipc_raw", "references", "claims_lines",
+        "inventors", "assignees", "ipc_codes", "references", "claims_lines",
     )
 
     def __init__(self, start_line: int) -> None:
@@ -81,7 +57,7 @@ class _Pending:
         self.issue_date: Optional[str] = None
         self.inventors: list[str] = []
         self.assignees: list[str] = []
-        self.ipc_raw: list[str] = []
+        self.ipc_codes: list[str] = []
         self.references: list[str] = []
         self.claims_lines: list[str] = []
 
@@ -94,7 +70,7 @@ class ApsParser:
     """
 
     def __init__(self) -> None:
-        self.report = ApsParseReport()
+        self.report = ParseReport()
 
     def parse(self, lines: Iterable[str]) -> Iterator[PatentRecord]:
         report = self.report
@@ -165,7 +141,7 @@ class ApsParser:
 
     def _capture(self, pending: _Pending, name: str, value: str) -> None:
         if name in LIST_FIELDS:
-            getattr(pending, "ipc_raw" if name == "ipc_codes" else name).append(value)
+            getattr(pending, name).append(value)
         elif getattr(pending, name) is None:
             setattr(pending, name, value)
         else:
@@ -174,7 +150,7 @@ class ApsParser:
 
     def _append_continuation(self, pending: _Pending, target: str, value: str) -> None:
         if target in LIST_FIELDS:
-            items = getattr(pending, "ipc_raw" if target == "ipc_codes" else target)
+            items = getattr(pending, target)
             if items:
                 items[-1] = items[-1] + " " + value
         else:
@@ -190,19 +166,16 @@ class ApsParser:
 
         wku = (pending.wku or "").strip()
         if not wku:
-            report.warn(line, "patent section without WKU skipped")
-            report.records_skipped += 1
+            report.skip(line, "patent section without WKU skipped")
             return None
 
         if pending.issue_date is None:
-            report.warn(line, "%s: missing ISD, record skipped" % wku)
-            report.records_skipped += 1
+            report.skip(line, "%s: missing ISD, record skipped" % wku)
             return None
         try:
             issue_date = parse_date(pending.issue_date)
         except ValueError:
-            report.warn(line, "%s: invalid ISD %r, record skipped" % (wku, pending.issue_date))
-            report.records_skipped += 1
+            report.skip(line, "%s: invalid ISD %r, record skipped" % (wku, pending.issue_date))
             return None
 
         app_date = None
@@ -213,7 +186,7 @@ class ApsParser:
                 report.warn(line, "%s: invalid APD %r stored as absent" % (wku, pending.app_date))
 
         ipc_codes = []
-        for raw in pending.ipc_raw:
+        for raw in pending.ipc_codes:
             try:
                 ipc_codes.append(ipc_parse(raw))
             except IpcParseError:
@@ -232,14 +205,3 @@ class ApsParser:
         )
         report.records_emitted += 1
         return record
-
-
-def parse_aps_stream(lines: Iterable[str]) -> tuple[list[PatentRecord], ApsParseReport]:
-    """Convenience wrapper: parse a whole stream into a list plus report.
-
-    For bounded-memory streaming over large files, drive
-    :meth:`ApsParser.parse` directly.
-    """
-    parser = ApsParser()
-    records = list(parser.parse(lines))
-    return records, parser.report

@@ -220,25 +220,18 @@ def _convert_local(args: argparse.Namespace) -> int:
         raise ValueError("--format-era is required with --input")
     format = SourceFormat(args.format_era)
     out, owned = _open_output(args)
-    records_total = 0
-    warnings_total = 0
+    summary = pipeline.RunSummary()
     try:
         sink = _make_sink(out, args.format, args.append)
         for path in args.input:
             stream = _open_input_stream(path)
             try:
-                written, warnings = pipeline.convert_stream(
-                    stream, format, sink, encoding=args.encoding
-                )
+                report = pipeline.convert_stream(stream, format, sink, encoding=args.encoding)
             finally:
                 stream.close()
-            records_total += written
-            warnings_total += warnings
-        summary = pipeline.RunSummary(
-            records_written=records_total,
-            warnings_total=warnings_total,
-            output_bytes=sink.bytes_written,
-        )
+            summary.records_written += report.records_emitted
+            summary.warnings_total += report.warnings_total
+        summary.output_bytes = sink.bytes_written
     finally:
         if owned:
             out.close()
@@ -247,14 +240,7 @@ def _convert_local(args: argparse.Namespace) -> int:
 
 def _open_input_stream(path: str):
     if path.endswith(".zip"):
-        entry = fetchmod.CacheEntry(
-            cache_path=path,
-            source_url="file://" + path,
-            byte_size=os.path.getsize(path),
-            content_digest="",
-            retrieved_at="",
-        )
-        return fetchmod.open_archive(entry)
+        return fetchmod.open_archive(path)
     return open(path, "rb")
 
 
@@ -271,28 +257,33 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if format is None:
         format = "jsonl" if args.input.endswith((".jsonl", ".ndjson")) else "csv"
     reader = pipeline.read_jsonl if format == "jsonl" else pipeline.read_csv
-    records = list(reader(args.input))
+    records = reader(args.input)
 
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="")
+    # the table is computed before --output is opened, so an unreadable
+    # input leaves no output file behind
     notes: list[str] = []
-    try:
-        if args.analysis == "weekly":
-            analytics.weekly_table(analytics.weekly_counts(records), out)
-        elif args.analysis == "classes":
-            analytics.classes_table(analytics.top_ipc_subclasses(records, args.top), out)
-        elif args.analysis == "lag-by-class":
+    if args.analysis == "weekly":
+        write_table = analytics.weekly_table
+        stats = analytics.weekly_counts(records)
+    elif args.analysis == "classes":
+        write_table = analytics.classes_table
+        stats = analytics.top_ipc_subclasses(records, args.top)
+    else:
+        write_table = analytics.lag_table
+        notes.append("quartiles: %s" % analytics.QUARTILE_RULE)
+        if args.analysis == "lag-by-class":
             stats = analytics.lag_stats_by_class(records, args.top)
-            analytics.lag_table(stats, out)
-            notes.append("quartiles: %s" % analytics.QUARTILE_RULE)
         else:
             stats = analytics.lag_stats_by_year(records)
-            analytics.lag_table(stats, out)
-            notes.append("quartiles: %s" % analytics.QUARTILE_RULE)
             delta = analytics.median_lag_delta(stats)
             if delta is not None:
                 notes.append(
                     "median lag delta %d vs %d: %+g days" % (delta[1], delta[0], delta[2])
                 )
+
+    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="")
+    try:
+        write_table(stats, out)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -21,13 +21,13 @@ import urllib.request
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Protocol
+from typing import BinaryIO, Callable, Iterator, Optional, Protocol, Union
 
 from .model import SourceFormat, WeekSpec
 
 DEFAULT_BASE_URL = "https://bulkdata.uspto.gov/data/patent/grant/redbook/fulltext"
 
-# File naming per era, configurable because USPTO has relocated and
+# File naming per era, kept as data because USPTO has relocated and
 # renamed bulk products before.  {issue} is the week's grant Tuesday.
 DEFAULT_NAME_TEMPLATES = {
     SourceFormat.APS: "{year}/pftaps{issue:%Y%m%d}_wk{week:02d}.zip",
@@ -36,6 +36,10 @@ DEFAULT_NAME_TEMPLATES = {
 }
 
 _CHUNK_SIZE = 1 << 16
+# seconds a connection may stay silent before the attempt counts as failed
+_TIMEOUT_S = 60.0
+# first retry waits this long, each later one twice the one before
+_BACKOFF_S = 1.0
 
 
 class FetchError(Exception):
@@ -74,6 +78,10 @@ class CacheEntry:
     content_digest: str
     retrieved_at: str
 
+    def __fspath__(self) -> str:
+        # an entry stands for its archive file wherever a path is taken
+        return self.cache_path
+
 
 class TransportResponse:
     def __init__(self, status: int, chunks: Iterator[bytes]) -> None:
@@ -88,12 +96,9 @@ class Transport(Protocol):
 class UrllibTransport:
     """Default HTTP(S) transport; tests inject fakes instead."""
 
-    def __init__(self, timeout: float = 60.0) -> None:
-        self.timeout = timeout
-
     def get(self, url: str) -> TransportResponse:
         try:
-            response = urllib.request.urlopen(url, timeout=self.timeout)
+            response = urllib.request.urlopen(url, timeout=_TIMEOUT_S)
         except urllib.error.HTTPError as exc:
             return TransportResponse(exc.code, iter(()))
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
@@ -114,15 +119,11 @@ class UrllibTransport:
         return TransportResponse(response.status, chunks())
 
 
-def resolve_plan(
-    week: WeekSpec,
-    base_url: str = DEFAULT_BASE_URL,
-    templates: Optional[dict] = None,
-) -> FetchPlan:
-    """Pure function from (week, base URL, naming templates) to a plan."""
+def resolve_plan(week: WeekSpec, base_url: str = DEFAULT_BASE_URL) -> FetchPlan:
+    """Pure function from (week, base URL) to a plan."""
     issue = week.issue_date()
     format = SourceFormat.for_year(week.year)
-    template = (templates or DEFAULT_NAME_TEMPLATES)[format]
+    template = DEFAULT_NAME_TEMPLATES[format]
     relative = template.format(year=week.year, issue=issue, week=week.week)
     return FetchPlan(
         week=week,
@@ -191,7 +192,6 @@ def fetch(
     cache_dir: str,
     transport: Optional[Transport] = None,
     retries: int = 3,
-    backoff: float = 1.0,
     sleep: Callable[[float], None] = time.sleep,
 ) -> CacheEntry:
     """Return the week's archive from cache, downloading it first if needed.
@@ -216,7 +216,7 @@ def fetch(
             entry = _load_entry(final)
             if entry is not None:
                 return entry
-            return _download(plan, final, transport or UrllibTransport(), retries, backoff, sleep)
+            return _download(plan, final, transport or UrllibTransport(), retries, sleep)
         finally:
             fcntl.flock(lock, fcntl.LOCK_UN)
 
@@ -226,7 +226,6 @@ def _download(
     final: Path,
     transport: Transport,
     retries: int,
-    backoff: float,
     sleep: Callable[[float], None],
 ) -> CacheEntry:
     tmp = final.with_name(final.name + ".tmp-%d" % os.getpid())
@@ -234,7 +233,7 @@ def _download(
     last_reason = "no attempts made"
     for attempt in range(retries):
         if attempt:
-            sleep(backoff * (2 ** (attempt - 1)))
+            sleep(_BACKOFF_S * (2 ** (attempt - 1)))
         try:
             response = transport.get(plan.url)
         except TransportError as exc:
@@ -321,18 +320,19 @@ class _ConcatenatedMembers(io.RawIOBase):
         super().close()
 
 
-def open_archive(entry: CacheEntry) -> io.BufferedReader:
-    """Stream the archive's data members, in member order, without
+def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
+    """Stream the zip's data members at ``path``, in member order, without
     materializing the decompressed file."""
+    path = os.fspath(path)
     try:
-        archive = zipfile.ZipFile(entry.cache_path)
+        archive = zipfile.ZipFile(path)
     except (zipfile.BadZipFile, OSError) as exc:
-        raise IntegrityError("%s: %s" % (entry.cache_path, exc)) from exc
+        raise IntegrityError("%s: %s" % (path, exc)) from exc
     members = [info for info in archive.infolist() if not info.is_dir()]
     for info in members:
         if info.flag_bits & 0x1:
             archive.close()
-            raise IntegrityError("%s: member %r is encrypted" % (entry.cache_path, info.filename))
+            raise IntegrityError("%s: member %r is encrypted" % (path, info.filename))
     return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=_CHUNK_SIZE)
 
 

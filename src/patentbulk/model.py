@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -132,6 +132,49 @@ class WeekSpec:
 
     def label(self) -> str:
         return "%dwk%02d" % (self.year, self.week)
+
+
+# Warning messages kept verbatim; beyond this only the total grows, so a
+# dirty multi-gigabyte file cannot balloon the report.
+MAX_REPORT_MESSAGES = 100
+
+
+@dataclass
+class ParseReport:
+    """Counters and anomalies accumulated over one parse, either era.
+
+    A position is a line number for the fixed-tag era and a document
+    ordinal for the XML eras.  Each era's own counters stay 0 for the
+    other era.
+    """
+
+    records_emitted: int = 0
+    records_skipped: int = 0
+    warnings_total: int = 0
+    warnings: list[tuple[int, str]] = field(default_factory=list)
+    # fixed-tag era
+    lines_read: int = 0
+    patn_sections: int = 0
+    skipped_fields: int = 0
+    # XML eras
+    slices_seen: int = 0
+    entity_substitutions: int = 0
+
+    @property
+    def record_errors_total(self) -> int:
+        """Former XML-era name of ``records_skipped``, still read by
+        ``perfbench/tracing.py``."""
+        return self.records_skipped
+
+    def warn(self, position: int, message: str) -> None:
+        self.warnings_total += 1
+        if len(self.warnings) < MAX_REPORT_MESSAGES:
+            self.warnings.append((position, message))
+
+    def skip(self, position: int, message: str) -> None:
+        """A record dropped whole; also counted among the warnings."""
+        self.records_skipped += 1
+        self.warn(position, message)
 
 
 class SourceFormat(Enum):

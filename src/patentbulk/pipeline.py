@@ -20,6 +20,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, Union
 from . import aps, fetch as fetchmod, xmlgrants
 from .model import (
     CSV_COLUMNS,
+    ParseReport,
     PatentRecord,
     SourceFormat,
     WeekSpec,
@@ -182,7 +183,6 @@ def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
 class PipelineConfig:
     cache_dir: str = "patentbulk-cache"
     base_url: str = fetchmod.DEFAULT_BASE_URL
-    templates: Optional[dict] = None
     transport: Optional[fetchmod.Transport] = None
     jobs: int = 1
     encoding: str = aps.DEFAULT_ENCODING
@@ -197,7 +197,7 @@ def _emit_progress(config: PipelineConfig, message: str) -> None:
 
 def parse_archive_stream(
     stream: IO[bytes], format: SourceFormat, encoding: str = aps.DEFAULT_ENCODING
-) -> tuple[Iterator[PatentRecord], object]:
+) -> tuple[Iterator[PatentRecord], ParseReport]:
     """Era dispatch: records iterator plus the live parser report."""
     if format is SourceFormat.APS:
         parser = aps.ApsParser()
@@ -211,7 +211,7 @@ def _fetch_week(
     week: WeekSpec, config: PipelineConfig
 ) -> tuple[fetchmod.FetchPlan, fetchmod.CacheEntry]:
     """Resolve one week's archive and fetch it, cache first."""
-    plan = fetchmod.resolve_plan(week, config.base_url, config.templates)
+    plan = fetchmod.resolve_plan(week, config.base_url)
     _emit_progress(config, "fetching %s (%s)" % (week.label(), plan.url))
     entry = fetchmod.fetch(
         plan, config.cache_dir, transport=config.transport, retries=config.retries
@@ -227,7 +227,7 @@ def _collect_week(
     plan, entry = _fetch_week(week, config)
     compressed, decompressed = fetchmod.archive_sizes(entry)
     _emit_progress(config, "parsing %s" % week.label())
-    with fetchmod.open_archive(entry) as stream:
+    with fetchmod.open_archive(entry.cache_path) as stream:
         records_iter, report = parse_archive_stream(stream, plan.format, config.encoding)
         records = list(records_iter)
     return records, report.warnings_total, compressed, decompressed
@@ -348,15 +348,14 @@ def convert_stream(
     format: SourceFormat,
     sink: Sink,
     encoding: str = aps.DEFAULT_ENCODING,
-) -> tuple[int, int]:
+) -> ParseReport:
     """Stream one local file through the era parser into a sink.
 
-    Returns (records written, warning count); memory stays bounded by the
-    largest single patent regardless of file size.
+    Returns the parser's report, whose ``records_emitted`` is the number
+    of rows written; memory stays bounded by the largest single patent
+    regardless of file size.
     """
     records, report = parse_archive_stream(stream, format, encoding)
-    count = 0
     for record in records:
         sink.write(record)
-        count += 1
-    return count, report.warnings_total
+    return report

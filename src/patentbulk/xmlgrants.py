@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .model import (
     IpcParseError,
+    ParseReport,
     PatentRecord,
     SourceFormat,
     build_record,
@@ -104,33 +105,6 @@ def mapping_for(format: SourceFormat) -> ElementMapping:
         text = resources.files("patentbulk").joinpath("mappings", name).read_text()
         _MAPPING_CACHE[format] = ElementMapping(format, json.loads(text))
     return _MAPPING_CACHE[format]
-
-
-# Message lists stop growing past this; totals keep counting, so reports
-# stay small no matter how dirty a weekly file is.
-MAX_REPORT_MESSAGES = 100
-
-
-@dataclass
-class XmlParseReport:
-    """Counters and anomalies accumulated over one weekly parse."""
-
-    slices_seen: int = 0
-    records_emitted: int = 0
-    record_errors_total: int = 0
-    warnings_total: int = 0
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-    entity_substitutions: int = 0
-
-    def record_error(self, ordinal: int, message: str) -> None:
-        """A document dropped whole; also counted among the warnings."""
-        self.record_errors_total += 1
-        self.warn(ordinal, message)
-
-    def warn(self, ordinal: int, message: str) -> None:
-        self.warnings_total += 1
-        if len(self.warnings) < MAX_REPORT_MESSAGES:
-            self.warnings.append((ordinal, message))
 
 
 _ENCODING_RE = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')
@@ -267,9 +241,7 @@ def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
     return head
 
 
-def _ipc_codes(
-    root: ET.Element, rule: dict, ordinal: int, report: Optional[XmlParseReport]
-) -> list:
+def _ipc_codes(root: ET.Element, rule: dict, ordinal: int, report: ParseReport) -> list:
     """Read every classification block present; de-duplicate by canonical form."""
     codes = []
     seen = set()
@@ -284,8 +256,7 @@ def _ipc_codes(
             try:
                 code = ipc_parse(raw)
             except IpcParseError:
-                if report is not None:
-                    report.warn(ordinal, "unparseable IPC %r skipped" % (raw,))
+                report.warn(ordinal, "unparseable IPC %r skipped" % (raw,))
                 continue
             key = code.canonical()
             if key not in seen:
@@ -339,20 +310,22 @@ def _claims_text(root: ET.Element, rule: dict) -> str:
 def parse_grant_xml(
     doc: XmlDocSlice,
     mapping: ElementMapping,
-    report: Optional[XmlParseReport] = None,
+    report: Optional[ParseReport] = None,
 ) -> PatentRecord:
     """Map one document to a record under the era's element table.
 
     Raises GrantParseError for malformed XML or a document missing its
     number or grant date; field-level problems (bad IPC, bad application
-    date) are recorded as warnings and do not lose the record.
+    date) are recorded as warnings in ``report`` (a fresh one if none is
+    given) and do not lose the record.
     """
+    if report is None:
+        report = ParseReport()
     text = _decode(doc.data)
     text = _strip_declaration(text)
     text = _strip_doctype(text)
     text, substitutions = _substitute_entities(text)
-    if report is not None:
-        report.entity_substitutions += substitutions
+    report.entity_substitutions += substitutions
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -377,8 +350,7 @@ def parse_grant_xml(
         try:
             app_date = parse_date(app_raw)
         except ValueError:
-            if report is not None:
-                report.warn(doc.ordinal, "%s: invalid application date %r" % (wku, app_raw))
+            report.warn(doc.ordinal, "%s: invalid application date %r" % (wku, app_raw))
 
     return build_record(
         wku=wku,
@@ -398,7 +370,7 @@ class XmlWeeklyParser:
 
     def __init__(self, format: SourceFormat) -> None:
         self.mapping = mapping_for(format)
-        self.report = XmlParseReport()
+        self.report = ParseReport()
 
     def parse(self, stream: Union[BinaryIO, Iterable[bytes]]) -> Iterator[PatentRecord]:
         for doc in split_concatenated_documents(stream):
@@ -406,7 +378,7 @@ class XmlWeeklyParser:
             try:
                 record = parse_grant_xml(doc, self.mapping, self.report)
             except GrantParseError as exc:
-                self.report.record_error(exc.ordinal, exc.reason)
+                self.report.skip(exc.ordinal, exc.reason)
                 continue
             self.report.records_emitted += 1
             yield record

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from patentbulk.aps import ApsParser
 from patentbulk.fetch import TransportError, TransportResponse
 from patentbulk.model import IpcCode, build_record
 
@@ -56,6 +57,13 @@ class FakeTransport:
 @pytest.fixture
 def fake_transport():
     return FakeTransport()
+
+
+def parse_aps(lines):
+    """Drive ApsParser over a whole line stream; returns (records, report)."""
+    parser = ApsParser()
+    records = list(parser.parse(lines))
+    return records, parser.report
 
 
 def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:

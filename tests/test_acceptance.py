@@ -18,12 +18,10 @@ from pathlib import Path
 import pytest
 
 import oracle
-from conftest import FakeTransport, make_zip, random_records, sink_to_file
-from patentbulk.aps import ApsParser, parse_aps_stream
+from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
 from patentbulk.fetch import FetchError, fetch, resolve_plan
 from patentbulk.model import (
     WeekSpec,
-    ipc_parse,
     join_multivalue,
     sanitize_field,
     split_multivalue,
@@ -58,7 +56,7 @@ def test_criterion_1_fixture_goldens(tmp_path):
     with criterion(1, "two-patent fixture converts to byte-identical golden CSV/JSONL in <1s"):
         start = time.perf_counter()
         with open(DATA / "aps_two_patents.txt", encoding="latin-1") as handle:
-            records, _ = parse_aps_stream(handle)
+            records, _ = parse_aps(handle)
         csv_path = tmp_path / "out.csv"
         jsonl_path = tmp_path / "out.jsonl"
         sink_to_file(csv_path, CsvSink, records)
@@ -76,7 +74,7 @@ def test_criterion_2_era_equivalence():
 
         start = time.perf_counter()
         with open(DATA / "era_aps.txt", encoding="latin-1") as handle:
-            (aps_record,), _ = parse_aps_stream(handle)
+            (aps_record,), _ = parse_aps(handle)
         xml2_record = parse_grant_xml(
             XmlDocSlice((DATA / "era_xml2.xml").read_bytes(), 0), mapping_for(SourceFormat.XML2)
         )
@@ -129,7 +127,7 @@ def test_criterion_4_count_conservation():
                     parts.append("INVT\nNAM  Doe; J.\n")
                 if rng.random() < 0.25:
                     parts.append("CLMS\nPAR  1. A claim.\n     continued claim text.\n")
-            records, report = parse_aps_stream(io.StringIO("".join(parts)))
+            records, report = parse_aps(io.StringIO("".join(parts)))
             assert report.patn_sections == patn_count
             assert report.records_emitted + report.records_skipped == patn_count
             assert report.records_emitted == len(records)

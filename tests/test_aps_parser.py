@@ -2,11 +2,12 @@ import datetime as dt
 import io
 import random
 
-from patentbulk.aps import ApsParser, parse_aps_stream
+from conftest import parse_aps
+from patentbulk.aps import ApsParser
 
 
 def parse_text(text):
-    return parse_aps_stream(io.StringIO(text))
+    return parse_aps(io.StringIO(text))
 
 
 class TestBasicParsing:
@@ -197,7 +198,7 @@ def test_count_conservation_generated_streams():
                 parts.append("INVT\nNAM  Doe; J.\n")
             if rng.random() < 0.2:
                 parts.append("     stray continuation\n")
-        records, report = parse_aps_stream(io.StringIO("".join(parts)))
+        records, report = parse_aps(io.StringIO("".join(parts)))
         assert report.patn_sections == patn_count
         assert report.records_emitted + report.records_skipped == patn_count
         assert report.records_emitted == len(records)

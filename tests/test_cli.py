@@ -1,11 +1,14 @@
 import json
+import random
+import tracemalloc
 
 import pytest
 
-from conftest import FakeTransport, make_zip
+from conftest import FakeTransport, make_zip, random_record, sink_to_file
 from patentbulk import cli
 from patentbulk.fetch import resolve_plan
 from patentbulk.model import WeekSpec
+from patentbulk.pipeline import CsvSink
 
 
 def run_cli(argv, capsys):
@@ -337,3 +340,30 @@ class TestStats:
         )
         assert code == 1
         assert "error" in err
+
+    def test_malformed_row_exits_1_without_output(self, converted_csv, tmp_path, capsys):
+        with open(converted_csv, "a", encoding="utf-8") as handle:
+            handle.write("only,three,cells\n")
+        table = tmp_path / "table.csv"
+        code, _, err = run_cli(
+            ["stats", "weekly", "--input", str(converted_csv), "--output", str(table)], capsys
+        )
+        assert code == 1
+        assert "error" in err
+        assert not table.exists()
+
+    def test_weekly_streams_its_input(self, tmp_path, capsys):
+        # 20k records take about 18 MB once listed; streamed, the peak
+        # stays near 0.3 MB
+        path = tmp_path / "big.csv"
+        rng = random.Random(7)
+        sink_to_file(path, CsvSink, (random_record(rng) for _ in range(20_000)))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["stats", "weekly", "--input", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sum(int(row.rsplit(",", 1)[1]) for row in out.splitlines()[1:]) == 20_000
+        assert peak < 4_000_000

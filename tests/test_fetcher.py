@@ -8,7 +8,6 @@ from conftest import FakeTransport, make_zip
 from patentbulk.fetch import (
     DEFAULT_BASE_URL,
     FetchError,
-    FetchPlan,
     IntegrityError,
     TransportError,
     archive_sizes,
@@ -160,19 +159,26 @@ class TestOpenArchive:
 
     def test_single_member_bytes(self, tmp_path):
         entry = self._entry(tmp_path, {"a.txt": b"0123456789"})
-        with open_archive(entry) as stream:
+        with open_archive(entry.cache_path) as stream:
             assert stream.read() == b"0123456789"
 
     def test_members_concatenate_in_order(self, tmp_path):
         entry = self._entry(tmp_path, {"1.txt": b"first\n", "2.txt": b"second\n"})
-        with open_archive(entry) as stream:
+        with open_archive(entry.cache_path) as stream:
             assert stream.read() == b"first\nsecond\n"
 
     def test_line_iteration_spans_members(self, tmp_path):
         entry = self._entry(tmp_path, {"1.txt": b"a\nb", "2.txt": b"c\nd\n"})
-        with open_archive(entry) as stream:
+        with open_archive(entry.cache_path) as stream:
             text = io.TextIOWrapper(stream, encoding="latin-1")
             assert list(text) == ["a\n", "bc\n", "d\n"]
+
+    def test_cache_entry_opens_as_its_archive(self, tmp_path):
+        # perfbench's decompression drain passes entries, not paths
+        entry = self._entry(tmp_path, {"a.txt": b"0123456789"})
+        assert os.fspath(entry) == entry.cache_path
+        with open_archive(entry) as stream:
+            assert stream.read() == b"0123456789"
 
     def test_corrupted_archive_is_integrity_error(self, tmp_path):
         entry = self._entry(tmp_path, {"a.txt": b"payload"})
@@ -180,7 +186,7 @@ class TestOpenArchive:
         data[-10:] = b"X" * 10  # stomp the central directory
         (tmp_path / "pftaps19760106_wk01.zip").write_bytes(bytes(data))
         with pytest.raises(IntegrityError):
-            open_archive(entry)
+            open_archive(entry.cache_path)
 
     def test_archive_sizes(self, tmp_path):
         entry = self._entry(tmp_path, {"1.txt": b"x" * 1000, "2.txt": b"y" * 500})

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from patentbulk.model import (
     CSV_COLUMNS,
-    IpcCode,
+    MAX_REPORT_MESSAGES,
     IpcParseError,
+    ParseReport,
     PatentRecord,
     SourceFormat,
     WeekSpec,
@@ -236,3 +237,20 @@ class TestPatentRecord:
             inventors=["Doe; John"], claims="a\nb", ipc_codes=[ipc_parse("A01B 1/00")]
         )
         assert record_from_dict(record_to_dict(record)) == record
+
+
+class TestParseReport:
+    def test_skip_counts_one_record_and_one_warning(self):
+        report = ParseReport()
+        report.skip(7, "dropped")
+        report.warn(8, "kept")
+        assert report.records_skipped == report.record_errors_total == 1
+        assert report.warnings_total == 2
+        assert report.warnings == [(7, "dropped"), (8, "kept")]
+
+    def test_messages_capped_while_total_counts_on(self):
+        report = ParseReport()
+        for position in range(MAX_REPORT_MESSAGES + 5):
+            report.warn(position, "w")
+        assert report.warnings_total == MAX_REPORT_MESSAGES + 5
+        assert len(report.warnings) == MAX_REPORT_MESSAGES

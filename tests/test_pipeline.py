@@ -5,9 +5,8 @@ import weakref
 
 import pytest
 
-from conftest import FakeTransport, make_zip, random_records, sink_to_file
+from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
 from patentbulk import pipeline
-from patentbulk.fetch import TransportError
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
     CsvSink,
@@ -23,9 +22,7 @@ from patentbulk.pipeline import (
 
 @pytest.fixture
 def fixture_records(aps_fixture_text):
-    from patentbulk.aps import parse_aps_stream
-
-    records, _ = parse_aps_stream(io.StringIO(aps_fixture_text))
+    records, _ = parse_aps(io.StringIO(aps_fixture_text))
     return records
 
 
@@ -275,24 +272,25 @@ class TestGetBulkPatentData:
 class TestConvertStream:
     def test_aps_stream(self, aps_fixture_text):
         out = io.StringIO()
-        written, warnings = convert_stream(
+        report = convert_stream(
             io.BytesIO(aps_fixture_text.encode("latin-1")), SourceFormat.APS, CsvSink(out)
         )
-        assert written == 2
-        assert warnings == 1  # the invalid APD in the second patent
+        assert report.records_emitted == 2
+        assert report.warnings_total == 1  # the invalid APD in the second patent
 
     def test_skipped_section_counts_one_warning(self):
         text = "PATN\nWKU  039305672\nISD  19760106\nPATN\nTTL  Widget\nISD  19760106\n"
-        result = convert_stream(
+        report = convert_stream(
             io.BytesIO(text.encode("latin-1")), SourceFormat.APS, CsvSink(io.StringIO())
         )
-        assert result == (1, 1)  # the second section has no WKU
+        assert report.records_emitted == 1
+        assert report.warnings_total == 1  # the second section has no WKU
 
     def test_xml_stream(self, data_dir):
         out = io.StringIO()
-        written, _ = convert_stream(
+        report = convert_stream(
             io.BytesIO((data_dir / "era_xml4.xml").read_bytes()),
             SourceFormat.XML4,
             JsonlSink(out),
         )
-        assert written == 1
+        assert report.records_emitted == 1

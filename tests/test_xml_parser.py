@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from patentbulk.model import SourceFormat
+from conftest import parse_aps
+from patentbulk.model import ParseReport, SourceFormat
 from patentbulk.xmlgrants import (
     ElementMapping,
     GrantParseError,
@@ -127,10 +128,8 @@ class TestParseGrantXml:
             parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
 
     def test_unknown_entity_replaced_with_bracketed_name(self):
-        from patentbulk.xmlgrants import XmlParseReport
-
         data = MINIMAL_XML4.replace(b"Widget press", b"Widget &bull; press &amp; more")
-        report = XmlParseReport()
+        report = ParseReport()
         record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4), report)
         assert record.title == "Widget [bull] press & more"
         assert report.entity_substitutions == 1
@@ -181,10 +180,8 @@ class TestEraFixtures:
         assert record.assignees == ("Acme Industries, Inc.",)
 
     def test_era_equivalence(self, data_dir):
-        import patentbulk.aps as aps
-
         aps_text = (data_dir / "era_aps.txt").read_text(encoding="latin-1")
-        aps_records, _ = aps.parse_aps_stream(io.StringIO(aps_text))
+        aps_records, _ = parse_aps(io.StringIO(aps_text))
         xml2_record = parse_grant_xml(
             doc((data_dir / "era_xml2.xml").read_bytes()), mapping_for(SourceFormat.XML2)
         )
@@ -206,6 +203,17 @@ class TestWeeklyParser:
         assert report.slices_seen == 2
         assert report.records_emitted + report.record_errors_total == report.slices_seen
         assert report.warnings[0][0] == 1
+
+    def test_bad_document_is_a_skipped_record(self, data_dir):
+        good = (data_dir / "era_xml4.xml").read_bytes()
+        parser = XmlWeeklyParser(SourceFormat.XML4)
+        truncated = good[:-40] + b"\n"
+        records = list(parser.parse(io.BytesIO(good + truncated + good)))
+        report = parser.report
+        assert report.records_emitted == len(records) == 2
+        assert report.records_skipped == 1
+        assert report.records_emitted + report.records_skipped == report.slices_seen == 3
+        assert report.warnings_total == 1
 
     def test_determinism(self, data_dir):
         data = (data_dir / "era_xml4.xml").read_bytes() * 3
