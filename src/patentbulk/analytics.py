@@ -94,19 +94,23 @@ def _record_subclasses(record: PatentRecord) -> list[str]:
     return seen
 
 
+def _ranked(counts: Counter, k: int) -> list[tuple[Hashable, int]]:
+    """The k largest counts, descending, ties broken by key."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
 def top_ipc_subclasses(records: Iterable[PatentRecord], k: int = 10) -> list[ClassCount]:
     """Top-k subclasses by record count, descending, ties lexicographic.
 
     A record counts once per distinct subclass it carries: one patent
     classified C07D and C07C increments both.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     counts: Counter = Counter()
     for record in records:
         counts.update(_record_subclasses(record))
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return [ClassCount(key, n) for key, n in ranked[:k]]
+    return [ClassCount(key, n) for key, n in _ranked(counts, k)]
 
 
 def _median(sorted_values: Sequence[int]) -> float:
@@ -132,35 +136,33 @@ def tukey_five_number(values: Sequence[int]) -> tuple[float, float, float, float
     )
 
 
-def _group_lag_stats(
+def _group_lags(
     records: Iterable[PatentRecord],
-    keys_of: Callable[[PatentRecord], Iterable[Hashable]],
-) -> dict[Hashable, LagStats]:
-    lags: dict[Hashable, list[int]] = defaultdict(list)
+    keys_of: Callable[[PatentRecord], Sequence[Hashable]],
+) -> tuple[Counter, dict[Hashable, Counter], Counter]:
+    """Records, counts of each non-negative lag day, and negative lags per
+    key, in one pass; memory grows with keys × distinct lags, not records."""
+    records_per_key: Counter = Counter()
+    lags: dict[Hashable, Counter] = defaultdict(Counter)
     negatives: Counter = Counter()
     for record in records:
+        keys = keys_of(record)
+        records_per_key.update(keys)
         lag = lag_days(record)
         if lag is None:
             continue
-        for key in keys_of(record):
+        for key in keys:
             if lag < 0:
                 negatives[key] += 1
             else:
-                lags[key].append(lag)
-    stats = {}
-    for key, values in lags.items():
-        low, q1, median, q3, high = tukey_five_number(values)
-        stats[key] = LagStats(
-            group_key=key,
-            count=len(values),
-            min=low,
-            q1=q1,
-            median=median,
-            q3=q3,
-            max=high,
-            negative_lags=negatives.get(key, 0),
-        )
-    return stats
+                lags[key][lag] += 1
+    return records_per_key, lags, negatives
+
+
+def _lag_stats(key: Hashable, lags: Counter, negatives: int) -> LagStats:
+    values = sorted(lags.elements())
+    low, q1, median, q3, high = tukey_five_number(values)
+    return LagStats(key, len(values), low, q1, median, q3, high, negatives)
 
 
 def lag_stats_by(
@@ -170,35 +172,27 @@ def lag_stats_by(
     """Lag quartiles per group, sorted by group key; records whose key is
     None and groups with no defined non-negative lag are omitted."""
 
-    def keys_of(record: PatentRecord) -> Iterable[Hashable]:
+    def keys_of(record: PatentRecord) -> Sequence[Hashable]:
         k = key(record)
         return () if k is None else (k,)
 
-    stats = _group_lag_stats(records, keys_of)
-    return [stats[k] for k in sorted(stats)]
+    _, lags, negatives = _group_lags(records, keys_of)
+    return [_lag_stats(k, lags[k], negatives[k]) for k in sorted(lags)]
 
 
 def lag_stats_by_year(records: Iterable[PatentRecord]) -> list[LagStats]:
     return lag_stats_by(records, lambda record: record.issue_date.year)
 
 
-def lag_stats_by_class(
-    records: Iterable[PatentRecord], top: int = 10
-) -> list[LagStats]:
+def lag_stats_by_class(records: Iterable[PatentRecord], top: int = 10) -> list[LagStats]:
     """Lag quartiles for the top subclasses only, in class-count order.
 
-    Records outside the top classes are filtered out first; a record in
-    several top classes contributes its lag to each of them.
+    Subclasses rank as in :func:`top_ipc_subclasses`; a record in several
+    top classes contributes its lag to each of them.
     """
-    record_list = list(records)
-    ranked = top_ipc_subclasses(record_list, top)
-    top_keys = {entry.subclass_key for entry in ranked}
-
-    def keys_of(record: PatentRecord) -> Iterable[Hashable]:
-        return [key for key in _record_subclasses(record) if key in top_keys]
-
-    stats = _group_lag_stats(record_list, keys_of)
-    return [stats[entry.subclass_key] for entry in ranked if entry.subclass_key in stats]
+    per_class, lags, negatives = _group_lags(records, _record_subclasses)
+    ranked = _ranked(per_class, top)
+    return [_lag_stats(k, lags[k], negatives[k]) for k, _ in ranked if k in lags]
 
 
 def median_lag_delta(stats: Sequence[LagStats]) -> Optional[tuple[int, int, float]]:

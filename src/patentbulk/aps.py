@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .model import IpcParseError, ParseReport, PatentRecord, build_record, ipc_parse, parse_date
+from .model import (
+    IpcParseError,
+    ParseReport,
+    PatentRecord,
+    WrongFileTypeError,
+    build_record,
+    ipc_parse,
+    parse_date,
+)
 
 # Section headers observed in the fixed-tag grant files.  Sections not in
 # the capture tables below are recognized so their data lines can be
@@ -66,7 +74,8 @@ class ApsParser:
     """One-shot parser; create a fresh instance per input stream.
 
     ``parse`` yields records lazily in file order; ``report`` is complete
-    once iteration finishes.
+    once iteration finishes.  Input with lines but no PATN header raises
+    WrongFileTypeError when it ends.
     """
 
     def __init__(self) -> None:
@@ -134,6 +143,8 @@ class ApsParser:
                 target = None
 
         report.lines_read = lines_read
+        if pending is None and lines_read:
+            raise WrongFileTypeError("no PATN header in %d lines of input" % lines_read)
 
         rec = self._flush(pending)
         if rec is not None:

@@ -11,8 +11,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence, TextIO
 
 from . import analytics, fetch as fetchmod, pipeline
 from .model import SourceFormat, WeekSpec, tuesdays_in_year
@@ -154,11 +155,11 @@ def _make_sink(out, format: str, append: bool) -> pipeline.Sink:
     return pipeline.CsvSink(out, write_header=not append)
 
 
-def _open_output(args: argparse.Namespace):
-    if args.output == "-":
-        return sys.stdout, False
-    mode = "a" if args.append else "w"
-    return open(args.output, mode, encoding="utf-8", newline=""), True
+def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
+    """Standard output, left open on exit, or ``path`` opened for writing."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "a" if append else "w", encoding="utf-8", newline="")
 
 
 def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
@@ -201,13 +202,9 @@ class _NoNetworkTransport:
 def _run_weeks(args: argparse.Namespace, transport) -> int:
     weeks = _resolve_weeks(args)
     config = _pipeline_config(args, transport, encoding=args.encoding)
-    out, owned = _open_output(args)
-    try:
+    with _open_output(args.output, args.append) as out:
         sink = _make_sink(out, args.format, args.append)
         summary = pipeline.get_bulk_patent_data(weeks, sink, config)
-    finally:
-        if owned:
-            out.close()
     return _finish_run(args, summary)
 
 
@@ -219,9 +216,8 @@ def _convert_local(args: argparse.Namespace) -> int:
     if not args.format_era:
         raise ValueError("--format-era is required with --input")
     format = SourceFormat(args.format_era)
-    out, owned = _open_output(args)
     summary = pipeline.RunSummary()
-    try:
+    with _open_output(args.output, args.append) as out:
         sink = _make_sink(out, args.format, args.append)
         for path in args.input:
             stream = _open_input_stream(path)
@@ -232,9 +228,6 @@ def _convert_local(args: argparse.Namespace) -> int:
             summary.records_written += report.records_emitted
             summary.warnings_total += report.warnings_total
         summary.output_bytes = sink.bytes_written
-    finally:
-        if owned:
-            out.close()
     return _finish_run(args, summary)
 
 
@@ -281,12 +274,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     "median lag delta %d vs %d: %+g days" % (delta[1], delta[0], delta[2])
                 )
 
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="")
-    try:
+    with _open_output(args.output) as out:
         write_table(stats, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if not args.quiet:
         for note in notes:
             print(note, file=sys.stderr)

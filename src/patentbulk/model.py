@@ -177,6 +177,10 @@ class ParseReport:
         self.warn(position, message)
 
 
+class WrongFileTypeError(ValueError):
+    """Input is not a file of the era it is parsed as."""
+
+
 class SourceFormat(Enum):
     """Era tag selecting the parser: fixed-tag text or an XML generation."""
 

@@ -12,10 +12,11 @@ import io
 import json
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, Union
+from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, Union
 
 from . import aps, fetch as fetchmod, xmlgrants
 from .model import (
@@ -147,36 +148,29 @@ class JsonlSink:
 Sink = Union[CsvSink, JsonlSink]
 
 
+def _open_source(source: Union[str, Path, TextIO]) -> ContextManager[TextIO]:
+    """A path opened for reading and closed on exit; an open file as is."""
+    if hasattr(source, "read"):
+        return nullcontext(source)
+    return open(source, encoding="utf-8", newline="")
+
+
 def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     """Re-read pipeline CSV output, claims newlines included."""
-    if hasattr(source, "read"):
-        handle, owned = source, False
-    else:
-        handle, owned = open(source, encoding="utf-8", newline=""), True
-    try:
+    with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is not None and tuple(header) != CSV_COLUMNS:
             raise ValueError("unexpected CSV header: %r" % (header,))
         for row in reader:
             yield record_from_row(row)
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
-    if hasattr(source, "read"):
-        handle, owned = source, False
-    else:
-        handle, owned = open(source, encoding="utf-8"), True
-    try:
+    with _open_source(source) as handle:
         for line in handle:
             if line.strip():
                 yield record_from_dict(json.loads(line))
-    finally:
-        if owned:
-            handle.close()
 
 
 @dataclass

@@ -22,14 +22,11 @@ from .model import (
     ParseReport,
     PatentRecord,
     SourceFormat,
+    WrongFileTypeError,
     build_record,
     ipc_parse,
     parse_date,
 )
-
-
-class WrongFileTypeError(ValueError):
-    """Input contained no XML document prolog at all."""
 
 
 class GrantParseError(Exception):
@@ -315,7 +312,8 @@ def parse_grant_xml(
     """Map one document to a record under the era's element table.
 
     Raises GrantParseError for malformed XML or a document missing its
-    number or grant date; field-level problems (bad IPC, bad application
+    number or grant date, and WrongFileTypeError for a root element of
+    another era; field-level problems (bad IPC, bad application
     date) are recorded as warnings in ``report`` (a fresh one if none is
     given) and do not lose the record.
     """
@@ -330,6 +328,11 @@ def parse_grant_xml(
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise GrantParseError(doc.ordinal, "malformed XML: %s" % exc) from exc
+    if root.tag != mapping.root:
+        raise WrongFileTypeError(
+            "document %d: root element <%s> is not the %s root <%s>"
+            % (doc.ordinal, root.tag, mapping.format.value, mapping.root)
+        )
 
     fields = mapping.fields
     wku = _first_text(root, fields["wku"]["paths"])

@@ -2,8 +2,11 @@ import datetime as dt
 import io
 import random
 
+import pytest
+
 from conftest import parse_aps
 from patentbulk.aps import ApsParser
+from patentbulk.model import WrongFileTypeError
 
 
 def parse_text(text):
@@ -16,6 +19,10 @@ class TestBasicParsing:
         assert records == []
         assert report.records_emitted == 0
         assert report.patn_sections == 0
+
+    def test_lines_without_patn_are_wrong_file_type(self, data_dir):
+        with pytest.raises(WrongFileTypeError, match="no PATN header"):
+            parse_text((data_dir / "era_xml4.xml").read_text(encoding="utf-8"))
 
     def test_single_minimal_patent(self):
         text = (

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import tracemalloc
@@ -123,6 +125,33 @@ class TestConvertLocal:
         )
         assert code == 0
         assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "fixture, era, found, expected",
+        [
+            ("era_xml2.xml", "xml4", "<PATDOC>", "<us-patent-grant>"),
+            ("era_xml4.xml", "xml2", "<us-patent-grant>", "<PATDOC>"),
+        ],
+        ids=["xml2-as-xml4", "xml4-as-xml2"],
+    )
+    def test_wrong_xml_era_exits_1_naming_both_roots(
+        self, fixture, era, found, expected, data_dir, capsys
+    ):
+        code, _, err = run_cli(
+            ["convert", "--input", str(data_dir / fixture), "--format-era", era, "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert found in err and expected in err
+
+    def test_xml_read_as_aps_exits_1(self, data_dir, capsys):
+        code, _, err = run_cli(
+            ["convert", "--input", str(data_dir / "era_xml4.xml"), "--format-era", "aps",
+             "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert "no PATN header" in err
 
     def test_input_requires_era(self, data_dir, capsys):
         code, _, err = run_cli(
@@ -352,18 +381,23 @@ class TestStats:
         assert "error" in err
         assert not table.exists()
 
-    def test_weekly_streams_its_input(self, tmp_path, capsys):
-        # 20k records take about 18 MB once listed; streamed, the peak
-        # stays near 0.3 MB
+    @pytest.mark.parametrize("analysis", ["weekly", "classes", "lag-by-class", "lag-by-year"])
+    def test_stats_streams_its_input(self, analysis, tmp_path, capsys):
+        # 20k records take about 18 MB once listed; streamed, every
+        # analysis peaks under 1 MB
+        count_total = {
+            "weekly": 20_000, "classes": 16_854, "lag-by-class": 14_012, "lag-by-year": 16_651,
+        }
         path = tmp_path / "big.csv"
         rng = random.Random(7)
         sink_to_file(path, CsvSink, (random_record(rng) for _ in range(20_000)))
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(["stats", "weekly", "--input", str(path)], capsys)
+            code, out, _ = run_cli(["stats", analysis, "--input", str(path)], capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert sum(int(row.rsplit(",", 1)[1]) for row in out.splitlines()[1:]) == 20_000
+        counts = [int(row["count"]) for row in csv.DictReader(io.StringIO(out))]
+        assert sum(counts) == count_total[analysis]
         assert peak < 4_000_000

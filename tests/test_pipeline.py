@@ -268,6 +268,24 @@ class TestGetBulkPatentData:
         assert summary.records_written == 1
         assert json.loads(out.getvalue())["wku"] == "07641234"
 
+    def test_wrong_era_week_adds_no_rows(self, data_dir, tmp_path):
+        good, mixed = WeekSpec(2010, 1), WeekSpec(2010, 2)
+        xml4 = (data_dir / "era_xml4.xml").read_bytes()
+        xml2 = (data_dir / "era_xml2.xml").read_bytes()
+        transport = FakeTransport(
+            {
+                _week_url(good): make_zip({"ipg.xml": xml4}),
+                # a grant of this era first, then one of the XML2 era
+                _week_url(mixed): make_zip({"ipg.xml": xml4 + xml2}),
+            }
+        )
+        out = io.StringIO()
+        summary = get_bulk_patent_data([good, mixed], JsonlSink(out), _config(tmp_path, transport))
+        assert summary.records_written == 1
+        assert out.getvalue().count("\n") == 1
+        assert [week for week, _ in summary.weeks_failed] == [mixed]
+        assert "<PATDOC>" in summary.weeks_failed[0][1]
+
 
 class TestConvertStream:
     def test_aps_stream(self, aps_fixture_text):

@@ -1,0 +1,53 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps functions,
+generators, methods and parse-report fields of this package by name.
+Renaming or deleting one of them fails here instead of breaking
+``perfbench/run.py --trace 1``."""
+
+import importlib.util
+from pathlib import Path
+
+import patentbulk
+from patentbulk.model import ParseReport
+
+TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    tracing = load_tracing()
+    missing = [
+        "%s.%s" % (module, attribute)
+        for module, attribute, _ in tracing.FUNCTIONS + tracing.GENERATORS
+        if not hasattr(getattr(patentbulk, module), attribute)
+    ]
+    missing += [
+        "%s.%s.%s" % (module, cls, attribute)
+        for module, cls, attribute, _ in tracing.METHODS
+        if not hasattr(getattr(getattr(patentbulk, module), cls, None), attribute)
+    ]
+    missing += [
+        "ParseReport.%s" % attribute
+        for attribute, _ in tracing.APS_REPORT + tracing.XML_REPORT
+        if not hasattr(ParseReport(), attribute)
+    ]
+    assert missing == []
+
+
+def test_install_wraps_callers_and_uninstall_restores():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, patentbulk)
+    try:
+        wrapped = len(tracing.FUNCTIONS) + len(tracing.GENERATORS) + len(tracing.METHODS)
+        assert len(saved) == wrapped + 2  # plus both parsers' parse methods
+        patentbulk.analytics.weekly_counts([])
+        assert tracer.calls["analytics.weekly_counts"] == 1
+    finally:
+        tracing.uninstall(saved)
+    assert all(getattr(owner, attribute) is original for owner, attribute, original in saved)
