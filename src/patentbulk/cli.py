@@ -79,7 +79,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="bulk data base URL (env %s)" % ENV_BASE_URL,
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="weeks fetched and parsed at once; at most N held in memory")
+                        help="weeks fetched at once")
     parser.add_argument("--retries", type=int, default=3, help="download attempts per week")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 

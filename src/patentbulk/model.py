@@ -268,6 +268,9 @@ def ipc_parse(raw: str) -> IpcCode:
         raise IpcParseError("malformed IPC code: %r" % (raw,))
     section, class_num, subclass = m.group(1), m.group(2), m.group(3)
     remainder = _normalize_ipc_remainder(text[m.end() :])
+    # the head holds no "; ", so only the remainder can put it in the canonical form
+    if MULTIVALUE_DELIMITER in remainder:
+        raise IpcParseError("IPC code holds the %r delimiter: %r" % (MULTIVALUE_DELIMITER, raw))
     return IpcCode(section, class_num, subclass, remainder)
 
 
@@ -388,15 +391,27 @@ def record_to_dict(record: PatentRecord) -> dict:
     }
 
 
-def record_from_dict(data: dict) -> PatentRecord:
-    return PatentRecord(
-        wku=data["wku"],
-        title=data["title"],
-        app_date=parse_date(data["app_date"]) if data.get("app_date") else None,
-        issue_date=parse_date(data["issue_date"]),
-        inventors=tuple(data.get("inventors") or ()),
-        assignees=tuple(data.get("assignees") or ()),
-        ipc_codes=tuple(ipc_parse(c) for c in (data.get("ipc_codes") or ())),
-        references=tuple(data.get("references") or ()),
-        claims=data.get("claims", ""),
-    )
+_LIST_FIELDS = ("inventors", "assignees", "ipc_codes", "references")
+
+
+def record_from_dict(data: object) -> PatentRecord:
+    """Rebuild a record from a JSON value; exact inverse of record_to_dict.
+
+    Decodes through :func:`record_from_row`, so a value that is not an
+    object, a missing ``wku`` or ``issue_date`` and a field of the wrong
+    type all raise ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object, got %s" % type(data).__name__)
+    row = []
+    for name in CSV_COLUMNS:
+        value = data.get(name)
+        if name in _LIST_FIELDS:
+            value = [] if value is None else value
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ValueError("%s must be a list of strings" % name)
+            value = join_multivalue(value)
+        elif not isinstance(value, (str, type(None))):
+            raise ValueError("%s must be a string, not %s" % (name, type(value).__name__))
+        row.append(value or "")
+    return record_from_row(row)

@@ -214,13 +214,12 @@ def _fetch_week(
 
 
 def _collect_week(
-    week: WeekSpec, config: PipelineConfig
+    plan: fetchmod.FetchPlan, entry: fetchmod.CacheEntry, config: PipelineConfig
 ) -> tuple[list[PatentRecord], int, int, int]:
-    """Fetch and parse one week; returns (records, warnings, compressed,
+    """Parse one fetched week; returns (records, warnings, compressed,
     decompressed).  Raises on any per-week failure."""
-    plan, entry = _fetch_week(week, config)
     compressed, decompressed = fetchmod.archive_sizes(entry)
-    _emit_progress(config, "parsing %s" % week.label())
+    _emit_progress(config, "parsing %s" % plan.week.label())
     with fetchmod.open_archive(entry.cache_path) as stream:
         records_iter, report = parse_archive_stream(stream, plan.format, config.encoding)
         records = list(records_iter)
@@ -238,28 +237,25 @@ def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig
 
 
 def _ordered_weeks(
-    weeks: list[WeekSpec], step: Callable[..., object], config: PipelineConfig
-) -> Iterator[tuple[WeekSpec, object, Optional[BaseException]]]:
-    """Run ``step`` on each of ``weeks``; yield ``(week, result, error)``
-    in the order given, ``error`` being what the week raised, if anything.
+    weeks: list[WeekSpec], config: PipelineConfig
+) -> Iterator[tuple[WeekSpec, Future]]:
+    """Fetch each of ``weeks``; yield ``(week, future)`` in the order given,
+    the future holding :func:`_fetch_week`'s result or what it raised.
 
     At most ``max(1, config.jobs)`` weeks are submitted and not yet
     consumed: the next week is submitted only after the caller has taken
-    the oldest, so finished weeks cannot pile up behind a slow one.  With
-    one job each step runs on the calling thread, where an interrupt stops
-    it at once.
+    the oldest, so fetched weeks cannot pile up behind a slow one.  With
+    one job each fetch runs on the calling thread, where an interrupt
+    stops it at once.
     """
     jobs = max(1, config.jobs)
     todo = iter(weeks)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         submit = pool.submit if jobs > 1 else _run_now
-        pending = deque((week, submit(step, week, config)) for week in islice(todo, jobs))
+        pending = deque((week, submit(_fetch_week, week, config)) for week in islice(todo, jobs))
         while pending:
-            week, future = pending.popleft()
-            error = future.exception()
-            yield week, None if error else future.result(), error
-            del future  # the caller is done with this week: free it first
-            pending.extend((week, submit(step, week, config)) for week in islice(todo, 1))
+            yield pending.popleft()
+            pending.extend((week, submit(_fetch_week, week, config)) for week in islice(todo, 1))
 
 
 def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
@@ -283,22 +279,24 @@ def get_bulk_patent_data(
 ) -> RunSummary:
     """Collect a range of weeks into one sink.
 
-    Weeks are fetched (cache-first) and parsed ``config.jobs`` at a time,
-    and per-week batches reach the sink in ascending (year, week) order.
-    A week is parsed whole before its first row is written, so a week that
-    fails adds no rows, and at most ``config.jobs`` weeks are held in
-    memory.  A failing week is recorded in the summary and does not abort
-    the run; if every week fails a RunError is raised instead.
+    Weeks are fetched (cache-first) ``config.jobs`` at a time and parsed
+    one at a time on the calling thread, and per-week batches reach the
+    sink in ascending (year, week) order.  A week is parsed whole before
+    its first row is written, so a week that fails adds no rows, and one
+    parsed week is held in memory at any ``config.jobs``.  A failing week
+    is recorded in the summary and does not abort the run; if every week
+    fails a RunError is raised instead.
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
     seen_wkus: set[str] = set()
-    for week, result, error in _ordered_weeks(week_list, _collect_week, config):
-        if error is not None:
+    for week, fetched in _ordered_weeks(week_list, config):
+        try:
+            records, warnings, compressed, decompressed = _collect_week(*fetched.result(), config)
+        except Exception as error:
             _week_failed(summary, config, week, error)
             continue
-        records, warnings, compressed, decompressed = result
         summary.weeks_fetched += 1
         summary.warnings_total += warnings
         summary.input_bytes_compressed += compressed
@@ -310,8 +308,7 @@ def get_bulk_patent_data(
                 seen_wkus.add(record.wku)
             sink.write(record)
         summary.records_written += len(records)
-        # drop this week before the loop waits on the next one
-        result = records = None
+        records = None  # drop this week before the next one is parsed
 
     summary.output_bytes = sink.bytes_written
     if summary.weeks_fetched == 0:
@@ -327,7 +324,8 @@ def fetch_weeks(
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
-    for week, _, error in _ordered_weeks(week_list, _fetch_week, config):
+    for week, fetched in _ordered_weeks(week_list, config):
+        error = fetched.exception()
         if error is None:
             summary.weeks_fetched += 1
         else:

@@ -18,6 +18,7 @@ from importlib import resources
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
 from .model import (
+    CSV_COLUMNS,
     IpcParseError,
     ParseReport,
     PatentRecord,
@@ -76,10 +77,7 @@ def split_concatenated_documents(
 class ElementMapping:
     """Era-specific table of element paths per record field."""
 
-    FIELD_NAMES = (
-        "wku", "title", "app_date", "issue_date", "inventors",
-        "assignees", "ipc_codes", "references", "claims",
-    )
+    FIELD_NAMES = CSV_COLUMNS
 
     def __init__(self, format: SourceFormat, table: dict) -> None:
         missing = [f for f in self.FIELD_NAMES if f not in table.get("fields", {})]

@@ -139,6 +139,13 @@ class TestSectionMachine:
         assert [c.canonical() for c in records[0].ipc_codes] == ["A01B 1/00"]
         assert any("907X" in message for _, message in report.warnings)
 
+    def test_icl_holding_the_delimiter_dropped_with_warning(self):
+        text = "PATN\nWKU  1\nISD  19760106\nCLAS\nICL  A01B; X\nICL  A01B  100\n"
+        records, report = parse_text(text)
+        assert [c.canonical() for c in records[0].ipc_codes] == ["A01B 1/00"]
+        assert report.records_emitted == 1
+        assert any("A01B; X" in message for _, message in report.warnings)
+
     def test_dclm_and_clms_concatenate_in_file_order(self):
         text = (
             "PATN\nWKU  1\nISD  19760106\n"

@@ -381,6 +381,27 @@ class TestStats:
         assert "error" in err
         assert not table.exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{}",
+            "[1]",
+            '{"wku": "1", "issue_date": null}',
+            '{"wku": "1", "issue_date": "1976-01-06", "inventors": [1]}',
+        ],
+        ids=["empty-object", "not-an-object", "null-issue-date", "wrong-type"],
+    )
+    def test_malformed_jsonl_line_exits_1_without_output(self, line, tmp_path, capsys):
+        source = tmp_path / "in.jsonl"
+        source.write_text('{"wku": "1", "issue_date": "1976-01-06"}\n%s\n' % line)
+        table = tmp_path / "table.csv"
+        code, _, err = run_cli(
+            ["stats", "weekly", "--input", str(source), "--output", str(table)], capsys
+        )
+        assert code == 1
+        assert "error" in err
+        assert not table.exists()
+
     @pytest.mark.parametrize("analysis", ["weekly", "classes", "lag-by-class", "lag-by-year"])
     def test_stats_streams_its_input(self, analysis, tmp_path, capsys):
         # 20k records take about 18 MB once listed; streamed, every

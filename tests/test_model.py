@@ -174,6 +174,19 @@ class TestIpcParse:
         with pytest.raises(IpcParseError):
             ipc_parse("907X")
 
+    @pytest.mark.parametrize("raw", ["A01B; X", "C07D 295/12; A01B 1/00"])
+    def test_delimiter_in_canonical_form_rejected(self, raw):
+        with pytest.raises(IpcParseError, match="delimiter"):
+            ipc_parse(raw)
+
+    @given(st.from_regex(r"[A-H]\d{2}[A-Z]?", fullmatch=True), st.text(alphabet="X1/; \n"))
+    def test_parsed_code_joins_as_one_cell(self, head, tail):
+        try:
+            canonical = ipc_parse(head + tail).canonical()
+        except IpcParseError:
+            return
+        assert split_multivalue(join_multivalue([canonical])) == [canonical]
+
     def test_fixed_width_forms(self):
         assert ipc_parse("C07D29512").canonical() == "C07D 295/12"
         assert ipc_parse("A47B 4700").canonical() == "A47B 47/00"

@@ -212,7 +212,7 @@ class TestGetBulkPatentData:
         assert summary.records_written == 12
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_weeks_held_bounded_by_jobs(self, aps_fixture_text, tmp_path, monkeypatch, jobs):
+    def test_one_week_held_at_a_time(self, aps_fixture_text, tmp_path, monkeypatch, jobs):
         weeks = [WeekSpec(1976, w) for w in range(1, 7)]
         payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
         transport = FakeTransport({_week_url(week): payload for week in weeks})
@@ -224,11 +224,11 @@ class TestGetBulkPatentData:
 
         collect = pipeline._collect_week
 
-        def tracked_collect(week, config):
+        def tracked_collect(plan, entry, config):
             held_at_step_start.append(len(held) + 1)  # + the week starting now
-            records, *rest = collect(week, config)
+            records, *rest = collect(plan, entry, config)
             batch = Batch(records)
-            held[week] = batch
+            held[plan.week] = batch
             return (batch, *rest)
 
         monkeypatch.setattr(pipeline, "_collect_week", tracked_collect)
@@ -236,7 +236,25 @@ class TestGetBulkPatentData:
             weeks, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
         )
         assert summary.records_written == 12
-        assert max(held_at_step_start) <= jobs
+        assert held_at_step_start == [1] * len(weeks)
+
+    def test_weeks_parsed_on_the_calling_thread(self, aps_fixture_text, tmp_path, monkeypatch):
+        weeks = [WeekSpec(1976, w) for w in range(1, 7)]
+        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
+        transport = FakeTransport({_week_url(week): payload for week in weeks})
+        parse_threads = []
+        parse = pipeline.parse_archive_stream
+
+        def tracked_parse(*args):
+            parse_threads.append(threading.get_ident())
+            return parse(*args)
+
+        monkeypatch.setattr(pipeline, "parse_archive_stream", tracked_parse)
+        summary = get_bulk_patent_data(
+            weeks, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=3)
+        )
+        assert summary.records_written == 12
+        assert parse_threads == [threading.get_ident()] * len(weeks)
 
     def test_determinism_from_cache(self, aps_fixture_text, tmp_path):
         week = WeekSpec(1976, 1)
@@ -258,6 +276,23 @@ class TestGetBulkPatentData:
         summary = get_bulk_patent_data([w1, w2], CsvSink(out), _config(tmp_path, transport))
         assert summary.records_written == 4
         assert summary.duplicate_wkus == 2
+
+    def test_ipc_code_holding_the_delimiter_keeps_its_week(self, aps_fixture_text, tmp_path):
+        w1, w2 = WeekSpec(1976, 1), WeekSpec(1976, 2)
+        # the fixture's two patents, then one whose only ICL holds "; "
+        week_2 = aps_fixture_text + "PATN\nWKU  039309999\nISD  19760113\nCLAS\nICL  A01B; X\n"
+        transport = FakeTransport(
+            {
+                _week_url(w1): make_zip({"a.txt": aps_fixture_text.encode("latin-1")}),
+                _week_url(w2): make_zip({"b.txt": week_2.encode("latin-1")}),
+            }
+        )
+        out = io.StringIO()
+        summary = get_bulk_patent_data([w1, w2], CsvSink(out), _config(tmp_path, transport))
+        rows = list(read_csv(io.StringIO(out.getvalue())))
+        assert summary.weeks_failed == []
+        assert summary.records_written == len(rows) == 5
+        assert (rows[-1].wku, rows[-1].ipc_codes) == ("039309999", ())
 
     def test_xml4_week_dispatch(self, data_dir, tmp_path):
         week = WeekSpec(2010, 1)
