@@ -11,9 +11,9 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import ContextManager, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import analytics, fetch as fetchmod, pipeline
 from .model import SourceFormat, WeekSpec, tuesdays_in_year
@@ -155,11 +155,32 @@ def _make_sink(out, format: str, append: bool) -> pipeline.Sink:
     return pipeline.CsvSink(out, write_header=not append)
 
 
-def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
-    """Standard output, left open on exit, or ``path`` opened for writing."""
+@contextmanager
+def _open_output(path: str, append: bool = False) -> Iterator[TextIO]:
+    """Standard output, left open on exit, or ``path`` opened for writing.
+
+    A new or regular file is written as a temporary file beside it that
+    replaces it only when the block exits without an exception, so a
+    failed command leaves no partial table.  Appends, standard output and
+    special files (``/dev/null``, symlinks, pipes) are written in place.
+    """
     if path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "a" if append else "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    special = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+    if append or special:
+        with open(path, "a" if append else "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    temp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
@@ -220,21 +241,19 @@ def _convert_local(args: argparse.Namespace) -> int:
     with _open_output(args.output, args.append) as out:
         sink = _make_sink(out, args.format, args.append)
         for path in args.input:
-            stream = _open_input_stream(path)
-            try:
+            zipped = path.endswith(".zip")
+            with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
                 report = pipeline.convert_stream(stream, format, sink, encoding=args.encoding)
-            finally:
-                stream.close()
+            if zipped:
+                compressed, decompressed = fetchmod.archive_sizes(path)
+            else:
+                compressed = decompressed = os.path.getsize(path)
             summary.records_written += report.records_emitted
             summary.warnings_total += report.warnings_total
+            summary.input_bytes_compressed += compressed
+            summary.input_bytes_decompressed += decompressed
         summary.output_bytes = sink.bytes_written
     return _finish_run(args, summary)
-
-
-def _open_input_stream(path: str):
-    if path.endswith(".zip"):
-        return fetchmod.open_archive(path)
-    return open(path, "rb")
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:

@@ -336,8 +336,9 @@ def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
     return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=_CHUNK_SIZE)
 
 
-def archive_sizes(entry: CacheEntry) -> tuple[int, int]:
-    """(compressed, decompressed) byte sizes from the zip directory."""
-    with zipfile.ZipFile(entry.cache_path) as archive:
+def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:
+    """(compressed, decompressed) byte sizes of the zip at ``path``: its
+    file size and the sum of its data members' sizes from the directory."""
+    with zipfile.ZipFile(path) as archive:
         decompressed = sum(i.file_size for i in archive.infolist() if not i.is_dir())
-    return entry.byte_size, decompressed
+    return os.path.getsize(path), decompressed

@@ -163,14 +163,22 @@ def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
         if header is not None and tuple(header) != CSV_COLUMNS:
             raise ValueError("unexpected CSV header: %r" % (header,))
         for row in reader:
-            yield record_from_row(row)
+            try:
+                record = record_from_row(row)
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (reader.line_num, exc)) from exc
+            yield record
 
 
 def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     with _open_source(source) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             if line.strip():
-                yield record_from_dict(json.loads(line))
+                try:
+                    record = record_from_dict(json.loads(line))
+                except ValueError as exc:
+                    raise ValueError("line %d: %s" % (number, exc)) from exc
+                yield record
 
 
 @dataclass
@@ -218,7 +226,7 @@ def _collect_week(
 ) -> tuple[list[PatentRecord], int, int, int]:
     """Parse one fetched week; returns (records, warnings, compressed,
     decompressed).  Raises on any per-week failure."""
-    compressed, decompressed = fetchmod.archive_sizes(entry)
+    compressed, decompressed = fetchmod.archive_sizes(entry.cache_path)
     _emit_progress(config, "parsing %s" % plan.week.label())
     with fetchmod.open_archive(entry.cache_path) as stream:
         records_iter, report = parse_archive_stream(stream, plan.format, config.encoding)

@@ -6,6 +6,15 @@ with its own prolog.  The splitter yields one document at a time keyed on
 record through an era-specific element mapping table.  The tables are
 data (JSON shipped with the package), not code, so schema drift within an
 era is absorbed by editing paths.
+
+Each document is parsed in one expat pass.  An entity that nothing in the
+document declares (``&bull;`` of the DTD-era files) becomes its name in
+square brackets, counted in the parse report.  As expat has it, such an
+entity is dropped uncounted inside an attribute value, an entity reference
+in CDATA stays literal, a general entity declared in the internal subset is
+expanded, a ``standalone="yes"`` document that references an undeclared
+entity is malformed, and namespace prefixes are not checked: tags arrive as
+written.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 from dataclasses import dataclass
 from importlib import resources
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
@@ -103,8 +113,6 @@ def mapping_for(format: SourceFormat) -> ElementMapping:
 
 
 _ENCODING_RE = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')
-_ENTITY_RE = re.compile(r"&([A-Za-z][A-Za-z0-9._-]*);")
-_BUILTIN_ENTITIES = frozenset({"amp", "lt", "gt", "apos", "quot"})
 
 
 def _decode(data: bytes) -> str:
@@ -117,50 +125,25 @@ def _decode(data: bytes) -> str:
         return data.decode("latin-1")
 
 
-def _strip_declaration(text: str) -> str:
-    # ET.fromstring rejects str input that still carries an encoding
-    # declaration; the slice is already decoded at this point.
-    stripped = text.lstrip()
-    if stripped.startswith("<?xml"):
-        end = stripped.find("?>")
-        if end != -1:
-            return stripped[end + 2 :]
-    return text
+def _parse_document(text: str, report: ParseReport) -> ET.Element:
+    """Build one decoded document's tree; pyexpat reads a ``str`` as UTF-8
+    whatever its prolog declares, and the foreign DTD makes an undeclared
+    entity one that expat skips rather than an error."""
+    builder = ET.TreeBuilder()
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.UseForeignDTD(True)
+    parser.StartElementHandler = builder.start
+    parser.EndElementHandler = builder.end
+    parser.CharacterDataHandler = builder.data
 
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        builder.data("[%s]" % name)
+        report.entity_substitutions += 1
 
-def _strip_doctype(text: str) -> str:
-    i = text.find("<!DOCTYPE")
-    if i == -1:
-        return text
-    gt = text.find(">", i)
-    bracket = text.find("[", i)
-    if bracket != -1 and (gt == -1 or bracket < gt):
-        end = text.find("]>", bracket)
-        if end == -1:
-            return text[:i]
-        return text[:i] + text[end + 2 :]
-    if gt == -1:
-        return text[:i]
-    return text[:i] + text[gt + 1 :]
-
-
-def _substitute_entities(text: str) -> tuple[str, int]:
-    """Replace entity references the stdlib parser cannot resolve.
-
-    DTD-era files lean on external entities (&bull;, &Agr;, ...); these
-    become the entity name in square brackets rather than aborting a
-    multi-hundred-megabyte parse.
-    """
-    count = 0
-
-    def sub(m: re.Match) -> str:
-        nonlocal count
-        if m.group(1) in _BUILTIN_ENTITIES:
-            return m.group(0)
-        count += 1
-        return "[%s]" % m.group(1)
-
-    return _ENTITY_RE.sub(sub, text), count
+    parser.SkippedEntityHandler = skipped_entity
+    parser.Parse(text, True)
+    return builder.close()
 
 
 def _collapse(text: str) -> str:
@@ -263,30 +246,23 @@ def _ipc_codes(root: ET.Element, rule: dict, ordinal: int, report: ParseReport) 
 def _paragraph_lines(elem: ET.Element, para_tags: frozenset) -> list[str]:
     """Flatten one paragraph-bearing element into text lines.
 
-    Elements whose tag is in ``para_tags`` start a new line; everything
-    else joins the current line.  Whitespace within a line collapses
-    (pretty-printing noise); the line structure itself is preserved.
+    Elements whose tag is in ``para_tags`` start a new line at any depth;
+    everything else joins the current line.  Whitespace within a line
+    collapses (pretty-printing noise); the line structure itself is
+    preserved.  NUL marks the line breaks because XML cannot contain it.
     """
-    lines: list[str] = []
-    current: list[str] = [elem.text or ""]
+    pieces: list[str] = []
 
-    def flush() -> None:
-        text = _collapse("".join(current))
-        if text:
-            lines.append(text)
-        current.clear()
+    def walk(e: ET.Element) -> None:
+        mark = "\0" if e.tag in para_tags else ""
+        pieces.append(mark + (e.text or ""))
+        for child in e:
+            walk(child)
+            pieces.append(child.tail or "")
+        pieces.append(mark)
 
-    for child in elem:
-        tag = child.tag.rsplit("}", 1)[-1]
-        if tag in para_tags:
-            flush()
-            lines.extend(_paragraph_lines(child, para_tags))
-            current.append(child.tail or "")
-        else:
-            current.append("".join(child.itertext()))
-            current.append(child.tail or "")
-    flush()
-    return lines
+    walk(elem)
+    return [line for line in map(_collapse, "".join(pieces).split("\0")) if line]
 
 
 def _claims_text(root: ET.Element, rule: dict) -> str:
@@ -317,14 +293,10 @@ def parse_grant_xml(
     """
     if report is None:
         report = ParseReport()
-    text = _decode(doc.data)
-    text = _strip_declaration(text)
-    text = _strip_doctype(text)
-    text, substitutions = _substitute_entities(text)
-    report.entity_substitutions += substitutions
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
+        root = _parse_document(_decode(doc.data), report)
+    except (expat.ExpatError, UnicodeEncodeError) as exc:
+        # a lone surrogate decoded from the declared codec cannot reach expat
         raise GrantParseError(doc.ordinal, "malformed XML: %s" % exc) from exc
     if root.tag != mapping.root:
         raise WrongFileTypeError(

@@ -135,14 +135,52 @@ class TestConvertLocal:
         ids=["xml2-as-xml4", "xml4-as-xml2"],
     )
     def test_wrong_xml_era_exits_1_naming_both_roots(
-        self, fixture, era, found, expected, data_dir, capsys
+        self, fixture, era, found, expected, data_dir, tmp_path, capsys
     ):
-        code, _, err = run_cli(
-            ["convert", "--input", str(data_dir / fixture), "--format-era", era, "--quiet"],
-            capsys,
-        )
+        out_path = tmp_path / "wrong.csv"
+        argv = ["convert", "--input", str(data_dir / fixture), "--format-era", era,
+                "--output", str(out_path), "--quiet"]
+        code, _, err = run_cli(argv, capsys)
         assert code == 1
         assert found in err and expected in err
+        assert list(tmp_path.iterdir()) == []
+
+        out_path.write_text("an older table\n")
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert out_path.read_text() == "an older table\n"
+        assert list(tmp_path.iterdir()) == [out_path]
+
+    def test_output_through_a_symlink_is_written_in_place(self, data_dir, tmp_path, capsys):
+        target = tmp_path / "target.csv"
+        target.write_text("an older table\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--format-era", "aps",
+             "--output", str(link), "--quiet"],
+            capsys,
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    @pytest.mark.parametrize("zipped", [False, True], ids=["txt", "zip"])
+    def test_summary_counts_input_bytes(self, zipped, data_dir, tmp_path, capsys):
+        text = (data_dir / "aps_two_patents.txt").read_bytes()
+        source = tmp_path / ("week.zip" if zipped else "week.txt")
+        source.write_bytes(make_zip({"w.txt": text}) if zipped else text)
+        out_path, summary_path = tmp_path / "out.csv", tmp_path / "summary.json"
+        code, _, _ = run_cli(
+            ["convert", "--input", str(source), "--format-era", "aps",
+             "--output", str(out_path), "--summary-json", str(summary_path), "--quiet"],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads(summary_path.read_text())
+        assert summary["input_bytes_compressed"] == source.stat().st_size
+        assert summary["input_bytes_decompressed"] == len(text)
+        assert summary["size_reduction_ratio"] == out_path.stat().st_size / len(text)
 
     def test_xml_read_as_aps_exits_1(self, data_dir, capsys):
         code, _, err = run_cli(
@@ -373,12 +411,13 @@ class TestStats:
     def test_malformed_row_exits_1_without_output(self, converted_csv, tmp_path, capsys):
         with open(converted_csv, "a", encoding="utf-8") as handle:
             handle.write("only,three,cells\n")
+        last_line = len(converted_csv.read_text(encoding="utf-8").splitlines())
         table = tmp_path / "table.csv"
         code, _, err = run_cli(
             ["stats", "weekly", "--input", str(converted_csv), "--output", str(table)], capsys
         )
         assert code == 1
-        assert "error" in err
+        assert "error: line %d: " % last_line in err
         assert not table.exists()
 
     @pytest.mark.parametrize(
@@ -399,7 +438,7 @@ class TestStats:
             ["stats", "weekly", "--input", str(source), "--output", str(table)], capsys
         )
         assert code == 1
-        assert "error" in err
+        assert "error: line 2: " in err
         assert not table.exists()
 
     @pytest.mark.parametrize("analysis", ["weekly", "classes", "lag-by-class", "lag-by-year"])

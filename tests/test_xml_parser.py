@@ -3,6 +3,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import parse_aps
 from patentbulk.model import ParseReport, SourceFormat
@@ -127,12 +128,48 @@ class TestParseGrantXml:
         with pytest.raises(GrantParseError):
             parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
 
-    def test_unknown_entity_replaced_with_bracketed_name(self):
-        data = MINIMAL_XML4.replace(b"Widget press", b"Widget &bull; press &amp; more")
+    @pytest.mark.parametrize(
+        "doctype",
+        [
+            b"",
+            b'<!DOCTYPE us-patent-grant SYSTEM "grant.dtd" [\n'
+            b'<!ENTITY US07000001-D00000.TIF SYSTEM "US07000001-D00000.TIF" NDATA TIF>\n]>\n',
+        ],
+        ids=["no-doctype", "ndata-entity-declared"],
+    )
+    def test_unknown_entity_replaced_with_bracketed_name(self, doctype):
+        data = MINIMAL_XML4.replace(b"<us-patent-grant>", doctype + b"<us-patent-grant>")
+        data = data.replace(b"Widget press", b"Widget &bull; press &amp; more")
         report = ParseReport()
         record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4), report)
         assert record.title == "Widget [bull] press & more"
         assert report.entity_substitutions == 1
+
+    def test_undecodable_utf8_falls_back_to_latin1(self):
+        data = MINIMAL_XML4.replace(b"Widget press", b"Widget pr\xe9ss")
+        record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
+        assert record.title == "Widget pr\u00e9ss"
+
+    def test_lone_surrogate_is_record_level_error(self):
+        data = b'<?xml version="1.0" encoding="utf-7"?><us-patent-grant>+2D0-</us-patent-grant>'
+        with pytest.raises(GrantParseError) as excinfo:
+            parse_grant_xml(doc(data, ordinal=3), mapping_for(SourceFormat.XML4))
+        assert excinfo.value.ordinal == 3
+
+    @given(
+        st.sampled_from(["UTF-8", "utf-7", "utf-16", "ISO-8859-1", "ascii", "cp1252",
+                         "shift_jis", "utf-32", "latin-9", "no-such-codec"]),
+        st.lists(st.tuples(st.integers(0, len(MINIMAL_XML4)), st.integers(0, 3),
+                           st.binary(max_size=4)), max_size=6),
+    )
+    def test_mutated_document_is_a_record_or_a_document_error(self, encoding, edits):
+        data = MINIMAL_XML4.replace(b"UTF-8", encoding.encode("ascii"))
+        for at, cut, insert in edits:
+            data = data[:at] + insert + data[at + cut :]
+        try:
+            parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
+        except (GrantParseError, WrongFileTypeError):
+            pass
 
     def test_legacy_ipc_and_ipcr_deduplicated(self):
         blocks = (
