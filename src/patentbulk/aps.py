@@ -49,26 +49,6 @@ CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
 
 DEFAULT_ENCODING = "latin-1"
 
-class _Pending:
-    """Mutable accumulator for the patent section currently being read."""
-
-    __slots__ = (
-        "start_line", "wku", "title", "app_date", "issue_date",
-        "inventors", "assignees", "ipc_codes", "references", "claims_lines",
-    )
-
-    def __init__(self, start_line: int) -> None:
-        self.start_line = start_line
-        self.wku: Optional[str] = None
-        self.title: Optional[str] = None
-        self.app_date: Optional[str] = None
-        self.issue_date: Optional[str] = None
-        self.inventors: list[str] = []
-        self.assignees: list[str] = []
-        self.ipc_codes: list[str] = []
-        self.references: list[str] = []
-        self.claims_lines: list[str] = []
-
 
 class ApsParser:
     """One-shot parser; create a fresh instance per input stream.
@@ -83,13 +63,13 @@ class ApsParser:
 
     def parse(self, lines: Iterable[str]) -> Iterator[PatentRecord]:
         report = self.report
-        pending: Optional[_Pending] = None
-        # capture table and claims flag for the current section, plus the
-        # field the last value went to, for continuations
+        # raw values of the open PATN section by record field, and its line
+        pending: Optional[dict[str, list[str]]] = None
+        start_line = lines_read = 0
+        # current section's capture table and claims list; the list a continuation extends
         section_fields: Optional[dict[str, str]] = None
-        in_claims = False
-        target: Optional[str] = None
-        lines_read = 0
+        claims: Optional[list[str]] = None
+        target: Optional[list[str]] = None
 
         for line in lines:
             lines_read += 1
@@ -97,47 +77,45 @@ class ApsParser:
             value = line[5:].rstrip("\r\n")
 
             if not code:
-                # continuation of the previous field
-                if pending is not None and target == "claims":
-                    pending.claims_lines.append(value)
-                elif pending is not None and target:
-                    self._append_continuation(pending, target, value)
+                # continuation: a claims line of its own, or the rest of the last value
+                if target is claims and claims is not None:
+                    claims.append(value)
+                elif target:
+                    target[-1] += " " + value
                 elif value.strip():
                     report.skipped_fields += 1
                 continue
 
             if code == "PATN":
                 report.lines_read = lines_read
-                rec = self._flush(pending)
-                if rec is not None:
-                    yield rec
+                yield from self._flush(pending, start_line)
                 report.patn_sections += 1
-                pending = _Pending(lines_read)
-                section_fields = CAPTURED_FIELDS["PATN"]
-                in_claims = False
-                target = None
+                pending, start_line = {"claims": []}, lines_read
+                section_fields, claims, target = CAPTURED_FIELDS["PATN"], None, None
                 continue
 
             if code in SECTION_HEADERS:
                 section_fields = CAPTURED_FIELDS.get(code)
-                in_claims = code in CLAIMS_SECTIONS
-                target = "claims" if in_claims else None
+                claims = target = (
+                    pending["claims"] if pending is not None and code in CLAIMS_SECTIONS else None
+                )
                 continue
 
             mapped = section_fields.get(code) if section_fields else None
             if pending is not None and mapped is not None:
-                self._capture(pending, mapped, value)
-                target = mapped
+                target = pending.setdefault(mapped, [])
+                if target and mapped not in LIST_FIELDS:
+                    # duplicate scalar tag; _flush reads only the first value
+                    report.skipped_fields += 1
+                target.append(value)
             elif not value.strip():
                 # tag with no value: an unrecognized section header; skip
                 # its data lines until the next known boundary
-                section_fields = None
-                in_claims = False
-                target = None
+                section_fields = claims = target = None
                 report.skipped_fields += 1
-            elif pending is not None and in_claims:
-                pending.claims_lines.append(value)
-                target = "claims"
+            elif claims is not None:
+                claims.append(value)
+                target = claims
             else:
                 report.skipped_fields += 1
                 target = None
@@ -145,59 +123,37 @@ class ApsParser:
         report.lines_read = lines_read
         if pending is None and lines_read:
             raise WrongFileTypeError("no PATN header in %d lines of input" % lines_read)
+        yield from self._flush(pending, start_line)
 
-        rec = self._flush(pending)
-        if rec is not None:
-            yield rec
-
-    def _capture(self, pending: _Pending, name: str, value: str) -> None:
-        if name in LIST_FIELDS:
-            getattr(pending, name).append(value)
-        elif getattr(pending, name) is None:
-            setattr(pending, name, value)
-        else:
-            # duplicate scalar tag; first occurrence wins
-            self.report.skipped_fields += 1
-
-    def _append_continuation(self, pending: _Pending, target: str, value: str) -> None:
-        if target in LIST_FIELDS:
-            items = getattr(pending, target)
-            if items:
-                items[-1] = items[-1] + " " + value
-        else:
-            current = getattr(pending, target)
-            if current is not None:
-                setattr(pending, target, current + " " + value)
-
-    def _flush(self, pending: Optional[_Pending]) -> Optional[PatentRecord]:
+    def _flush(self, pending: Optional[dict[str, list[str]]], line: int) -> Iterator[PatentRecord]:
+        """The record of a closed section, if it has one."""
         if pending is None:
-            return None
+            return
         report = self.report
-        line = pending.start_line
+        first = {name: values[0] for name, values in pending.items() if values}
 
-        wku = (pending.wku or "").strip()
+        wku = first.get("wku", "").strip()
         if not wku:
             report.skip(line, "patent section without WKU skipped")
-            return None
-
-        if pending.issue_date is None:
+            return
+        if "issue_date" not in first:
             report.skip(line, "%s: missing ISD, record skipped" % wku)
-            return None
+            return
         try:
-            issue_date = parse_date(pending.issue_date)
+            issue_date = parse_date(first["issue_date"])
         except ValueError:
-            report.skip(line, "%s: invalid ISD %r, record skipped" % (wku, pending.issue_date))
-            return None
+            report.skip(line, "%s: invalid ISD %r, record skipped" % (wku, first["issue_date"]))
+            return
 
         app_date = None
-        if pending.app_date is not None:
+        if "app_date" in first:
             try:
-                app_date = parse_date(pending.app_date)
+                app_date = parse_date(first["app_date"])
             except ValueError:
-                report.warn(line, "%s: invalid APD %r stored as absent" % (wku, pending.app_date))
+                report.warn(line, "%s: invalid APD %r stored as absent" % (wku, first["app_date"]))
 
         ipc_codes = []
-        for raw in pending.ipc_codes:
+        for raw in pending.get("ipc_codes", ()):
             try:
                 ipc_codes.append(ipc_parse(raw))
             except IpcParseError:
@@ -205,14 +161,14 @@ class ApsParser:
 
         record = build_record(
             wku=wku,
-            title=pending.title or "",
+            title=first.get("title", ""),
             app_date=app_date,
             issue_date=issue_date,
-            inventors=pending.inventors,
-            assignees=pending.assignees,
+            inventors=pending.get("inventors", ()),
+            assignees=pending.get("assignees", ()),
             ipc_codes=ipc_codes,
-            references=pending.references,
-            claims="\n".join(pending.claims_lines),
+            references=pending.get("references", ()),
+            claims="\n".join(pending["claims"]),
         )
         report.records_emitted += 1
-        return record
+        yield record

@@ -243,12 +243,12 @@ def _convert_local(args: argparse.Namespace) -> int:
         for path in args.input:
             zipped = path.endswith(".zip")
             with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
-                report = pipeline.convert_stream(stream, format, sink, encoding=args.encoding)
+                records, report = pipeline.parse_archive_stream(stream, format, args.encoding)
+                summary.write(records, sink)
             if zipped:
                 compressed, decompressed = fetchmod.archive_sizes(path)
             else:
                 compressed = decompressed = os.path.getsize(path)
-            summary.records_written += report.records_emitted
             summary.warnings_total += report.warnings_total
             summary.input_bytes_compressed += compressed
             summary.input_bytes_decompressed += decompressed
@@ -317,10 +317,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FATAL
     try:
         return _COMMANDS[args.command](args)
-    except pipeline.RunError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_FATAL
-    except (ValueError, OSError) as exc:
+    except (pipeline.RunError, fetchmod.IntegrityError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FATAL
 

@@ -19,6 +19,7 @@ import time
 import urllib.error
 import urllib.request
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Optional, Protocol, Union
@@ -52,7 +53,8 @@ class FetchError(Exception):
 
 
 class IntegrityError(Exception):
-    """Archive bytes on disk are not a readable zip."""
+    """Archive bytes on disk are not a readable zip, or a member fails to
+    decompress or its CRC check."""
 
 
 class TransportError(Exception):
@@ -301,12 +303,15 @@ class _ConcatenatedMembers(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         while True:
-            if self._current is None:
-                if self._index >= len(self._members):
-                    return 0
-                self._current = self._archive.open(self._members[self._index])
-                self._index += 1
-            chunk = self._current.read(len(buffer))
+            try:
+                if self._current is None:
+                    if self._index >= len(self._members):
+                        return 0
+                    self._current = self._archive.open(self._members[self._index])
+                    self._index += 1
+                chunk = self._current.read(len(buffer))
+            except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+                raise IntegrityError("%s: %s" % (self._archive.filename, exc)) from exc
             if chunk:
                 buffer[: len(chunk)] = chunk
                 return len(chunk)

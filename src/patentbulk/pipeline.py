@@ -57,6 +57,18 @@ class RunSummary:
     output_bytes: int = 0
     input_bytes_compressed: int = 0
     input_bytes_decompressed: int = 0
+    _wkus: set[str] = dataclass_field(default_factory=set, init=False, repr=False, compare=False)
+
+    def write(self, records: Iterable[PatentRecord], sink: Sink) -> None:
+        """Write ``records`` to ``sink``, counting them and the ones whose
+        WKU this run has already written."""
+        for record in records:
+            if record.wku in self._wkus:
+                self.duplicate_wkus += 1
+            else:
+                self._wkus.add(record.wku)
+            sink.write(record)
+            self.records_written += 1
 
     def size_reduction_ratio(self) -> Optional[float]:
         if self.input_bytes_decompressed:
@@ -298,7 +310,6 @@ def get_bulk_patent_data(
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
-    seen_wkus: set[str] = set()
     for week, fetched in _ordered_weeks(week_list, config):
         try:
             records, warnings, compressed, decompressed = _collect_week(*fetched.result(), config)
@@ -309,13 +320,7 @@ def get_bulk_patent_data(
         summary.warnings_total += warnings
         summary.input_bytes_compressed += compressed
         summary.input_bytes_decompressed += decompressed
-        for record in records:
-            if record.wku in seen_wkus:
-                summary.duplicate_wkus += 1
-            else:
-                seen_wkus.add(record.wku)
-            sink.write(record)
-        summary.records_written += len(records)
+        summary.write(records, sink)
         records = None  # drop this week before the next one is parsed
 
     summary.output_bytes = sink.bytes_written

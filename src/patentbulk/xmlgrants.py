@@ -249,20 +249,15 @@ def _paragraph_lines(elem: ET.Element, para_tags: frozenset) -> list[str]:
     Elements whose tag is in ``para_tags`` start a new line at any depth;
     everything else joins the current line.  Whitespace within a line
     collapses (pretty-printing noise); the line structure itself is
-    preserved.  NUL marks the line breaks because XML cannot contain it.
+    preserved.  NUL marks the line breaks because XML cannot contain it;
+    the marks are written into the text and tail of each paragraph element
+    of ``elem``, so the C ``itertext`` does the walk.
     """
-    pieces: list[str] = []
-
-    def walk(e: ET.Element) -> None:
-        mark = "\0" if e.tag in para_tags else ""
-        pieces.append(mark + (e.text or ""))
-        for child in e:
-            walk(child)
-            pieces.append(child.tail or "")
-        pieces.append(mark)
-
-    walk(elem)
-    return [line for line in map(_collapse, "".join(pieces).split("\0")) if line]
+    for e in elem.iter():
+        if e.tag in para_tags:
+            e.text = "\0" + (e.text or "")
+            e.tail = "\0" + (e.tail or "")
+    return [line for line in map(_collapse, "".join(elem.itertext()).split("\0")) if line]
 
 
 def _claims_text(root: ET.Element, rule: dict) -> str:

@@ -155,6 +155,30 @@ class TestSectionMachine:
         records, _ = parse_text(text)
         assert records[0].claims == "design claim.\n1. A claim."
 
+    @pytest.mark.parametrize(
+        "text, field, expected, skipped",
+        [
+            (
+                "PATN\nWKU  1\nISD  19760106\nINVT\nNAM  Roe; Jane\nNAM  Doe; John\n     Jr.\n",
+                "inventors", ("Roe, Jane", "Doe, John Jr."), 0,
+            ),
+            (
+                "PATN\nWKU  1\nISD  19760106\nCLMS\nPAR  1. A press comprising\n     a frame.\n",
+                "claims", "1. A press comprising\na frame.", 0,
+            ),
+            ("PATN\n     stray\nWKU  1\nISD  19760106\n", "title", "", 1),
+            # the continuation extends the dropped duplicate, not the kept title
+            ("PATN\nWKU  1\nTTL  A\nTTL  B\n     C\nISD  19760106\n", "title", "A", 1),
+        ],
+        ids=[
+            "list-item-joined", "claims-line-kept", "stray-skipped", "duplicate-scalar-dropped",
+        ],
+    )
+    def test_continuation_rules(self, text, field, expected, skipped):
+        records, report = parse_text(text)
+        assert getattr(records[0], field) == expected
+        assert report.skipped_fields == skipped
+
 
 class TestReportInvariants:
     def test_count_conservation_on_fixture(self, aps_fixture_text):

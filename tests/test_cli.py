@@ -3,6 +3,7 @@ import io
 import json
 import random
 import tracemalloc
+import zipfile
 
 import pytest
 
@@ -181,6 +182,41 @@ class TestConvertLocal:
         assert summary["input_bytes_compressed"] == source.stat().st_size
         assert summary["input_bytes_decompressed"] == len(text)
         assert summary["size_reduction_ratio"] == out_path.stat().st_size / len(text)
+
+    def test_repeated_input_counts_duplicate_wkus(self, data_dir, tmp_path, capsys):
+        fixture, summary_path = str(data_dir / "aps_two_patents.txt"), tmp_path / "summary.json"
+        code, _, _ = run_cli(
+            ["convert", "--input", fixture, "--input", fixture, "--format-era", "aps",
+             "--output", str(tmp_path / "out.csv"), "--summary-json", str(summary_path),
+             "--quiet"],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads(summary_path.read_text())
+        assert (summary["records_written"], summary["duplicate_wkus"]) == (4, 2)
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad-crc"])
+    def test_corrupt_archive_exits_1_without_output(self, damage, data_dir, tmp_path, capsys):
+        archive = tmp_path / "bad.zip"
+        if damage == "truncated":
+            archive.write_bytes(b"PK\x03\x04")
+        else:
+            text = (data_dir / "aps_two_patents.txt").read_bytes()
+            buffer = io.BytesIO()
+            with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as stored:
+                stored.writestr("w.txt", text)
+            payload = bytearray(buffer.getvalue())
+            payload[payload.index(b"Widget press")] ^= 0x20  # "W" -> "w"
+            archive.write_bytes(bytes(payload))
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            ["convert", "--input", str(archive), "--format-era", "aps",
+             "--output", str(out_path), "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and str(archive) in err
+        assert list(tmp_path.iterdir()) == [archive]
 
     def test_xml_read_as_aps_exits_1(self, data_dir, capsys):
         code, _, err = run_cli(

@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import patentbulk
-from patentbulk.model import ParseReport
+from patentbulk.model import ParseReport, SourceFormat
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -51,3 +51,25 @@ def test_install_wraps_callers_and_uninstall_restores():
     finally:
         tracing.uninstall(saved)
     assert all(getattr(owner, attribute) is original for owner, attribute, original in saved)
+
+
+def test_parsers_call_the_traced_names(data_dir):
+    # a parser that binds build_record or ipc_parse to a local name would
+    # bypass the wrappers and read as zero time in those layers
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, patentbulk)
+    aps_input, xml_input = data_dir / "aps_two_patents.txt", data_dir / "era_xml4.xml"
+    try:
+        for parser, open_input in [
+            (patentbulk.ApsParser(), lambda: open(aps_input, encoding="latin-1")),
+            (patentbulk.XmlWeeklyParser(SourceFormat.XML4), lambda: open(xml_input, "rb")),
+        ]:
+            tracer.reset()
+            with open_input() as stream:
+                records = list(parser.parse(stream))
+            assert tracer.calls["model.build_record"] == parser.report.records_emitted
+            assert tracer.calls["model.build_record"] == len(records) > 0
+            assert tracer.calls["model.ipc_parse"] > 0
+    finally:
+        tracing.uninstall(saved)
