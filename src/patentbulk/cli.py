@@ -183,12 +183,20 @@ def _open_output(path: str, append: bool = False) -> Iterator[TextIO]:
         raise
 
 
+def _list_failures(summary: pipeline.RunSummary) -> int:
+    """Name each failed week once on stderr, ``--quiet`` or not; returns
+    the exit status."""
+    for week, reason in summary.weeks_failed:
+        print("failed %s: %s" % (week.label(), reason), file=sys.stderr)
+    return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
+
+
 def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
     if args.summary_json:
         Path(args.summary_json).write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
     if not args.quiet:
         print(summary.format_table(), file=sys.stderr)
-    return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
+    return _list_failures(summary)
 
 
 def _pipeline_config(
@@ -206,18 +214,19 @@ def _pipeline_config(
 
 
 def _cmd_fetch(args: argparse.Namespace) -> int:
-    summary = pipeline.fetch_weeks(_resolve_weeks(args), _pipeline_config(args))
-    if args.quiet:  # the progress lines name failed weeks otherwise
-        for week, reason in summary.weeks_failed:
-            print("failed %s: %s" % (week.label(), reason), file=sys.stderr)
-    return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
+    return _list_failures(pipeline.fetch_weeks(_resolve_weeks(args), _pipeline_config(args)))
 
 
 class _NoNetworkTransport:
-    """Used by convert: cached weeks only, any download attempt is a miss."""
+    """Used by convert: cached weeks only.  A week missing from the cache
+    fails at once, as a FetchError is not retried."""
+
+    def __init__(self, cache_dir: str) -> None:
+        self.cache_dir = cache_dir
 
     def get(self, url: str) -> fetchmod.TransportResponse:
-        raise fetchmod.TransportError("not cached and network disabled for convert")
+        reason = "not in cache %s; convert never downloads" % self.cache_dir
+        raise fetchmod.FetchError(url, reason)
 
 
 def _run_weeks(args: argparse.Namespace, transport) -> int:
@@ -261,7 +270,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         return _convert_local(args)
     if not args.years:
         raise ValueError("convert needs --input FILE or --years/--weeks of cached data")
-    return _run_weeks(args, _NoNetworkTransport())
+    return _run_weeks(args, _NoNetworkTransport(args.cache_dir))
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -108,10 +108,7 @@ class RunSummary:
         if ratio is not None:
             rows.append(("output/input size ratio", "%.3f" % ratio))
         width = max(len(label) for label, _ in rows)
-        lines = ["%-*s  %s" % (width, label, value) for label, value in rows]
-        for week, reason in self.weeks_failed:
-            lines.append("failed %s: %s" % (week.label(), reason))
-        return "\n".join(lines)
+        return "\n".join("%-*s  %s" % (width, label, value) for label, value in rows)
 
 
 class _CountingWriter:
@@ -285,13 +282,6 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
     return week_list
 
 
-def _week_failed(
-    summary: RunSummary, config: PipelineConfig, week: WeekSpec, error: BaseException
-) -> None:
-    summary.weeks_failed.append((week, str(error)))
-    _emit_progress(config, "failed %s: %s" % (week.label(), error))
-
-
 def get_bulk_patent_data(
     weeks: Iterable[WeekSpec],
     sink: Sink,
@@ -314,7 +304,7 @@ def get_bulk_patent_data(
         try:
             records, warnings, compressed, decompressed = _collect_week(*fetched.result(), config)
         except Exception as error:
-            _week_failed(summary, config, week, error)
+            summary.weeks_failed.append((week, str(error)))
             continue
         summary.weeks_fetched += 1
         summary.warnings_total += warnings
@@ -342,7 +332,7 @@ def fetch_weeks(
         if error is None:
             summary.weeks_fetched += 1
         else:
-            _week_failed(summary, config, week, error)
+            summary.weeks_failed.append((week, str(error)))
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary

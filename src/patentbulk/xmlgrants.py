@@ -25,7 +25,7 @@ import xml.etree.ElementTree as ET
 from xml.parsers import expat
 from dataclasses import dataclass
 from importlib import resources
-from typing import BinaryIO, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
 
 from .model import (
     CSV_COLUMNS,
@@ -154,22 +154,21 @@ def _text_of(elem: ET.Element) -> str:
     return _collapse("".join(elem.itertext()))
 
 
-def _first_text(root: ET.Element, paths: list[str]) -> str:
+def _first_values(
+    root: ET.Element, paths: list[str], value: Callable[[ET.Element], str] = _text_of
+) -> Iterator[str]:
+    """Yield the non-empty values of the first path that yields any, the
+    lookup rule of every field but the IPC codes; ``value`` turns a match
+    into text.  A scalar takes the first value, so its lookup stops there."""
     for path in paths:
-        found = root.find(path)
-        if found is not None:
-            text = _text_of(found)
+        found = False
+        for elem in root.iterfind(path):
+            text = value(elem)
             if text:
-                return text
-    return ""
-
-
-def _repeated_text(root: ET.Element, paths: list[str]) -> list[str]:
-    for path in paths:
-        found = root.findall(path)
+                found = True
+                yield text
         if found:
-            return [t for t in (_text_of(e) for e in found) if t]
-    return []
+            return
 
 
 def _part_text(elem: ET.Element, path: str) -> str:
@@ -177,32 +176,15 @@ def _part_text(elem: ET.Element, path: str) -> str:
     return _text_of(found) if found is not None else ""
 
 
-def _names(root: ET.Element, rule: dict) -> list[str]:
-    """Assemble person/organization names from name blocks.
-
-    Organizations keep their name verbatim; people follow the fixed-tag
-    era's source order, surname first ("Doe, John").
-    """
-    parts = rule["name_parts"]
-    for path in rule["paths"]:
-        blocks = root.findall(path)
-        if not blocks:
-            continue
-        names = []
-        for block in blocks:
-            org = _part_text(block, parts["org"])
-            if org:
-                names.append(org)
-                continue
-            last = _part_text(block, parts["last"])
-            first = _part_text(block, parts["first"])
-            if last and first:
-                names.append("%s, %s" % (last, first))
-            elif last or first:
-                names.append(last or first)
-        if names:
-            return names
-    return []
+def _name(block: ET.Element, parts: dict) -> str:
+    """A name block's name: an organization verbatim, a person in the
+    fixed-tag era's source order, surname first ("Doe, John")."""
+    org = _part_text(block, parts["org"])
+    if org:
+        return org
+    last = _part_text(block, parts["last"])
+    first = _part_text(block, parts["first"])
+    return "%s, %s" % (last, first) if last and first else last or first
 
 
 def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
@@ -243,34 +225,20 @@ def _ipc_codes(root: ET.Element, rule: dict, ordinal: int, report: ParseReport) 
     return codes
 
 
-def _paragraph_lines(elem: ET.Element, para_tags: frozenset) -> list[str]:
-    """Flatten one paragraph-bearing element into text lines.
+def _claim_text(claim: ET.Element, para_tags: frozenset) -> str:
+    """One claim's text lines, joined by newlines.
 
-    Elements whose tag is in ``para_tags`` start a new line at any depth;
-    everything else joins the current line.  Whitespace within a line
-    collapses (pretty-printing noise); the line structure itself is
-    preserved.  NUL marks the line breaks because XML cannot contain it;
-    the marks are written into the text and tail of each paragraph element
-    of ``elem``, so the C ``itertext`` does the walk.
+    A paragraph element (tag in ``para_tags``) starts a new line at any
+    depth; whitespace within a line collapses.  NUL marks the breaks, as
+    XML cannot contain it: the marks go into the text and tail of each
+    paragraph element, so the C ``itertext`` does the walk.
     """
-    for e in elem.iter():
+    for e in claim.iter():
         if e.tag in para_tags:
             e.text = "\0" + (e.text or "")
             e.tail = "\0" + (e.tail or "")
-    return [line for line in map(_collapse, "".join(elem.itertext()).split("\0")) if line]
-
-
-def _claims_text(root: ET.Element, rule: dict) -> str:
-    para_tags = frozenset(rule["paragraph_tags"])
-    blocks = []
-    for path in rule["paths"]:
-        for claim in root.findall(path):
-            lines = _paragraph_lines(claim, para_tags)
-            if lines:
-                blocks.append("\n".join(lines))
-        if blocks:
-            break
-    return "\n".join(blocks)
+    lines = map(_collapse, "".join(claim.itertext()).split("\0"))
+    return "\n".join(line for line in lines if line)
 
 
 def parse_grant_xml(
@@ -300,11 +268,19 @@ def parse_grant_xml(
         )
 
     fields = mapping.fields
-    wku = _first_text(root, fields["wku"]["paths"])
+
+    def first(field: str) -> str:
+        return next(_first_values(root, fields[field]["paths"]), "")
+
+    def names(field: str) -> list[str]:
+        parts = fields[field]["name_parts"]
+        return list(_first_values(root, fields[field]["paths"], lambda b: _name(b, parts)))
+
+    wku = first("wku")
     if not wku:
         raise GrantParseError(doc.ordinal, "missing document number")
 
-    issue_raw = _first_text(root, fields["issue_date"]["paths"])
+    issue_raw = first("issue_date")
     try:
         issue_date = parse_date(issue_raw)
     except ValueError:
@@ -313,23 +289,25 @@ def parse_grant_xml(
         ) from None
 
     app_date = None
-    app_raw = _first_text(root, fields["app_date"]["paths"])
+    app_raw = first("app_date")
     if app_raw:
         try:
             app_date = parse_date(app_raw)
         except ValueError:
             report.warn(doc.ordinal, "%s: invalid application date %r" % (wku, app_raw))
 
+    para_tags = frozenset(fields["claims"]["paragraph_tags"])
+    claims = _first_values(root, fields["claims"]["paths"], lambda c: _claim_text(c, para_tags))
     return build_record(
         wku=wku,
-        title=_first_text(root, fields["title"]["paths"]),
+        title=first("title"),
         app_date=app_date,
         issue_date=issue_date,
-        inventors=_names(root, fields["inventors"]),
-        assignees=_names(root, fields["assignees"]),
+        inventors=names("inventors"),
+        assignees=names("assignees"),
         ipc_codes=_ipc_codes(root, fields["ipc_codes"], doc.ordinal, report),
-        references=_repeated_text(root, fields["references"]["paths"]),
-        claims=_claims_text(root, fields["claims"]),
+        references=list(_first_values(root, fields["references"]["paths"])),
+        claims="\n".join(claims),
     )
 
 

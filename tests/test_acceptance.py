@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import oracle
+import patentbulk
 from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
 from patentbulk.fetch import FetchError, fetch, resolve_plan
 from patentbulk.model import (
@@ -151,6 +152,8 @@ def test_criterion_5_streaming_bound():
         target_bytes = 1_000_000_000
         limit_bytes = 256 * 1024 * 1024
         child = Path(__file__).parent / "stream_child.py"
+        # the child imports the package this test imported, installed or not
+        package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, str(child), str(DATA / "aps_two_patents.txt"),
@@ -158,6 +161,7 @@ def test_criterion_5_streaming_bound():
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": package_parent},
         )
         elapsed = time.perf_counter() - start
         assert result.returncode == 0, result.stderr[-2000:]

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import time
 import tracemalloc
 import zipfile
 
@@ -346,15 +347,37 @@ class TestGetAndFetch:
                 resolve_plan(WeekSpec(1976, 3)).url: OSError("disk full"),
             },
         )
+        # each failed week is listed once, by fetch and get, with and without --quiet
+        for command in ("fetch", "get"):
+            for quiet in (["--quiet"], []):
+                run = tmp_path / command / ("quiet" if quiet else "loud")
+                run.mkdir(parents=True)
+                argv = [command, "--years", "1976", "--weeks", "1-3", "--cache-dir", str(run)]
+                if command == "get":
+                    argv += ["--output", str(run / "pat.csv")]
+                code, _, err = run_cli(argv + quiet, capsys)
+                assert code == 2
+                assert "failed 1976wk01" not in err
+                assert ("1976wk01" in err) is not bool(quiet)  # the progress lines name it
+                assert err.count("failed 1976wk02") == 1
+                assert err.count("failed 1976wk03: disk full") == 1
+
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "loud"])
+    def test_convert_fails_an_uncached_week_at_once(self, served_week, tmp_path, capsys, quiet):
+        cache = tmp_path / "cache"
+        flags = ["--cache-dir", str(cache)] + (["--quiet"] if quiet else [])
+        assert run_cli(["fetch", "--years", "1976", "--weeks", "1"] + flags, capsys)[0] == 0
+        started = time.monotonic()
         code, _, err = run_cli(
-            ["fetch", "--years", "1976", "--weeks", "1-3", "--cache-dir", str(tmp_path),
-             "--quiet"],
+            ["convert", "--years", "1976", "--weeks", "1-2", "--output", str(tmp_path / "x.csv")]
+            + flags,
             capsys,
         )
+        assert time.monotonic() - started < 1.0
         assert code == 2
-        assert "1976wk01" not in err
-        assert "failed 1976wk02" in err
-        assert "failed 1976wk03: disk full" in err
+        (failure,) = [line for line in err.splitlines() if line.startswith("failed 1976wk02: ")]
+        assert str(cache) in failure and "attempts" not in failure
+        assert len(served_week.requests) == 1  # the fetch of week 1 only
 
     def test_explicit_week_beyond_year_is_partial_failure(self, served_week, tmp_path, capsys):
         # 1976 has 52 grant Tuesdays; an explicit week 53 fails that week only

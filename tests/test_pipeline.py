@@ -2,11 +2,13 @@ import io
 import json
 import threading
 import weakref
+import zipfile
 
 import pytest
 
 from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
 from patentbulk import pipeline
+from patentbulk.fetch import resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
     CsvSink,
@@ -267,6 +269,32 @@ class TestGetBulkPatentData:
         get_bulk_patent_data([week], CsvSink(second), config)
         assert first.getvalue() == second.getvalue()
         assert len(transport.requests) == 1
+
+    def test_corrupt_member_of_a_cached_week_fails_the_week(self, aps_fixture_text, tmp_path):
+        good, corrupt = WeekSpec(1976, 1), WeekSpec(1976, 2)
+        members = io.BytesIO()
+        with zipfile.ZipFile(members, "w", zipfile.ZIP_STORED) as archive:
+            for number in ("039300001", "039300002", "039300003"):
+                text = aps_fixture_text.replace("039305672", number)
+                archive.writestr("%s.txt" % number, text.encode("latin-1"))
+        transport = FakeTransport({
+            _week_url(good): make_zip({"w.txt": aps_fixture_text.encode("latin-1")}),
+            _week_url(corrupt): members.getvalue(),
+        })
+        config = _config(tmp_path, transport)
+        assert pipeline.fetch_weeks([good, corrupt], config).weeks_failed == []
+        # same size, so the cache's .meta.json sidecar still accepts the entry
+        cached = tmp_path / "cache" / resolve_plan(corrupt, config.base_url).cache_path
+        payload = bytearray(cached.read_bytes())
+        payload[payload.index(b"WKU  039300002")] ^= 0x01  # "W" -> "V"
+        cached.write_bytes(bytes(payload))
+
+        out = io.StringIO()
+        summary = get_bulk_patent_data([good, corrupt], CsvSink(out), config)
+        assert len(transport.requests) == 2  # both weeks read from the cache
+        [(week, reason)] = summary.weeks_failed
+        assert week == corrupt and "Bad CRC-32" in reason
+        assert [r.wku for r in read_csv(io.StringIO(out.getvalue()))] == ["039305672", "D02394801"]
 
     def test_duplicate_wkus_counted_not_dropped(self, aps_fixture_text, tmp_path):
         w1, w2 = WeekSpec(1976, 1), WeekSpec(1976, 2)

@@ -189,6 +189,56 @@ class TestParseGrantXml:
         assert [c.canonical() for c in record.ipc_codes] == ["C07D 295/12", "A01B 1/00"]
 
 
+class TestLookupRule:
+    """Every field but the IPC codes takes the non-empty values of the
+    first of its paths that yields any."""
+
+    APPLICANT = (b"<parties><applicants><applicant><addressbook><last-name>Doe</last-name>"
+                 b"<first-name>John</first-name></addressbook></applicant></applicants></parties>")
+
+    @staticmethod
+    def grant(extra: bytes, title: bytes = b"<invention-title>Widget press</invention-title>"):
+        data = MINIMAL_XML4.replace(b"<invention-title>Widget press</invention-title>", title)
+        end = b"</us-bibliographic-data-grant>"
+        data = data.replace(end, extra + end)
+        return parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
+
+    def test_scalar_skips_an_empty_first_match_of_its_path(self):
+        title = b"<invention-title> </invention-title><invention-title>Widget press</invention-title>"
+        assert self.grant(b"", title).title == "Widget press"
+
+    def test_references_fall_through_when_every_match_of_a_path_is_empty(self):
+        def cited(outer: bytes, inner: bytes, number: bytes) -> bytes:
+            return (b"<%s><%s><patcit><document-id><doc-number>%s</doc-number></document-id>"
+                    b"</patcit></%s></%s>" % (outer, inner, number, inner, outer))
+
+        record = self.grant(
+            cited(b"us-references-cited", b"us-citation", b" ")
+            + cited(b"references-cited", b"citation", b"3283699")
+        )
+        assert record.references == ("3283699",)
+
+    def test_inventors_fall_back_to_applicants(self):
+        assert self.grant(self.APPLICANT).inventors == ("Doe, John",)
+
+    def test_first_path_with_values_wins_over_later_paths(self):
+        inventor = (b"<us-parties><inventors><inventor><addressbook><orgname>Roe Labs</orgname>"
+                    b"</addressbook></inventor></inventors></us-parties>")
+        assert self.grant(inventor + self.APPLICANT).inventors == ("Roe Labs",)
+
+    @pytest.mark.parametrize("field", ["wku", "title", "app_date", "issue_date", "inventors",
+                                       "assignees", "references", "claims"])
+    def test_a_path_of_empty_matches_falls_through_in_every_field(self, field, data_dir):
+        data = (data_dir / "era_xml4.xml").read_bytes()
+        expected = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
+        fields = dict(mapping_for(SourceFormat.XML4).fields)
+        fields[field] = dict(fields[field], paths=[".//blank"] + fields[field]["paths"])
+        mapping = ElementMapping(SourceFormat.XML4, {"root": "us-patent-grant", "fields": fields})
+        data = data.replace(b"<us-bibliographic-data-grant>",
+                            b"<blank> </blank><us-bibliographic-data-grant>")
+        assert parse_grant_xml(doc(data), mapping) == expected
+
+
 class TestEraFixtures:
     def test_xml4_fixture_fields(self, data_dir):
         data = (data_dir / "era_xml4.xml").read_bytes()
