@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .model import (
-    IpcParseError,
+    GrantParseError,
     ParseReport,
     PatentRecord,
     WrongFileTypeError,
     build_record,
-    ipc_parse,
-    parse_date,
+    ipc_parse,  # noqa: F401 - unused; perfbench/tracing.py wraps it by this module's name
+    record_fields,
 )
 
 # Section headers observed in the fixed-tag grant files.  Sections not in
@@ -105,7 +105,7 @@ class ApsParser:
             if pending is not None and mapped is not None:
                 target = pending.setdefault(mapped, [])
                 if target and mapped not in LIST_FIELDS:
-                    # duplicate scalar tag; _flush reads only the first value
+                    # duplicate scalar tag; record_fields reads only the first value
                     report.skipped_fields += 1
                 target.append(value)
             elif not value.strip():
@@ -129,46 +129,11 @@ class ApsParser:
         """The record of a closed section, if it has one."""
         if pending is None:
             return
-        report = self.report
-        first = {name: values[0] for name, values in pending.items() if values}
-
-        wku = first.get("wku", "").strip()
-        if not wku:
-            report.skip(line, "patent section without WKU skipped")
-            return
-        if "issue_date" not in first:
-            report.skip(line, "%s: missing ISD, record skipped" % wku)
-            return
         try:
-            issue_date = parse_date(first["issue_date"])
-        except ValueError:
-            report.skip(line, "%s: invalid ISD %r, record skipped" % (wku, first["issue_date"]))
+            fields = record_fields(pending, line, self.report)
+        except GrantParseError as exc:
+            self.report.skip(exc.ordinal, exc.reason)
             return
-
-        app_date = None
-        if "app_date" in first:
-            try:
-                app_date = parse_date(first["app_date"])
-            except ValueError:
-                report.warn(line, "%s: invalid APD %r stored as absent" % (wku, first["app_date"]))
-
-        ipc_codes = []
-        for raw in pending.get("ipc_codes", ()):
-            try:
-                ipc_codes.append(ipc_parse(raw))
-            except IpcParseError:
-                report.warn(line, "%s: unparseable ICL %r skipped" % (wku, raw))
-
-        record = build_record(
-            wku=wku,
-            title=first.get("title", ""),
-            app_date=app_date,
-            issue_date=issue_date,
-            inventors=pending.get("inventors", ()),
-            assignees=pending.get("assignees", ()),
-            ipc_codes=ipc_codes,
-            references=pending.get("references", ()),
-            claims="\n".join(pending["claims"]),
-        )
-        report.records_emitted += 1
+        record = build_record(**fields)
+        self.report.records_emitted += 1
         yield record

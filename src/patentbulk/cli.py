@@ -199,13 +199,10 @@ def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
     return _list_failures(summary)
 
 
-def _pipeline_config(
-    args: argparse.Namespace, transport=None, **fields
-) -> pipeline.PipelineConfig:
+def _pipeline_config(args: argparse.Namespace, **fields) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig(
         cache_dir=args.cache_dir,
         base_url=args.base_url,
-        transport=transport,
         jobs=args.jobs,
         retries=args.retries,
         progress=_progress(args.quiet),
@@ -217,21 +214,9 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return _list_failures(pipeline.fetch_weeks(_resolve_weeks(args), _pipeline_config(args)))
 
 
-class _NoNetworkTransport:
-    """Used by convert: cached weeks only.  A week missing from the cache
-    fails at once, as a FetchError is not retried."""
-
-    def __init__(self, cache_dir: str) -> None:
-        self.cache_dir = cache_dir
-
-    def get(self, url: str) -> fetchmod.TransportResponse:
-        reason = "not in cache %s; convert never downloads" % self.cache_dir
-        raise fetchmod.FetchError(url, reason)
-
-
-def _run_weeks(args: argparse.Namespace, transport) -> int:
+def _run_weeks(args: argparse.Namespace) -> int:
     weeks = _resolve_weeks(args)
-    config = _pipeline_config(args, transport, encoding=args.encoding)
+    config = _pipeline_config(args, encoding=args.encoding)
     with _open_output(args.output, args.append) as out:
         sink = _make_sink(out, args.format, args.append)
         summary = pipeline.get_bulk_patent_data(weeks, sink, config)
@@ -239,7 +224,7 @@ def _run_weeks(args: argparse.Namespace, transport) -> int:
 
 
 def _cmd_get(args: argparse.Namespace) -> int:
-    return _run_weeks(args, None)
+    return _run_weeks(args)
 
 
 def _convert_local(args: argparse.Namespace) -> int:
@@ -270,7 +255,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         return _convert_local(args)
     if not args.years:
         raise ValueError("convert needs --input FILE or --years/--weeks of cached data")
-    return _run_weeks(args, _NoNetworkTransport(args.cache_dir))
+    # convert never downloads: a lookup allowed no attempts reads the cache alone
+    args.retries = 0
+    return _run_weeks(args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -200,17 +200,19 @@ def fetch(
 
     Retries transport errors and 5xx with exponential backoff; a 404 is
     final (a holiday-shifted or missing week, which retrying cannot fix).
-    Concurrent fetches of the same week coordinate through a per-entry
-    lock so exactly one download occurs.
+    The cache is read before anything is written, and a lookup allowed
+    no attempts (``retries=0``) reads it alone: a miss is a FetchError
+    naming the cache.  Concurrent fetches of the same week coordinate
+    through a per-entry lock so exactly one download occurs.
     """
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    final = directory / plan.cache_path
-
+    final = Path(cache_dir) / plan.cache_path
     entry = _load_entry(final)
     if entry is not None:
         return entry
+    if retries < 1:
+        raise FetchError(plan.url, "not in cache %s" % cache_dir)
 
+    final.parent.mkdir(parents=True, exist_ok=True)
     lock_path = final.with_name(final.name + ".lock")
     with open(lock_path, "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -232,7 +234,7 @@ def _download(
 ) -> CacheEntry:
     tmp = final.with_name(final.name + ".tmp-%d" % os.getpid())
     last_status: Optional[int] = None
-    last_reason = "no attempts made"
+    last_reason = ""
     for attempt in range(retries):
         if attempt:
             sleep(_BACKOFF_S * (2 ** (attempt - 1)))

@@ -343,6 +343,68 @@ def build_record(
     )
 
 
+class GrantParseError(Exception):
+    """One patent could not be turned into a record; the run continues.
+
+    ``ordinal`` is the patent's position: the line of its PATN header in
+    the fixed-tag era, the document ordinal in the XML eras.
+    """
+
+    def __init__(self, ordinal: int, reason: str) -> None:
+        super().__init__("position %d: %s" % (ordinal, reason))
+        self.ordinal = ordinal
+        self.reason = reason
+
+
+_SCALAR_FIELDS = ("wku", "title", "app_date", "issue_date")
+
+
+def record_fields(values: dict[str, list[str]], position: int, report: ParseReport) -> dict:
+    """Turn one patent's raw values, keyed by record field, into
+    :func:`build_record`'s keyword arguments; both eras' parsers end here.
+
+    A scalar field takes its first value and the claims join theirs line
+    by line.  A patent without a WKU, or whose issue date is missing or
+    invalid, raises GrantParseError.  A present but invalid application
+    date is stored as absent and an unparseable IPC code is dropped, each
+    with a warning in ``report``.  IPC codes de-duplicate by canonical
+    form, the first kept.
+    """
+    fields = {name: values[name][0].strip() for name in _SCALAR_FIELDS if values.get(name)}
+    wku = fields.get("wku", "")
+    if not wku:
+        raise GrantParseError(position, "patent without WKU skipped")
+    issue_raw = fields.get("issue_date", "")
+    try:
+        fields["issue_date"] = parse_date(issue_raw)
+    except ValueError:
+        raise GrantParseError(
+            position, "%s: missing or invalid issue date %r, skipped" % (wku, issue_raw)
+        ) from None
+    app_raw = fields.pop("app_date", "")
+    if app_raw:
+        try:
+            fields["app_date"] = parse_date(app_raw)
+        except ValueError:
+            report.warn(position, "%s: invalid application date %r stored as absent" % (wku, app_raw))
+    codes: dict[str, IpcCode] = {}
+    for raw in values.get("ipc_codes", ()):
+        try:
+            code = ipc_parse(raw)
+        except IpcParseError:
+            report.warn(position, "%s: unparseable IPC code %r skipped" % (wku, raw))
+            continue
+        codes.setdefault(code.canonical(), code)
+    return dict(
+        fields,
+        inventors=values.get("inventors", ()),
+        assignees=values.get("assignees", ()),
+        ipc_codes=codes.values(),
+        references=values.get("references", ()),
+        claims="\n".join(values.get("claims", ())),
+    )
+
+
 def record_to_row(record: PatentRecord) -> list[str]:
     """Flatten a record into the canonical CSV cell order."""
     return [

@@ -29,24 +29,15 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
 
 from .model import (
     CSV_COLUMNS,
-    IpcParseError,
+    GrantParseError,
     ParseReport,
     PatentRecord,
     SourceFormat,
     WrongFileTypeError,
     build_record,
-    ipc_parse,
-    parse_date,
+    ipc_parse,  # noqa: F401 - unused; perfbench/tracing.py wraps it by this module's name
+    record_fields,
 )
-
-
-class GrantParseError(Exception):
-    """One document could not be turned into a record; the run continues."""
-
-    def __init__(self, ordinal: int, reason: str) -> None:
-        super().__init__("document %d: %s" % (ordinal, reason))
-        self.ordinal = ordinal
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ def _first_values(
 ) -> Iterator[str]:
     """Yield the non-empty values of the first path that yields any, the
     lookup rule of every field but the IPC codes; ``value`` turns a match
-    into text.  A scalar takes the first value, so its lookup stops there."""
+    into text."""
     for path in paths:
         found = False
         for elem in root.iterfind(path):
@@ -201,28 +192,17 @@ def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
     return head
 
 
-def _ipc_codes(root: ET.Element, rule: dict, ordinal: int, report: ParseReport) -> list:
-    """Read every classification block present; de-duplicate by canonical form."""
-    codes = []
-    seen = set()
+def _ipc_texts(root: ET.Element, rule: dict) -> Iterator[str]:
+    """The non-empty raw text of every classification block on every path:
+    the IPC codes alone are the union of their paths."""
     for entry in rule["paths"]:
         for elem in root.findall(entry["path"]):
             if entry["style"] == "parts":
                 raw = _assemble_ipcr(elem, rule["ipc_parts"])
             else:
                 raw = _text_of(elem)
-            if not raw:
-                continue
-            try:
-                code = ipc_parse(raw)
-            except IpcParseError:
-                report.warn(ordinal, "unparseable IPC %r skipped" % (raw,))
-                continue
-            key = code.canonical()
-            if key not in seen:
-                seen.add(key)
-                codes.append(code)
-    return codes
+            if raw:
+                yield raw
 
 
 def _claim_text(claim: ET.Element, para_tags: frozenset) -> str:
@@ -248,11 +228,12 @@ def parse_grant_xml(
 ) -> PatentRecord:
     """Map one document to a record under the era's element table.
 
-    Raises GrantParseError for malformed XML or a document missing its
-    number or grant date, and WrongFileTypeError for a root element of
-    another era; field-level problems (bad IPC, bad application
-    date) are recorded as warnings in ``report`` (a fresh one if none is
-    given) and do not lose the record.
+    Raises GrantParseError for malformed XML and WrongFileTypeError for a
+    root element of another era.  The raw field values then pass the
+    rules both eras share, ``model.record_fields``: a document without its
+    number or a valid grant date raises GrantParseError, and field-level
+    problems (bad IPC, bad application date) are warnings in ``report``
+    (a fresh one if none is given) that do not lose the record.
     """
     if report is None:
         report = ParseReport()
@@ -268,47 +249,19 @@ def parse_grant_xml(
         )
 
     fields = mapping.fields
-
-    def first(field: str) -> str:
-        return next(_first_values(root, fields[field]["paths"]), "")
-
-    def names(field: str) -> list[str]:
-        parts = fields[field]["name_parts"]
-        return list(_first_values(root, fields[field]["paths"], lambda b: _name(b, parts)))
-
-    wku = first("wku")
-    if not wku:
-        raise GrantParseError(doc.ordinal, "missing document number")
-
-    issue_raw = first("issue_date")
-    try:
-        issue_date = parse_date(issue_raw)
-    except ValueError:
-        raise GrantParseError(
-            doc.ordinal, "%s: missing or invalid grant date %r" % (wku, issue_raw)
-        ) from None
-
-    app_date = None
-    app_raw = first("app_date")
-    if app_raw:
-        try:
-            app_date = parse_date(app_raw)
-        except ValueError:
-            report.warn(doc.ordinal, "%s: invalid application date %r" % (wku, app_raw))
-
     para_tags = frozenset(fields["claims"]["paragraph_tags"])
-    claims = _first_values(root, fields["claims"]["paths"], lambda c: _claim_text(c, para_tags))
-    return build_record(
-        wku=wku,
-        title=first("title"),
-        app_date=app_date,
-        issue_date=issue_date,
-        inventors=names("inventors"),
-        assignees=names("assignees"),
-        ipc_codes=_ipc_codes(root, fields["ipc_codes"], doc.ordinal, report),
-        references=list(_first_values(root, fields["references"]["paths"])),
-        claims="\n".join(claims),
+    values = {
+        name: list(_first_values(root, fields[name]["paths"]))
+        for name in ("wku", "title", "app_date", "issue_date", "references")
+    }
+    for name in ("inventors", "assignees"):
+        parts = fields[name]["name_parts"]
+        values[name] = list(_first_values(root, fields[name]["paths"], lambda b: _name(b, parts)))
+    values["ipc_codes"] = list(_ipc_texts(root, fields["ipc_codes"]))
+    values["claims"] = list(
+        _first_values(root, fields["claims"]["paths"], lambda c: _claim_text(c, para_tags))
     )
+    return build_record(**record_fields(values, doc.ordinal, report))
 
 
 class XmlWeeklyParser:

@@ -3,10 +3,11 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import parse_aps
 from patentbulk.aps import ApsParser
-from patentbulk.model import WrongFileTypeError
+from patentbulk.model import PatentRecord, WrongFileTypeError
 
 
 def parse_text(text):
@@ -146,6 +147,13 @@ class TestSectionMachine:
         assert report.records_emitted == 1
         assert any("A01B; X" in message for _, message in report.warnings)
 
+    def test_repeated_icl_gives_one_code(self):
+        # the same code spelled padded and slashed de-duplicates, the first kept
+        text = "PATN\nWKU  1\nISD  19760106\nCLAS\nICL  C07D29512\nICL  C07D 295/12\n"
+        records, report = parse_text(text)
+        assert [c.canonical() for c in records[0].ipc_codes] == ["C07D 295/12"]
+        assert report.warnings_total == 0
+
     def test_dclm_and_clms_concatenate_in_file_order(self):
         text = (
             "PATN\nWKU  1\nISD  19760106\n"
@@ -240,6 +248,43 @@ def test_count_conservation_generated_streams():
         assert report.patn_sections == patn_count
         assert report.records_emitted + report.records_skipped == patn_count
         assert report.records_emitted == len(records)
+
+
+# one line of a fixed-tag stream: a tag and a value, a bare tag, a blank
+# line or an untagged (continuation or stray) line
+_APS_TAGS = ("PATN", "WKU", "ISD", "APD", "TTL", "ICL", "NAM", "CLMS", "CLAS", "INVT", "PAR", "ZZZZ")
+# well-formed values too, so that some sections become records
+_APS_VALUE = st.one_of(
+    st.text(max_size=12), st.sampled_from(("1", "19760106", "19750000", "C07D29512", "A01B; X"))
+)
+_APS_LINE = st.one_of(
+    st.tuples(st.sampled_from(_APS_TAGS), _APS_VALUE).map(lambda t: "%-4s %s" % t),
+    st.sampled_from(_APS_TAGS),
+    st.just(""),
+    st.text(max_size=12).map(lambda value: "     " + value),
+    st.text(max_size=8),
+)
+
+
+# chunks of arbitrary lines, some opened by a header that makes a record
+_APS_CHUNK = st.tuples(
+    st.sampled_from(((), ("PATN",), ("PATN", "WKU  1", "ISD  19760106"))),
+    st.lists(_APS_LINE, max_size=10),
+).map(lambda chunk: list(chunk[0]) + chunk[1])
+
+
+@given(st.lists(_APS_CHUNK, max_size=6))
+def test_arbitrary_line_streams_give_records_or_wrong_file_type(chunks):
+    parser = ApsParser()
+    try:
+        records = list(parser.parse(io.StringIO("\n".join(sum(chunks, [])))))
+    except WrongFileTypeError:
+        assert parser.report.patn_sections == 0
+        return
+    report = parser.report
+    assert all(isinstance(r, PatentRecord) for r in records)
+    assert report.records_emitted == len(records)
+    assert report.records_emitted + report.records_skipped == report.patn_sections
 
 
 def test_streaming_is_lazy():

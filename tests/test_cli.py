@@ -325,6 +325,7 @@ class TestGetAndFetch:
         )
         assert code == 1  # nothing cached, network disabled: every week fails
         assert served_week.requests == []
+        assert not cache.exists()
 
     def test_fetch_all_weeks_missing_exits_1(self, monkeypatch, tmp_path, capsys):
         _PatchedTransport(monkeypatch, {})

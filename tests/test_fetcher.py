@@ -76,6 +76,19 @@ class TestFetch:
         assert again == entry
         assert len(fake_transport.requests) == 1  # idempotent: one network call
 
+    def test_zero_attempts_read_the_cache_alone(self, tmp_path, fake_transport):
+        plan = self._plan()
+        cache = tmp_path / "cache"
+        with pytest.raises(FetchError, match="not in cache %s" % cache):
+            fetch(plan, cache, transport=fake_transport, retries=0)
+        assert fake_transport.requests == []
+        assert not cache.exists()  # a miss writes no directory and no lock
+
+        fake_transport.add(plan.url, make_zip({"a.txt": b"ok"}))
+        entry = fetch(plan, cache, transport=fake_transport)
+        assert fetch(plan, cache, transport=fake_transport, retries=0) == entry
+        assert len(fake_transport.requests) == 1
+
     def test_404_fails_without_retry(self, tmp_path, fake_transport):
         plan = self._plan()
         with pytest.raises(FetchError) as excinfo:
