@@ -80,15 +80,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="weeks fetched at once")
-    parser.add_argument("--retries", type=int, default=3, help="download attempts per week")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
 def _add_week_selection(parser: argparse.ArgumentParser) -> None:
+    """The weeks to download, and how often to try each."""
     parser.add_argument("--years", required=True, help="year range, e.g. 1976-1980 or 1976,1978")
     parser.add_argument(
         "--weeks", default=None, help="week range, e.g. 1-8 (default: every grant week)"
     )
+    parser.add_argument("--retries", type=int, default=3, help="download attempts per week")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -124,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--weeks", default=None, help="week range of cached weeks")
     _add_output(p_convert)
     _add_common(p_convert)
+    # convert never downloads: a lookup allowed no attempts reads the cache alone
+    p_convert.set_defaults(retries=0)
 
     p_get = sub.add_parser("get", help="fetch and convert in one run")
     _add_week_selection(p_get)
@@ -235,18 +238,7 @@ def _convert_local(args: argparse.Namespace) -> int:
     with _open_output(args.output, args.append) as out:
         sink = _make_sink(out, args.format, args.append)
         for path in args.input:
-            zipped = path.endswith(".zip")
-            with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
-                records, report = pipeline.parse_archive_stream(stream, format, args.encoding)
-                summary.write(records, sink)
-            if zipped:
-                compressed, decompressed = fetchmod.archive_sizes(path)
-            else:
-                compressed = decompressed = os.path.getsize(path)
-            summary.warnings_total += report.warnings_total
-            summary.input_bytes_compressed += compressed
-            summary.input_bytes_decompressed += decompressed
-        summary.output_bytes = sink.bytes_written
+            pipeline.write_file(path, format, sink, summary, args.encoding)
     return _finish_run(args, summary)
 
 
@@ -255,8 +247,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         return _convert_local(args)
     if not args.years:
         raise ValueError("convert needs --input FILE or --years/--weeks of cached data")
-    # convert never downloads: a lookup allowed no attempts reads the cache alone
-    args.retries = 0
     return _run_weeks(args)
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import shutil
+import tempfile
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from pathlib import Path
@@ -60,15 +62,19 @@ class RunSummary:
     _wkus: set[str] = dataclass_field(default_factory=set, init=False, repr=False, compare=False)
 
     def write(self, records: Iterable[PatentRecord], sink: Sink) -> None:
-        """Write ``records`` to ``sink``, counting them and the ones whose
-        WKU this run has already written."""
-        for record in records:
-            if record.wku in self._wkus:
-                self.duplicate_wkus += 1
-            else:
-                self._wkus.add(record.wku)
-            sink.write(record)
-            self.records_written += 1
+        """Write ``records`` to ``sink`` as one batch, counting them and the
+        ones whose WKU this run has already written.  If iterating
+        ``records`` raises, no row reaches the sink and nothing is counted."""
+        wkus: list[str] = []
+        with sink.spooled() as spool:
+            for record in records:
+                spool.write(record)
+                wkus.append(record.wku)
+        new = set(wkus) - self._wkus
+        self._wkus |= new
+        self.duplicate_wkus += len(wkus) - len(new)
+        self.records_written += len(wkus)
+        self.output_bytes = sink.bytes_written
 
     def size_reduction_ratio(self) -> Optional[float]:
         if self.input_bytes_decompressed:
@@ -111,50 +117,62 @@ class RunSummary:
         return "\n".join("%-*s  %s" % (width, label, value) for label, value in rows)
 
 
-class _CountingWriter:
-    """Text proxy that counts the UTF-8 bytes passing through."""
-
-    def __init__(self, inner: TextIO) -> None:
-        self.inner = inner
-        self.bytes_written = 0
-
-    def write(self, text: str) -> int:
-        self.bytes_written += len(text.encode("utf-8"))
-        return self.inner.write(text)
+class OutputError(OSError):
+    """Appending a batch to a sink's output failed part-way."""
 
 
-class CsvSink:
+class Sink:
+    """Writes records to ``out`` with ``write(record)``, one line each, in
+    the subclass's format.  Runs write in batches through :meth:`spooled`;
+    ``bytes_written`` counts the UTF-8 bytes of the header and of every
+    batch appended that way, not those of a direct ``write``.
+    """
+
+    def __init__(self, out: TextIO, header: str = "") -> None:
+        self.out = out
+        out.write(header)
+        self.bytes_written = len(header)  # headers are ASCII
+
+    def _headless(self, out: TextIO) -> Sink:
+        """A sink of this format over ``out`` that writes no header."""
+        return type(self)(out)
+
+    @contextmanager
+    def spooled(self) -> Iterator[Sink]:
+        """A sink of this format over an anonymous temp file, appended to
+        ``out`` when the block exits normally and dropped if it raises, so
+        memory holds no batch and a failed batch adds no rows."""
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+            yield self._headless(spool)
+            spool.flush()
+            size = spool.buffer.tell()
+            spool.seek(0)
+            try:
+                shutil.copyfileobj(spool, self.out)
+            except OSError as exc:
+                raise OutputError("writing the output failed: %s" % exc) from exc
+        self.bytes_written += size
+
+
+class CsvSink(Sink):
     """Serialized writer for the canonical CSV surface."""
 
     def __init__(self, out: TextIO, write_header: bool = True) -> None:
-        self._counter = _CountingWriter(out)
-        self._writer = csv.writer(self._counter, lineterminator="\n")
-        if write_header:
-            self._writer.writerow(CSV_COLUMNS)
+        super().__init__(out, ",".join(CSV_COLUMNS) + "\n" if write_header else "")
+        self._writer = csv.writer(out, lineterminator="\n")
 
     def write(self, record: PatentRecord) -> None:
         self._writer.writerow(record_to_row(record))
 
-    @property
-    def bytes_written(self) -> int:
-        return self._counter.bytes_written
+    def _headless(self, out: TextIO) -> Sink:
+        return type(self)(out, write_header=False)
 
 
-class JsonlSink:
+class JsonlSink(Sink):
     """One JSON object per line; list fields stay arrays."""
 
-    def __init__(self, out: TextIO) -> None:
-        self._counter = _CountingWriter(out)
-
     def write(self, record: PatentRecord) -> None:
-        self._counter.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
-
-    @property
-    def bytes_written(self) -> int:
-        return self._counter.bytes_written
-
-
-Sink = Union[CsvSink, JsonlSink]
+        self.out.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
 
 
 def _open_source(source: Union[str, Path, TextIO]) -> ContextManager[TextIO]:
@@ -230,19 +248,6 @@ def _fetch_week(
     return plan, entry
 
 
-def _collect_week(
-    plan: fetchmod.FetchPlan, entry: fetchmod.CacheEntry, config: PipelineConfig
-) -> tuple[list[PatentRecord], int, int, int]:
-    """Parse one fetched week; returns (records, warnings, compressed,
-    decompressed).  Raises on any per-week failure."""
-    compressed, decompressed = fetchmod.archive_sizes(entry.cache_path)
-    _emit_progress(config, "parsing %s" % plan.week.label())
-    with fetchmod.open_archive(entry.cache_path) as stream:
-        records_iter, report = parse_archive_stream(stream, plan.format, config.encoding)
-        records = list(records_iter)
-    return records, report.warnings_total, compressed, decompressed
-
-
 def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig) -> Future:
     """``step(week, config)`` run on the calling thread, as a finished future."""
     future: Future = Future()
@@ -282,6 +287,32 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
     return week_list
 
 
+def write_file(
+    path: Union[str, Path],
+    format: SourceFormat,
+    sink: Sink,
+    summary: RunSummary,
+    encoding: str = aps.DEFAULT_ENCODING,
+) -> None:
+    """Parse one weekly file, a ``.zip`` archive or a plain one, into
+    ``sink`` and count it in ``summary``.
+
+    Records stream one at a time through :meth:`RunSummary.write`, so
+    memory stays bounded by one patent.  A file that fails to open or
+    parse raises, and adds no rows and no counts.
+    """
+    path = Path(path)
+    zipped = path.suffix == ".zip"
+    with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
+        compressed = path.stat().st_size
+        decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
+        records, report = parse_archive_stream(stream, format, encoding)
+        summary.write(records, sink)
+    summary.warnings_total += report.warnings_total
+    summary.input_bytes_compressed += compressed
+    summary.input_bytes_decompressed += decompressed
+
+
 def get_bulk_patent_data(
     weeks: Iterable[WeekSpec],
     sink: Sink,
@@ -290,30 +321,26 @@ def get_bulk_patent_data(
     """Collect a range of weeks into one sink.
 
     Weeks are fetched (cache-first) ``config.jobs`` at a time and parsed
-    one at a time on the calling thread, and per-week batches reach the
-    sink in ascending (year, week) order.  A week is parsed whole before
-    its first row is written, so a week that fails adds no rows, and one
-    parsed week is held in memory at any ``config.jobs``.  A failing week
-    is recorded in the summary and does not abort the run; if every week
-    fails a RunError is raised instead.
+    one at a time on the calling thread, each through :func:`write_file`,
+    and reach the sink in ascending (year, week) order.  A failing week
+    adds no rows; it is recorded in the summary and does not abort the
+    run.  If every week fails a RunError is raised instead, and a failed
+    write to the sink's output raises OutputError at once.
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
     for week, fetched in _ordered_weeks(week_list, config):
         try:
-            records, warnings, compressed, decompressed = _collect_week(*fetched.result(), config)
+            plan, entry = fetched.result()
+            _emit_progress(config, "parsing %s" % week.label())
+            write_file(entry.cache_path, plan.format, sink, summary, config.encoding)
+        except OutputError:
+            raise
         except Exception as error:
             summary.weeks_failed.append((week, str(error)))
-            continue
-        summary.weeks_fetched += 1
-        summary.warnings_total += warnings
-        summary.input_bytes_compressed += compressed
-        summary.input_bytes_decompressed += decompressed
-        summary.write(records, sink)
-        records = None  # drop this week before the next one is parsed
-
-    summary.output_bytes = sink.bytes_written
+        else:
+            summary.weeks_fetched += 1
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary
@@ -336,21 +363,3 @@ def fetch_weeks(
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary
-
-
-def convert_stream(
-    stream: IO[bytes],
-    format: SourceFormat,
-    sink: Sink,
-    encoding: str = aps.DEFAULT_ENCODING,
-) -> ParseReport:
-    """Stream one local file through the era parser into a sink.
-
-    Returns the parser's report, whose ``records_emitted`` is the number
-    of rows written; memory stays bounded by the largest single patent
-    regardless of file size.
-    """
-    records, report = parse_archive_stream(stream, format, encoding)
-    for record in records:
-        sink.write(record)
-    return report

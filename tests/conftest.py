@@ -1,16 +1,21 @@
 import datetime as dt
 import io
+import os
 import random
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
 import pytest
 
+import patentbulk
 from patentbulk.aps import ApsParser
 from patentbulk.fetch import TransportError, TransportResponse
 from patentbulk.model import IpcCode, build_record
 
 DATA_DIR = Path(__file__).parent / "data"
+STREAM_CHILD = Path(__file__).parent / "stream_child.py"
 
 
 @pytest.fixture
@@ -67,13 +72,28 @@ def parse_aps(lines):
 
 
 def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
-    """Write ``records`` through a sink over ``path`` opened in ``mode``;
-    returns the sink's byte count."""
+    """Write ``records`` as one batch through a sink over ``path`` opened
+    in ``mode``; returns the sink's byte count."""
     with open(path, mode, encoding="utf-8", newline="") as out:
         sink = sink_class(out, **sink_args)
-        for record in records:
-            sink.write(record)
+        with sink.spooled() as batch:
+            for record in records:
+                batch.write(record)
     return sink.bytes_written
+
+
+def run_capped(limit_bytes: int, *args, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``stream_child.py`` with ``args`` under an address-space cap of
+    ``limit_bytes``; see that file for its two modes."""
+    # the child imports the package this test run imported, installed or not
+    package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, str(STREAM_CHILD), str(limit_bytes), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": package_parent},
+    )
 
 
 def make_zip(members: dict[str, bytes]) -> bytes:

@@ -1,9 +1,12 @@
-"""Child process for the streaming-bound check.
+"""Child process for the memory-bound checks.
 
-Caps its own address space, then parses a synthetic multi-gigabyte
-stream of repeated fixture sections.  Run:
+Caps its own address space at LIMIT_BYTES, then either parses a
+synthetic stream of repeated fixture sections with ``ApsParser`` and
+prints its counts as JSON, or runs the ``patentbulk`` command line and
+exits with its status.  Run:
 
-    python stream_child.py FIXTURE_PATH TARGET_BYTES LIMIT_BYTES
+    python stream_child.py LIMIT_BYTES aps FIXTURE_PATH TARGET_BYTES
+    python stream_child.py LIMIT_BYTES cli ARG...
 """
 
 import itertools
@@ -12,14 +15,7 @@ import resource
 import sys
 
 
-def main() -> int:
-    fixture_path, target_bytes, limit_bytes = (
-        sys.argv[1],
-        int(sys.argv[2]),
-        int(sys.argv[3]),
-    )
-    resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
-
+def aps_stream(fixture_path: str, target_bytes: int) -> int:
     from patentbulk.aps import ApsParser
 
     with open(fixture_path, encoding="latin-1") as handle:
@@ -43,6 +39,17 @@ def main() -> int:
         )
     )
     return 0
+
+
+def main() -> int:
+    limit_bytes, mode, *rest = sys.argv[1:]
+    resource.setrlimit(resource.RLIMIT_AS, (int(limit_bytes), int(limit_bytes)))
+    if mode == "aps":
+        fixture_path, target_bytes = rest
+        return aps_stream(fixture_path, int(target_bytes))
+    from patentbulk import cli
+
+    return cli.run(rest)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ import io
 import json
 import os
 import random
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -18,8 +17,7 @@ from pathlib import Path
 import pytest
 
 import oracle
-import patentbulk
-from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
+from conftest import FakeTransport, make_zip, parse_aps, random_records, run_capped, sink_to_file
 from patentbulk.fetch import FetchError, fetch, resolve_plan
 from patentbulk.model import (
     WeekSpec,
@@ -151,17 +149,9 @@ def test_criterion_5_streaming_bound():
     with criterion(5, "1 GB synthetic APS stream parses under a 256 MB ceiling in <5min"):
         target_bytes = 1_000_000_000
         limit_bytes = 256 * 1024 * 1024
-        child = Path(__file__).parent / "stream_child.py"
-        # the child imports the package this test imported, installed or not
-        package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
         start = time.perf_counter()
-        result = subprocess.run(
-            [sys.executable, str(child), str(DATA / "aps_two_patents.txt"),
-             str(target_bytes), str(limit_bytes)],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env={**os.environ, "PYTHONPATH": package_parent},
+        result = run_capped(
+            limit_bytes, "aps", DATA / "aps_two_patents.txt", target_bytes, timeout=300
         )
         elapsed = time.perf_counter() - start
         assert result.returncode == 0, result.stderr[-2000:]

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import FakeTransport, make_zip, random_record, sink_to_file
 from patentbulk import cli
-from patentbulk.fetch import resolve_plan
+from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import WeekSpec
 from patentbulk.pipeline import CsvSink
 
@@ -82,6 +82,40 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in expected_flags:
             assert flag in out
+
+
+class TestRetries:
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The download attempts each week's fetch was allowed; every
+        fetch then fails without touching the cache or the network."""
+        allowed = []
+
+        def fake_fetch(plan, cache_dir, transport=None, retries=3):
+            allowed.append(retries)
+            raise FetchError(plan.url, "not served")
+
+        monkeypatch.setattr("patentbulk.fetch.fetch", fake_fetch)
+        return allowed
+
+    @pytest.mark.parametrize("command", ["fetch", "get"])
+    def test_downloading_commands_take_retries(self, command, attempts, tmp_path, capsys):
+        argv = [command, "--years", "1976", "--weeks", "1", "--cache-dir", str(tmp_path), "--quiet"]
+        run_cli(argv, capsys)
+        run_cli(argv + ["--retries", "5"], capsys)
+        assert attempts == [3, 5]
+
+    def test_convert_looks_weeks_up_with_zero_attempts(self, attempts, tmp_path, capsys):
+        run_cli(["convert", "--years", "1976", "--weeks", "1", "--cache-dir", str(tmp_path),
+                 "--quiet"], capsys)
+        assert attempts == [0]
+
+    def test_convert_rejects_retries(self, attempts, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(["convert", "--years", "1976", "--weeks", "1", "--retries", "2"])
+        assert excinfo.value.code == 1
+        assert "--retries" in capsys.readouterr().err
+        assert attempts == []
 
 
 class TestConvertLocal:
@@ -218,6 +252,23 @@ class TestConvertLocal:
         assert code == 1
         assert err.startswith("error: ") and str(archive) in err
         assert list(tmp_path.iterdir()) == [archive]
+
+    def test_failed_input_adds_no_rows_under_append(self, data_dir, tmp_path, capsys):
+        source = tmp_path / "mixed.xml"
+        # a grant of this era, then one of the XML2 era
+        source.write_bytes(
+            (data_dir / "era_xml4.xml").read_bytes() + (data_dir / "era_xml2.xml").read_bytes()
+        )
+        out_path = tmp_path / "out.csv"
+        out_path.write_bytes((data_dir / "golden_two_patents.csv").read_bytes())
+        code, _, err = run_cli(
+            ["convert", "--input", str(source), "--format-era", "xml4", "--append",
+             "--output", str(out_path), "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert "<PATDOC>" in err
+        assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
 
     def test_xml_read_as_aps_exits_1(self, data_dir, capsys):
         code, _, err = run_cli(

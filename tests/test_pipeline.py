@@ -1,24 +1,27 @@
 import io
 import json
+import os
 import threading
 import weakref
 import zipfile
 
 import pytest
 
-from conftest import FakeTransport, make_zip, parse_aps, random_records, sink_to_file
+from conftest import FakeTransport, make_zip, parse_aps, random_records, run_capped, sink_to_file
 from patentbulk import pipeline
-from patentbulk.fetch import resolve_plan
+from patentbulk.fetch import fetch, resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
     CsvSink,
     JsonlSink,
     PipelineConfig,
+    OutputError,
     RunError,
-    convert_stream,
+    RunSummary,
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
+    write_file,
 )
 
 
@@ -214,31 +217,31 @@ class TestGetBulkPatentData:
         assert summary.records_written == 12
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_one_week_held_at_a_time(self, aps_fixture_text, tmp_path, monkeypatch, jobs):
+    def test_at_most_two_records_alive_at_each_write(self, aps_fixture_text, tmp_path, jobs):
         weeks = [WeekSpec(1976, w) for w in range(1, 7)]
-        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
-        transport = FakeTransport({_week_url(week): payload for week in weeks})
-        held = weakref.WeakValueDictionary()
-        held_at_step_start = []
+        first_patent = aps_fixture_text[: aps_fixture_text.index("PATN", 1)]
+        transport = FakeTransport({
+            _week_url(week): make_zip({"w.txt": "".join(
+                first_patent.replace("039305672", "0393%02d%03d" % (week.week, i))
+                for i in range(5)
+            ).encode("latin-1")})
+            for week in weeks
+        })
+        written = []
+        alive_at_write = []
 
-        class Batch(list):  # a plain list cannot be weakly referenced
-            pass
+        class TrackingSink(CsvSink):
+            def write(self, record):
+                written.append(weakref.ref(record))
+                alive_at_write.append(sum(ref() is not None for ref in written))
+                super().write(record)
 
-        collect = pipeline._collect_week
-
-        def tracked_collect(plan, entry, config):
-            held_at_step_start.append(len(held) + 1)  # + the week starting now
-            records, *rest = collect(plan, entry, config)
-            batch = Batch(records)
-            held[plan.week] = batch
-            return (batch, *rest)
-
-        monkeypatch.setattr(pipeline, "_collect_week", tracked_collect)
         summary = get_bulk_patent_data(
-            weeks, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+            weeks, TrackingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
         )
-        assert summary.records_written == 12
-        assert held_at_step_start == [1] * len(weeks)
+        assert summary.records_written == len(alive_at_write) == 30
+        # the record being written and at most the one before it: no week is held
+        assert max(alive_at_write) <= 2
 
     def test_weeks_parsed_on_the_calling_thread(self, aps_fixture_text, tmp_path, monkeypatch):
         weeks = [WeekSpec(1976, w) for w in range(1, 7)]
@@ -296,6 +299,48 @@ class TestGetBulkPatentData:
         assert week == corrupt and "Bad CRC-32" in reason
         assert [r.wku for r in read_csv(io.StringIO(out.getvalue()))] == ["039305672", "D02394801"]
 
+    def test_failed_week_leaves_no_trace_in_the_summary(self, aps_fixture_text, tmp_path):
+        failing, good = WeekSpec(1976, 1), WeekSpec(1976, 2)
+        first_patent = aps_fixture_text[: aps_fixture_text.index("PATN", 1)]
+        members = io.BytesIO()
+        with zipfile.ZipFile(members, "w", zipfile.ZIP_STORED) as archive:
+            # the fixture's first patent, then one whose member fails its CRC
+            archive.writestr("a.txt", first_patent.encode("latin-1"))
+            archive.writestr("b.txt", first_patent.replace("039305672", "039300002").encode())
+        transport = FakeTransport({
+            _week_url(failing): members.getvalue(),
+            _week_url(good): make_zip({"w.txt": aps_fixture_text.encode("latin-1")}),
+        })
+        config = _config(tmp_path, transport)
+        assert pipeline.fetch_weeks([failing, good], config).weeks_failed == []
+        cached = tmp_path / "cache" / resolve_plan(failing, config.base_url).cache_path
+        payload = bytearray(cached.read_bytes())
+        payload[payload.index(b"WKU  039300002")] ^= 0x01
+        cached.write_bytes(bytes(payload))
+
+        out = io.StringIO()
+        summary = get_bulk_patent_data([failing, good], CsvSink(out), config)
+        assert [week for week, _ in summary.weeks_failed] == [failing]
+        assert summary.duplicate_wkus == 0
+        assert summary.records_written == len(list(read_csv(io.StringIO(out.getvalue())))) == 2
+        assert summary.output_bytes == len(out.getvalue().encode())
+        assert summary.warnings_total == 1  # the good week's invalid APD only
+
+    def test_failed_write_to_the_output_is_fatal(self, aps_fixture_text, tmp_path):
+        weeks = [WeekSpec(1976, 1), WeekSpec(1976, 2)]
+        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
+        transport = FakeTransport({_week_url(week): payload for week in weeks})
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell() + len(text) > 200:  # the header fits, a week does not
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        with pytest.raises(OutputError, match="No space left"):
+            get_bulk_patent_data(weeks, CsvSink(FullDisk()), _config(tmp_path, transport))
+        assert len(transport.requests) == 1  # the run stopped at the first week
+
     def test_duplicate_wkus_counted_not_dropped(self, aps_fixture_text, tmp_path):
         w1, w2 = WeekSpec(1976, 1), WeekSpec(1976, 2)
         payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
@@ -351,27 +396,84 @@ class TestGetBulkPatentData:
 
 
 class TestConvertStream:
-    def test_aps_stream(self, aps_fixture_text):
-        out = io.StringIO()
-        report = convert_stream(
-            io.BytesIO(aps_fixture_text.encode("latin-1")), SourceFormat.APS, CsvSink(out)
-        )
-        assert report.records_emitted == 2
-        assert report.warnings_total == 1  # the invalid APD in the second patent
+    def test_aps_stream(self, aps_fixture_text, tmp_path):
+        source = tmp_path / "week.txt"
+        source.write_bytes(aps_fixture_text.encode("latin-1"))
+        summary = RunSummary()
+        write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+        assert summary.records_written == 2
+        assert summary.warnings_total == 1  # the invalid APD in the second patent
 
-    def test_skipped_section_counts_one_warning(self):
-        text = "PATN\nWKU  039305672\nISD  19760106\nPATN\nTTL  Widget\nISD  19760106\n"
-        report = convert_stream(
-            io.BytesIO(text.encode("latin-1")), SourceFormat.APS, CsvSink(io.StringIO())
-        )
-        assert report.records_emitted == 1
-        assert report.warnings_total == 1  # the second section has no WKU
+    def test_skipped_section_counts_one_warning(self, tmp_path):
+        source = tmp_path / "week.txt"
+        source.write_text("PATN\nWKU  039305672\nISD  19760106\nPATN\nTTL  Widget\nISD  19760106\n")
+        summary = RunSummary()
+        write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+        assert summary.records_written == 1
+        assert summary.warnings_total == 1  # the second section has no WKU
 
     def test_xml_stream(self, data_dir):
         out = io.StringIO()
-        report = convert_stream(
-            io.BytesIO((data_dir / "era_xml4.xml").read_bytes()),
-            SourceFormat.XML4,
-            JsonlSink(out),
+        summary = RunSummary()
+        write_file(data_dir / "era_xml4.xml", SourceFormat.XML4, JsonlSink(out), summary)
+        assert summary.records_written == 1
+        assert summary.output_bytes == len(out.getvalue().encode())
+
+
+def _cache_week(cache, week, documents):
+    """Zip ``documents`` (byte strings, written as they are drawn) into one
+    member and put it into the cache at ``cache`` as ``week``'s archive."""
+    payload = io.BytesIO()
+    with zipfile.ZipFile(payload, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
+        with archive.open("week", "w") as member:
+            for document in documents:
+                member.write(document)
+    plan = resolve_plan(week)
+    fetch(plan, str(cache), transport=FakeTransport({plan.url: payload.getvalue()}))
+
+
+# the address-space cap of the memory tests: well above what the command
+# needs for one patent, below what one of their weeks takes once parsed
+MEMORY_LIMIT = 96 * 1024 * 1024
+PATENTS = 120
+CLAIM_BYTES = 1024 * 1024
+
+
+def _claim_text():
+    sentence = b"A widget press comprising a frame and a ram. "
+    return sentence * (CLAIM_BYTES // len(sentence))
+
+
+class TestBoundedMemory:
+    """``convert --years`` over one cached week whose parsed records
+    outgrow ``MEMORY_LIMIT``: writing each record as it is parsed keeps
+    the command under it."""
+
+    def _convert(self, tmp_path, week, documents):
+        cache, summary = tmp_path / "cache", tmp_path / "summary.json"
+        _cache_week(cache, week, documents)
+        result = run_capped(
+            MEMORY_LIMIT, "cli", "convert", "--years", week.year, "--weeks", week.week,
+            "--cache-dir", cache, "--output", os.devnull, "--summary-json", summary, "--quiet",
+            timeout=60,
         )
-        assert report.records_emitted == 1
+        assert result.returncode == 0, result.stderr[-2000:]
+        written = json.loads(summary.read_text())
+        assert written["output_bytes"] > MEMORY_LIMIT
+        return written
+
+    def test_aps_week(self, tmp_path):
+        claim = b"PAR  1. " + _claim_text() + b"\n"
+        documents = (
+            b"PATN\nWKU  0393%05d\nISD  19760106\nTTL  Widget press\nCLMS\n" % i + claim
+            for i in range(PATENTS)
+        )
+        summary = self._convert(tmp_path, WeekSpec(1976, 1), documents)
+        assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
+
+    def test_xml4_week(self, data_dir, tmp_path):
+        base = (data_dir / "era_xml4.xml").read_bytes()
+        document = base.replace(b"a frame; and", _claim_text())
+        documents = (document.replace(b"07641234", b"%08d" % i) for i in range(PATENTS))
+        summary = self._convert(tmp_path, WeekSpec(2005, 1), documents)
+        assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
