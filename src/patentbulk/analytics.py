@@ -3,7 +3,9 @@
 Four analyses: weekly issuance counts, top-k IPC subclasses, lag-day
 quartiles by subclass, and lag-day quartiles by issue year.  All are
 associative group-by reductions over immutable records; shuffling the
-input changes no output table.
+input changes no output table.  They read only ``issue_date``,
+``app_date`` and ``subclass_keys``, so a :class:`~.model.PatentRecord`
+and a :class:`~.model.Grant` decoded from a CSV row serve alike.
 
 Quartiles use the median-of-halves rule (Tukey hinges): with an odd
 number of values the median belongs to both halves.  Lag values are
@@ -17,11 +19,15 @@ from __future__ import annotations
 import datetime as dt
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
 
-from .model import PatentRecord, first_grant_tuesday
+from .model import Grant, PatentRecord, first_grant_tuesday
 
 QUARTILE_RULE = "median-of-halves (Tukey hinges)"
+
+# What the analyses read: issue_date, app_date and subclass_keys.
+Patent = Union[PatentRecord, Grant]
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class LagStats:
     negative_lags: int = 0
 
 
-def lag_days(record: PatentRecord) -> Optional[int]:
+def lag_days(record: Patent) -> Optional[int]:
     """Calendar days between application and issue; absent without an
     application date.  Negative differences are returned as-is."""
     if record.app_date is None:
@@ -68,30 +74,17 @@ def week_of_issue_date(d: dt.date) -> tuple[int, int]:
     return d.year, (d - first_grant_tuesday(d.year)).days // 7 + 1
 
 
-def weekly_counts(records: Iterable[PatentRecord]) -> list[WeeklyCount]:
+def weekly_counts(records: Iterable[Patent]) -> list[WeeklyCount]:
     """Exact group-and-count per week, sorted by (year, week).
 
     The week is derived from the issue date, which is the grant Tuesday
     the weekly file is named after.
     """
-    counts: Counter = Counter(week_of_issue_date(record.issue_date) for record in records)
+    # only each distinct issue date is put in its week, not each record
+    counts: Counter = Counter()
+    for day, n in Counter(record.issue_date for record in records).items():
+        counts[week_of_issue_date(day)] += n
     return [WeeklyCount(year, week, n) for (year, week), n in sorted(counts.items())]
-
-
-def _record_subclasses(record: PatentRecord) -> list[str]:
-    """Distinct 4-character subclass keys on a record, first-seen order.
-
-    Codes lacking a subclass letter cannot form the 4-character key and
-    are left out of class tables.
-    """
-    seen: list[str] = []
-    for code in record.ipc_codes:
-        if code.subclass is None:
-            continue
-        key = code.subclass_key()
-        if key not in seen:
-            seen.append(key)
-    return seen
 
 
 def _ranked(counts: Counter, k: int) -> list[tuple[Hashable, int]]:
@@ -101,7 +94,7 @@ def _ranked(counts: Counter, k: int) -> list[tuple[Hashable, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
-def top_ipc_subclasses(records: Iterable[PatentRecord], k: int = 10) -> list[ClassCount]:
+def top_ipc_subclasses(records: Iterable[Patent], k: int = 10) -> list[ClassCount]:
     """Top-k subclasses by record count, descending, ties lexicographic.
 
     A record counts once per distinct subclass it carries: one patent
@@ -109,7 +102,7 @@ def top_ipc_subclasses(records: Iterable[PatentRecord], k: int = 10) -> list[Cla
     """
     counts: Counter = Counter()
     for record in records:
-        counts.update(_record_subclasses(record))
+        counts.update(record.subclass_keys)
     return [ClassCount(key, n) for key, n in _ranked(counts, k)]
 
 
@@ -137,8 +130,8 @@ def tukey_five_number(values: Sequence[int]) -> tuple[float, float, float, float
 
 
 def _group_lags(
-    records: Iterable[PatentRecord],
-    keys_of: Callable[[PatentRecord], Sequence[Hashable]],
+    records: Iterable[Patent],
+    keys_of: Callable[[Patent], Sequence[Hashable]],
 ) -> tuple[Counter, dict[Hashable, Counter], Counter]:
     """Records, counts of each non-negative lag day, and negative lags per
     key, in one pass; memory grows with keys × distinct lags, not records."""
@@ -166,13 +159,17 @@ def _lag_stats(key: Hashable, lags: Counter, negatives: int) -> LagStats:
 
 
 def lag_stats_by(
-    records: Iterable[PatentRecord],
-    key: Callable[[PatentRecord], Optional[Hashable]],
+    records: Iterable[Patent],
+    key: Callable[[Patent], Optional[Hashable]],
 ) -> list[LagStats]:
     """Lag quartiles per group, sorted by group key; records whose key is
-    None and groups with no defined non-negative lag are omitted."""
+    None and groups with no defined non-negative lag are omitted.
 
-    def keys_of(record: PatentRecord) -> Sequence[Hashable]:
+    ``key`` may read any field of a :class:`~.model.PatentRecord`, but
+    only ``issue_date``, ``app_date`` and ``subclass_keys`` of a
+    :class:`~.model.Grant`, the three that ``stats`` decodes from CSV."""
+
+    def keys_of(record: Patent) -> Sequence[Hashable]:
         k = key(record)
         return () if k is None else (k,)
 
@@ -180,17 +177,17 @@ def lag_stats_by(
     return [_lag_stats(k, lags[k], negatives[k]) for k in sorted(lags)]
 
 
-def lag_stats_by_year(records: Iterable[PatentRecord]) -> list[LagStats]:
+def lag_stats_by_year(records: Iterable[Patent]) -> list[LagStats]:
     return lag_stats_by(records, lambda record: record.issue_date.year)
 
 
-def lag_stats_by_class(records: Iterable[PatentRecord], top: int = 10) -> list[LagStats]:
+def lag_stats_by_class(records: Iterable[Patent], top: int = 10) -> list[LagStats]:
     """Lag quartiles for the top subclasses only, in class-count order.
 
     Subclasses rank as in :func:`top_ipc_subclasses`; a record in several
     top classes contributes its lag to each of them.
     """
-    per_class, lags, negatives = _group_lags(records, _record_subclasses)
+    per_class, lags, negatives = _group_lags(records, attrgetter("subclass_keys"))
     ranked = _ranked(per_class, top)
     return [_lag_stats(k, lags[k], negatives[k]) for k, _ in ranked if k in lags]
 

@@ -13,7 +13,7 @@ import datetime as dt
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 MULTIVALUE_DELIMITER = "; "
 
@@ -86,7 +86,8 @@ def parse_date(raw: str) -> dt.date:
     m = _DATE_RE.match(raw.strip())
     if m is None:
         raise ValueError("unrecognized date: %r" % (raw,))
-    return dt.date(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    year, month, day = m.groups()
+    return dt.date(int(year), int(month), int(day))
 
 
 def format_date(d: dt.date) -> str:
@@ -253,6 +254,26 @@ class IpcCode:
         return self.canonical()
 
 
+def _ipc_head(raw: str) -> re.Match:
+    """The section, class and optional subclass at the start of an IPC
+    symbol, matched in its stripped, upper-cased text (``m.string``)."""
+    text = raw.strip().upper()
+    if not text:
+        raise IpcParseError("empty IPC code")
+    m = _IPC_HEAD.match(text)
+    if m is None:
+        raise IpcParseError("malformed IPC code: %r" % (raw,))
+    return m
+
+
+def ipc_subclass_key(raw: str) -> Optional[str]:
+    """The 4-character subclass key of an IPC symbol (``C07D`` of
+    ``c 07 d 295/12``), or None when it has no subclass; only the head is
+    read, by the same rule as :func:`ipc_parse`."""
+    section, class_num, subclass = _ipc_head(raw).groups()
+    return None if subclass is None else section + class_num + subclass
+
+
 def ipc_parse(raw: str) -> IpcCode:
     """Parse an IPC symbol from any of the bulk formats' spellings.
 
@@ -260,14 +281,9 @@ def ipc_parse(raw: str) -> IpcCode:
     and the XML eras' slashed or concatenated forms ("C07D 295/12").  The
     canonical form is stable under re-parse.
     """
-    text = raw.strip().upper()
-    if not text:
-        raise IpcParseError("empty IPC code")
-    m = _IPC_HEAD.match(text)
-    if m is None:
-        raise IpcParseError("malformed IPC code: %r" % (raw,))
-    section, class_num, subclass = m.group(1), m.group(2), m.group(3)
-    remainder = _normalize_ipc_remainder(text[m.end() :])
+    m = _ipc_head(raw)
+    section, class_num, subclass = m.groups()
+    remainder = _normalize_ipc_remainder(m.string[m.end() :])
     # the head holds no "; ", so only the remainder can put it in the canonical form
     if MULTIVALUE_DELIMITER in remainder:
         raise IpcParseError("IPC code holds the %r delimiter: %r" % (MULTIVALUE_DELIMITER, raw))
@@ -307,6 +323,23 @@ class PatentRecord:
                     raise ValueError(
                         "%s element not sanitized: %r" % (name, item)
                     )
+
+    @property
+    def subclass_keys(self) -> tuple[str, ...]:
+        """Distinct 4-character subclass keys of the IPC codes, first-seen
+        order; codes without a subclass have no key and are left out."""
+        return tuple(
+            dict.fromkeys(c.subclass_key() for c in self.ipc_codes if c.subclass is not None)
+        )
+
+
+class Grant(NamedTuple):
+    """The three fields the analyses read, decoded from a CSV row by
+    :func:`grant_from_row` without building a :class:`PatentRecord`."""
+
+    issue_date: dt.date
+    app_date: Optional[dt.date]
+    subclass_keys: tuple[str, ...]
 
 
 def build_record(
@@ -436,6 +469,23 @@ def record_from_row(row: Sequence[str]) -> PatentRecord:
         references=tuple(split_multivalue(refs)),
         claims=claims,
     )
+
+
+def grant_from_row(row: Sequence[str]) -> Grant:
+    """Decode a CSV row's issue date, application date and IPC subclass
+    keys; the other six cells are not read.  A wrong cell count, a bad
+    date or an IPC code without a section and class raises ValueError,
+    as in :func:`record_from_row`."""
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError("expected %d cells, got %d" % (len(CSV_COLUMNS), len(row)))
+    app = parse_date(row[2]) if row[2] else None
+    issue = parse_date(row[3])
+    keys: list[str] = []
+    for code in split_multivalue(row[6]):
+        key = ipc_subclass_key(code)
+        if key is not None and key not in keys:
+            keys.append(key)
+    return Grant(issue, app, tuple(keys))
 
 
 def record_to_dict(record: PatentRecord) -> dict:

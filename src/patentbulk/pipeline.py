@@ -18,15 +18,17 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, Union
+from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
 from . import aps, fetch as fetchmod, xmlgrants
 from .model import (
     CSV_COLUMNS,
+    Grant,
     ParseReport,
     PatentRecord,
     SourceFormat,
     WeekSpec,
+    grant_from_row,
     record_from_dict,
     record_from_row,
     record_to_dict,
@@ -35,6 +37,8 @@ from .model import (
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
+
+T = TypeVar("T")
 
 
 class RunError(Exception):
@@ -182,8 +186,9 @@ def _open_source(source: Union[str, Path, TextIO]) -> ContextManager[TextIO]:
     return open(source, encoding="utf-8", newline="")
 
 
-def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
-    """Re-read pipeline CSV output, claims newlines included."""
+def _read_rows(source: Union[str, Path, TextIO], decode: Callable[[list[str]], T]) -> Iterator[T]:
+    """``decode`` of each row of pipeline CSV output, after checking its
+    header; a row that ``decode`` rejects raises naming its line."""
     with _open_source(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -191,10 +196,21 @@ def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
             raise ValueError("unexpected CSV header: %r" % (header,))
         for row in reader:
             try:
-                record = record_from_row(row)
+                item = decode(row)
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (reader.line_num, exc)) from exc
-            yield record
+            yield item
+
+
+def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
+    """Re-read pipeline CSV output, claims newlines included."""
+    return _read_rows(source, record_from_row)
+
+
+def read_csv_grants(source: Union[str, Path, TextIO]) -> Iterator[Grant]:
+    """The issue date, application date and IPC subclass keys of each row
+    of pipeline CSV output; the other six cells are not decoded."""
+    return _read_rows(source, grant_from_row)
 
 
 def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
@@ -234,6 +250,12 @@ def parse_archive_stream(
         return parser.parse(text), parser.report
     parser = xmlgrants.XmlWeeklyParser(format)
     return parser.parse(stream), parser.report
+
+
+def _reason(error: BaseException) -> str:
+    """A week's failure reason: the error's text, or its class name when
+    it has none (``MemoryError()``)."""
+    return str(error) or type(error).__name__
 
 
 def _fetch_week(
@@ -338,7 +360,7 @@ def get_bulk_patent_data(
         except OutputError:
             raise
         except Exception as error:
-            summary.weeks_failed.append((week, str(error)))
+            summary.weeks_failed.append((week, _reason(error)))
         else:
             summary.weeks_fetched += 1
     if summary.weeks_fetched == 0:
@@ -359,7 +381,7 @@ def fetch_weeks(
         if error is None:
             summary.weeks_fetched += 1
         else:
-            summary.weeks_failed.append((week, str(error)))
+            summary.weeks_failed.append((week, _reason(error)))
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary

@@ -8,11 +8,11 @@ import zipfile
 
 import pytest
 
-from conftest import FakeTransport, make_zip, random_record, sink_to_file
-from patentbulk import cli
+from conftest import FakeTransport, make_zip, random_record, random_records, sink_to_file
+from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import WeekSpec
-from patentbulk.pipeline import CsvSink
+from patentbulk.pipeline import CsvSink, read_csv
 
 
 def run_cli(argv, capsys):
@@ -414,6 +414,34 @@ class TestGetAndFetch:
                 assert err.count("failed 1976wk02") == 1
                 assert err.count("failed 1976wk03: disk full") == 1
 
+    def test_failure_without_text_is_named_by_its_class(
+        self, monkeypatch, data_dir, tmp_path, capsys
+    ):
+        text = (data_dir / "aps_two_patents.txt").read_bytes()
+        _PatchedTransport(
+            monkeypatch,
+            {resolve_plan(WeekSpec(1976, w)).url: make_zip({"w.txt": text}) for w in (1, 2)},
+        )
+        write_file = pipeline.write_file
+
+        def out_of_memory_in_week_2(path, *args):
+            if "wk02" in str(path):
+                raise MemoryError()
+            write_file(path, *args)
+
+        monkeypatch.setattr(pipeline, "write_file", out_of_memory_in_week_2)
+        summary_path = tmp_path / "summary.json"
+        code, _, err = run_cli(
+            ["get", "--years", "1976", "--weeks", "1-2", "--cache-dir", str(tmp_path / "cache"),
+             "--output", str(tmp_path / "pat.csv"), "--summary-json", str(summary_path),
+             "--quiet"],
+            capsys,
+        )
+        assert code == 2
+        [failure] = json.loads(summary_path.read_text())["weeks_failed"]
+        assert failure["reason"] == "MemoryError"
+        assert "failed 1976wk02: MemoryError\n" in err
+
     @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "loud"])
     def test_convert_fails_an_uncached_week_at_once(self, served_week, tmp_path, capsys, quiet):
         cache = tmp_path / "cache"
@@ -519,9 +547,20 @@ class TestStats:
         assert code == 1
         assert "error" in err
 
-    def test_malformed_row_exits_1_without_output(self, converted_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "only,three,cells",
+            "9,t,,1976-13-06,,,,,",
+            "9,t,1975-02-30,1976-01-06,,,,,",
+            "9,t,,1976-01-06,,,9X,,",
+            "9,t,,1976-01-06,,,C07D 1/00; ,,",
+        ],
+        ids=["short-row", "bad-issue-date", "bad-app-date", "bad-ipc-head", "empty-ipc-element"],
+    )
+    def test_malformed_row_exits_1_without_output(self, row, converted_csv, tmp_path, capsys):
         with open(converted_csv, "a", encoding="utf-8") as handle:
-            handle.write("only,three,cells\n")
+            handle.write(row + "\n")
         last_line = len(converted_csv.read_text(encoding="utf-8").splitlines())
         table = tmp_path / "table.csv"
         code, _, err = run_cli(
@@ -530,6 +569,34 @@ class TestStats:
         assert code == 1
         assert "error: line %d: " % last_line in err
         assert not table.exists()
+
+    def test_csv_tables_equal_those_of_whole_records(self, tmp_path, capsys):
+        # CSV rows decode only three cells; the tables must equal those of
+        # the records read_csv rebuilds, including heads spelled by hand
+        path = tmp_path / "in.csv"
+        sink_to_file(path, CsvSink, random_records(300, seed=3))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(
+                "h1,t,1974-03-05,1976-01-06,,,c 07 d 295/12; C07D295/12; a01b 1/00,,\n"
+                "h2,t,,1976-01-13,,,C07D 1/00; A01 5/00; C07,,\n"
+                "h3,t,1975-07-01,1976-01-13,,,A01; h04l 9/32; C07D 2/00; H04L 1/00,,\n"
+                "h4,t,,1976-01-13,,,,,\n"
+            )
+        records = list(read_csv(path))
+        expected = {
+            "weekly": (analytics.weekly_table, analytics.weekly_counts(records)),
+            "classes": (analytics.classes_table, analytics.top_ipc_subclasses(records, 20)),
+            "lag-by-class": (analytics.lag_table, analytics.lag_stats_by_class(records, 20)),
+            "lag-by-year": (analytics.lag_table, analytics.lag_stats_by_year(records)),
+        }
+        for analysis, (write_table, stats) in expected.items():
+            table = io.StringIO()
+            write_table(stats, table)
+            code, out, _ = run_cli(
+                ["stats", analysis, "--input", str(path), "--top", "20", "--quiet"], capsys
+            )
+            assert code == 0
+            assert out == table.getvalue()
 
     @pytest.mark.parametrize(
         "line",

@@ -15,6 +15,7 @@ from patentbulk.model import (
     first_grant_tuesday,
     format_date,
     ipc_parse,
+    ipc_subclass_key,
     join_multivalue,
     parse_date,
     record_from_dict,
@@ -194,6 +195,16 @@ class TestIpcParse:
     def test_subclass_key(self):
         assert ipc_parse("C07D 295/12").subclass_key() == "C07D"
         assert len(ipc_parse("A01B").subclass_key()) == 4
+
+    @given(st.text(alphabet="AChz0179 /\tX"))
+    def test_subclass_key_takes_the_head_rule_of_ipc_parse(self, raw):
+        try:
+            code = ipc_parse(raw)
+        except IpcParseError:
+            with pytest.raises(IpcParseError):
+                ipc_subclass_key(raw)
+            return
+        assert ipc_subclass_key(raw) == (code.subclass_key() if code.subclass else None)
 
     @pytest.mark.parametrize(
         "raw",
