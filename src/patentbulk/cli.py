@@ -33,6 +33,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_FATAL, "%s: error: %s\n" % (self.prog, message))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs`` and ``--top``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
+    return value
+
+
 def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
     """Parse ``A-B[,C...]`` into a sorted list of ints, bounds inclusive."""
     values: set[int] = set()
@@ -78,8 +89,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=os.environ.get(ENV_BASE_URL, fetchmod.DEFAULT_BASE_URL),
         help="bulk data base URL (env %s)" % ENV_BASE_URL,
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="weeks fetched at once")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="weeks fetched and parsed at once")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -138,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--input", required=True, help="pipeline CSV/JSONL output to analyze")
     p_stats.add_argument("--input-format", choices=("csv", "jsonl"),
                          help="override input format sniffing by extension")
-    p_stats.add_argument("--top", type=int, default=10, metavar="K",
+    p_stats.add_argument("--top", type=_positive_int, default=10, metavar="K",
                          help="number of subclasses for class tables (default 10)")
     p_stats.add_argument("--output", default="-", help="table path ('-' for stdout)")
     p_stats.add_argument("--quiet", action="store_true", help="suppress notes on stderr")

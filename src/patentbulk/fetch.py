@@ -49,7 +49,11 @@ class FetchError(Exception):
     def __init__(self, url: str, reason: str, status: Optional[int] = None) -> None:
         super().__init__("%s: %s" % (url, reason))
         self.url = url
+        self.reason = reason
         self.status = status
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.url, self.reason, self.status)
 
 
 class IntegrityError(Exception):

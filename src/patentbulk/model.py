@@ -388,6 +388,9 @@ class GrantParseError(Exception):
         self.ordinal = ordinal
         self.reason = reason
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.ordinal, self.reason)
+
 
 _SCALAR_FIELDS = ("wku", "title", "app_date", "issue_date")
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shutil
 import tempfile
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, TypeVar, Union
@@ -79,6 +81,12 @@ class RunSummary:
         self.duplicate_wkus += len(wkus) - len(new)
         self.records_written += len(wkus)
         self.output_bytes = sink.bytes_written
+
+    def count_input(self, warnings: int, compressed: int, decompressed: int) -> None:
+        """Add one parsed file's warning count and byte sizes."""
+        self.warnings_total += warnings
+        self.input_bytes_compressed += compressed
+        self.input_bytes_decompressed += decompressed
 
     def size_reduction_ratio(self) -> Optional[float]:
         if self.input_bytes_decompressed:
@@ -281,25 +289,26 @@ def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig
 
 
 def _ordered_weeks(
-    weeks: list[WeekSpec], config: PipelineConfig
+    weeks: list[WeekSpec], config: PipelineConfig, step: Callable[..., object]
 ) -> Iterator[tuple[WeekSpec, Future]]:
-    """Fetch each of ``weeks``; yield ``(week, future)`` in the order given,
-    the future holding :func:`_fetch_week`'s result or what it raised.
+    """Run ``step(week, config)`` for each of ``weeks``; yield ``(week,
+    future)`` in the order given, the future holding the step's result or
+    what it raised.
 
     At most ``max(1, config.jobs)`` weeks are submitted and not yet
     consumed: the next week is submitted only after the caller has taken
     the oldest, so fetched weeks cannot pile up behind a slow one.  With
-    one job each fetch runs on the calling thread, where an interrupt
+    one job each step runs on the calling thread, where an interrupt
     stops it at once.
     """
     jobs = max(1, config.jobs)
     todo = iter(weeks)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         submit = pool.submit if jobs > 1 else _run_now
-        pending = deque((week, submit(_fetch_week, week, config)) for week in islice(todo, jobs))
+        pending = deque((week, submit(step, week, config)) for week in islice(todo, jobs))
         while pending:
             yield pending.popleft()
-            pending.extend((week, submit(_fetch_week, week, config)) for week in islice(todo, 1))
+            pending.extend((week, submit(step, week, config)) for week in islice(todo, 1))
 
 
 def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
@@ -307,6 +316,21 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
     if not week_list:
         raise ValueError("weeks must be non-empty")
     return week_list
+
+
+def _parse_file(
+    path: Union[str, Path], format: SourceFormat, encoding: str, consume: Callable[..., None]
+) -> tuple[int, int, int]:
+    """Open, size and parse one weekly file and pass its records to
+    ``consume``; returns the arguments of :meth:`RunSummary.count_input`."""
+    path = Path(path)
+    zipped = path.suffix == ".zip"
+    with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
+        compressed = path.stat().st_size
+        decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
+        records, report = parse_archive_stream(stream, format, encoding)
+        consume(records)
+    return report.warnings_total, compressed, decompressed
 
 
 def write_file(
@@ -323,16 +347,61 @@ def write_file(
     memory stays bounded by one patent.  A file that fails to open or
     parse raises, and adds no rows and no counts.
     """
-    path = Path(path)
-    zipped = path.suffix == ".zip"
-    with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
-        compressed = path.stat().st_size
-        decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
-        records, report = parse_archive_stream(stream, format, encoding)
-        summary.write(records, sink)
-    summary.warnings_total += report.warnings_total
-    summary.input_bytes_compressed += compressed
-    summary.input_bytes_decompressed += decompressed
+    counts = _parse_file(path, format, encoding, lambda records: summary.write(records, sink))
+    summary.count_input(*counts)
+
+
+def _parse_to_spool(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> tuple:
+    """Worker step: parse one weekly file into a new file in ``spool_dir``,
+    one ``pickle.dump`` per record and then ``None``; returns that file's
+    name and the weekly file's counts."""
+    import pickle  # not at the top, as multiprocessing: only runs with workers load it
+
+    handle, name = tempfile.mkstemp(dir=spool_dir)
+    with open(handle, "wb") as spool:
+
+        def dump(records: Iterator[PatentRecord]) -> None:
+            for record in records:
+                pickle.dump(record, spool, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(None, spool)
+
+        return name, _parse_file(path, format, encoding, dump)
+
+
+def _write_spool(name: str, counts: tuple, sink: Sink, summary: RunSummary) -> None:
+    """Write a worker's spool to ``sink`` one record at a time, deleting
+    the file once it is open, and count the weekly file in ``summary``."""
+    import pickle
+
+    with open(name, "rb") as spool:
+        os.unlink(name)
+        summary.write(iter(partial(pickle.load, spool), None), sink)
+    summary.count_input(*counts)
+
+
+@contextmanager
+def _week_steps(config: PipelineConfig, weeks: int) -> Iterator[Callable[..., tuple]]:
+    """The step :func:`get_bulk_patent_data` runs per week: with one job
+    :func:`_fetch_week`; with more, that and then a worker's parse of it."""
+    if config.jobs <= 1:
+        yield _fetch_week
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(config.jobs, weeks, len(os.sched_getaffinity(0)))
+    fork = multiprocessing.get_context("fork")
+    with tempfile.TemporaryDirectory() as spool_dir, ProcessPoolExecutor(workers, fork) as pool:
+        pool.submit(int).result()  # forks every worker now, before any fetch thread starts
+
+        def step(week: WeekSpec, config: PipelineConfig) -> tuple:
+            plan, entry = _fetch_week(week, config)
+            spooled = pool.submit(
+                _parse_to_spool, entry.cache_path, plan.format, config.encoding, spool_dir
+            )
+            return (plan, entry, *spooled.result())
+
+        yield step
 
 
 def get_bulk_patent_data(
@@ -342,27 +411,37 @@ def get_bulk_patent_data(
 ) -> RunSummary:
     """Collect a range of weeks into one sink.
 
-    Weeks are fetched (cache-first) ``config.jobs`` at a time and parsed
-    one at a time on the calling thread, each through :func:`write_file`,
-    and reach the sink in ascending (year, week) order.  A failing week
-    adds no rows; it is recorded in the summary and does not abort the
-    run.  If every week fails a RunError is raised instead, and a failed
-    write to the sink's output raises OutputError at once.
+    Weeks are fetched (cache-first) ``config.jobs`` at a time and reach
+    the sink in ascending (year, week) order.  With one job each is parsed
+    on the calling thread by :func:`write_file`.  With ``jobs=N`` they are
+    parsed in up to N worker processes, each bounded by one patent, and
+    their records reach the sink one at a time through a pickle spool in
+    ``TMPDIR``.  The workers are forked when the run starts, so a caller
+    whose own threads may then hold locks should use one job.  A failing
+    week adds no rows; it is recorded in the summary and does not abort
+    the run.  If every week fails a RunError is raised instead, and a
+    failed write to the sink's output raises OutputError at once.
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
-    for week, fetched in _ordered_weeks(week_list, config):
-        try:
-            plan, entry = fetched.result()
-            _emit_progress(config, "parsing %s" % week.label())
-            write_file(entry.cache_path, plan.format, sink, summary, config.encoding)
-        except OutputError:
-            raise
-        except Exception as error:
-            summary.weeks_failed.append((week, _reason(error)))
-        else:
-            summary.weeks_fetched += 1
+    with _week_steps(config, len(week_list)) as step, closing(
+        _ordered_weeks(week_list, config, step)
+    ) as fetched_weeks:
+        for week, fetched in fetched_weeks:
+            try:
+                plan, entry, *spooled = fetched.result()
+                _emit_progress(config, "parsing %s" % week.label())
+                if spooled:
+                    _write_spool(*spooled, sink, summary)
+                else:
+                    write_file(entry.cache_path, plan.format, sink, summary, config.encoding)
+            except OutputError:
+                raise
+            except Exception as error:
+                summary.weeks_failed.append((week, _reason(error)))
+            else:
+                summary.weeks_fetched += 1
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
     return summary
@@ -376,7 +455,7 @@ def fetch_weeks(
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
     summary = RunSummary(weeks_requested=len(week_list))
-    for week, fetched in _ordered_weeks(week_list, config):
+    for week, fetched in _ordered_weeks(week_list, config, _fetch_week):
         error = fetched.exception()
         if error is None:
             summary.weeks_fetched += 1

@@ -82,18 +82,24 @@ def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
     return sink.bytes_written
 
 
-def run_capped(limit_bytes: int, *args, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``stream_child.py`` with ``args`` under an address-space cap of
-    ``limit_bytes``; see that file for its two modes."""
-    # the child imports the package this test run imported, installed or not
+def run_python(*args, timeout: float, **env: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` and ``env`` added to the
+    environment; it imports the package this test run imported, installed
+    or not."""
     package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, str(STREAM_CHILD), str(limit_bytes), *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": package_parent},
+        env={**os.environ, "PYTHONPATH": package_parent, **env},
     )
+
+
+def run_capped(limit_bytes: int, *args, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``stream_child.py`` with ``args`` under an address-space cap of
+    ``limit_bytes``; see that file for its two modes."""
+    return run_python(STREAM_CHILD, limit_bytes, *args, timeout=timeout)
 
 
 def make_zip(members: dict[str, bytes]) -> bytes:

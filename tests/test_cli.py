@@ -8,7 +8,7 @@ import zipfile
 
 import pytest
 
-from conftest import FakeTransport, make_zip, random_record, random_records, sink_to_file
+from conftest import FakeTransport, make_zip, random_record, random_records, run_python, sink_to_file
 from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import WeekSpec
@@ -60,6 +60,59 @@ class TestExitContract:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestPositiveCounts:
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_top_checked_before_the_input_is_opened(self, value, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(["stats", "classes", "--top", value, "--input", str(missing)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "argument --top: must be a positive integer" in err
+        assert "missing.csv" not in err
+
+    @pytest.mark.parametrize("command", ["fetch", "convert", "get"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_checked_before_any_week_is_fetched(
+        self, command, value, monkeypatch, tmp_path, capsys
+    ):
+        fetched = []
+        monkeypatch.setattr("patentbulk.fetch.fetch", lambda plan, *a, **kw: fetched.append(plan))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run([command, "--years", "1976", "--weeks", "1", "--jobs", value,
+                     "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert "argument --jobs: must be a positive integer" in capsys.readouterr().err
+        assert fetched == []
+
+
+# runs the commands given as JSON argv lists in one process, then prints
+# which of the modules that only worker runs need they imported
+IMPORTS_CHILD = """
+import json, sys
+from patentbulk import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.run(argv) == 0, argv
+print(sorted({"multiprocessing", "pickle"} & set(sys.modules)))
+"""
+
+
+def test_single_job_commands_start_no_processes(data_dir, tmp_path):
+    week, cache = WeekSpec(1976, 1), tmp_path / "cache"
+    fixture = data_dir / "aps_two_patents.txt"
+    transport = FakeTransport({resolve_plan(week).url: make_zip({"w.txt": fixture.read_bytes()})})
+    pipeline.fetch_weeks([week], pipeline.PipelineConfig(cache_dir=str(cache), transport=transport))
+    table = str(tmp_path / "pat.csv")
+    argvs = [
+        ["convert", "--input", str(fixture), "--format-era", "aps", "--output", table, "--quiet"],
+        ["stats", "classes", "--input", table, "--output", str(tmp_path / "classes.csv")],
+        ["convert", "--years", "1976", "--weeks", "1", "--cache-dir", str(cache),
+         "--output", str(tmp_path / "cached.csv"), "--quiet"],
+    ]
+    result = run_python("-c", IMPORTS_CHILD, json.dumps(argvs), timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 class TestHelp:

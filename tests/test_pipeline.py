@@ -1,14 +1,26 @@
 import io
 import json
 import os
+import pickle
+import re
+import tempfile
 import threading
 import weakref
 import zipfile
+from pathlib import Path
 
 import pytest
 
-from conftest import FakeTransport, make_zip, parse_aps, random_records, run_capped, sink_to_file
-from patentbulk import pipeline
+from conftest import (
+    FakeTransport,
+    make_zip,
+    parse_aps,
+    random_records,
+    run_capped,
+    run_python,
+    sink_to_file,
+)
+from patentbulk import fetch as fetchmod, model, pipeline
 from patentbulk.fetch import fetch, resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
@@ -114,6 +126,26 @@ def _config(tmp_path, transport, **kwargs):
         transport=transport,
         **kwargs,
     )
+
+
+class FullDisk(io.StringIO):
+    """An output whose device fills up after 200 characters."""
+
+    def write(self, text):
+        if self.tell() + len(text) > 200:  # the header fits, a week does not
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def _cache_with_bad_crc(config, weeks, corrupt, text):
+    """Fetch ``weeks`` into ``config``'s cache, then flip one bit of
+    ``text`` in the cached archive of ``corrupt``, so that its member
+    fails its CRC check while the cache still accepts the entry."""
+    assert pipeline.fetch_weeks(weeks, config).weeks_failed == []
+    cached = Path(config.cache_dir) / resolve_plan(corrupt, config.base_url).cache_path
+    payload = bytearray(cached.read_bytes())
+    payload[payload.index(text)] ^= 0x01
+    cached.write_bytes(bytes(payload))
 
 
 class TestGetBulkPatentData:
@@ -243,24 +275,6 @@ class TestGetBulkPatentData:
         # the record being written and at most the one before it: no week is held
         assert max(alive_at_write) <= 2
 
-    def test_weeks_parsed_on_the_calling_thread(self, aps_fixture_text, tmp_path, monkeypatch):
-        weeks = [WeekSpec(1976, w) for w in range(1, 7)]
-        payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
-        transport = FakeTransport({_week_url(week): payload for week in weeks})
-        parse_threads = []
-        parse = pipeline.parse_archive_stream
-
-        def tracked_parse(*args):
-            parse_threads.append(threading.get_ident())
-            return parse(*args)
-
-        monkeypatch.setattr(pipeline, "parse_archive_stream", tracked_parse)
-        summary = get_bulk_patent_data(
-            weeks, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=3)
-        )
-        assert summary.records_written == 12
-        assert parse_threads == [threading.get_ident()] * len(weeks)
-
     def test_determinism_from_cache(self, aps_fixture_text, tmp_path):
         week = WeekSpec(1976, 1)
         transport = FakeTransport(
@@ -285,12 +299,7 @@ class TestGetBulkPatentData:
             _week_url(corrupt): members.getvalue(),
         })
         config = _config(tmp_path, transport)
-        assert pipeline.fetch_weeks([good, corrupt], config).weeks_failed == []
-        # same size, so the cache's .meta.json sidecar still accepts the entry
-        cached = tmp_path / "cache" / resolve_plan(corrupt, config.base_url).cache_path
-        payload = bytearray(cached.read_bytes())
-        payload[payload.index(b"WKU  039300002")] ^= 0x01  # "W" -> "V"
-        cached.write_bytes(bytes(payload))
+        _cache_with_bad_crc(config, [good, corrupt], corrupt, b"WKU  039300002")
 
         out = io.StringIO()
         summary = get_bulk_patent_data([good, corrupt], CsvSink(out), config)
@@ -312,11 +321,7 @@ class TestGetBulkPatentData:
             _week_url(good): make_zip({"w.txt": aps_fixture_text.encode("latin-1")}),
         })
         config = _config(tmp_path, transport)
-        assert pipeline.fetch_weeks([failing, good], config).weeks_failed == []
-        cached = tmp_path / "cache" / resolve_plan(failing, config.base_url).cache_path
-        payload = bytearray(cached.read_bytes())
-        payload[payload.index(b"WKU  039300002")] ^= 0x01
-        cached.write_bytes(bytes(payload))
+        _cache_with_bad_crc(config, [failing, good], failing, b"WKU  039300002")
 
         out = io.StringIO()
         summary = get_bulk_patent_data([failing, good], CsvSink(out), config)
@@ -330,13 +335,6 @@ class TestGetBulkPatentData:
         weeks = [WeekSpec(1976, 1), WeekSpec(1976, 2)]
         payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
         transport = FakeTransport({_week_url(week): payload for week in weeks})
-
-        class FullDisk(io.StringIO):
-            def write(self, text):
-                if self.tell() + len(text) > 200:  # the header fits, a week does not
-                    raise OSError(28, "No space left on device")
-                return super().write(text)
-
         with pytest.raises(OutputError, match="No space left"):
             get_bulk_patent_data(weeks, CsvSink(FullDisk()), _config(tmp_path, transport))
         assert len(transport.requests) == 1  # the run stopped at the first week
@@ -395,6 +393,190 @@ class TestGetBulkPatentData:
         assert "<PATDOC>" in summary.weeks_failed[0][1]
 
 
+# the threads alive at each os.fork() of this process
+FORK_THREADS = []
+os.register_at_fork(before=lambda: FORK_THREADS.append(threading.active_count()))
+
+
+def _served_weeks(aps_fixture_text, weeks):
+    """A transport serving each of ``weeks`` as a zip of the fixture's
+    two patents, renumbered per week so that no WKU repeats."""
+    return FakeTransport({
+        _week_url(week): make_zip({"w.txt": aps_fixture_text.replace(
+            "039305672", "0393%02d%03d" % (week.week, week.year % 1000)
+        ).encode("latin-1")})
+        for week in weeks
+    })
+
+
+@pytest.fixture
+def spool_dir(tmp_path, monkeypatch):
+    """An empty ``TMPDIR`` for the run; each test checks it is empty after."""
+    path = tmp_path / "tmp"
+    path.mkdir()
+    monkeypatch.setenv("TMPDIR", str(path))
+    monkeypatch.setattr(tempfile, "tempdir", str(path))
+    return path
+
+
+class TestWorkerProcesses:
+    WEEKS = [WeekSpec(1976, w) for w in range(1, 7)]
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_where_weeks_are_parsed(self, aps_fixture_text, tmp_path, monkeypatch, jobs):
+        log = tmp_path / "parses.log"
+        parse = pipeline.parse_archive_stream
+
+        def logged_parse(*args):
+            with open(log, "a") as handle:  # forked workers inherit this patch
+                handle.write("%d %d\n" % (os.getpid(), threading.get_ident()))
+            return parse(*args)
+
+        monkeypatch.setattr(pipeline, "parse_archive_stream", logged_parse)
+        transport = _served_weeks(aps_fixture_text, self.WEEKS)
+        summary = get_bulk_patent_data(
+            self.WEEKS, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+        )
+        assert summary.records_written == 12
+        places = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert len(places) == len(self.WEEKS)
+        if jobs == 1:
+            assert set(places) == {(os.getpid(), threading.get_ident())}
+        else:
+            assert os.getpid() not in {pid for pid, _ in places}
+
+    def test_workers_forked_before_any_thread_starts(self, aps_fixture_text, tmp_path):
+        FORK_THREADS.clear()
+        transport = _served_weeks(aps_fixture_text, self.WEEKS)
+        get_bulk_patent_data(
+            self.WEEKS, CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=3)
+        )
+        assert FORK_THREADS and set(FORK_THREADS) == {1}
+
+    @pytest.mark.parametrize(
+        "jobs, weeks, cpus, workers", [(3, 6, 8, 3), (3, 2, 8, 2), (3, 6, 2, 2), (2, 6, 1, 1)]
+    )
+    def test_worker_count(
+        self, aps_fixture_text, tmp_path, monkeypatch, jobs, weeks, cpus, workers
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        FORK_THREADS.clear()
+        transport = _served_weeks(aps_fixture_text, self.WEEKS[:weeks])
+        summary = get_bulk_patent_data(
+            self.WEEKS[:weeks], CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+        )
+        assert summary.records_written == 2 * weeks
+        assert len(FORK_THREADS) == workers
+
+    def test_spools_bounded_by_jobs_and_removed(self, aps_fixture_text, tmp_path, spool_dir):
+        transport = _served_weeks(aps_fixture_text, self.WEEKS)
+        spools_at_write = []
+
+        class CountingSink(CsvSink):
+            def write(self, record):
+                spools_at_write.append(sum(path.is_file() for path in spool_dir.rglob("*")))
+                super().write(record)
+
+        out = io.StringIO()
+        summary = get_bulk_patent_data(
+            self.WEEKS, CountingSink(out), _config(tmp_path, transport, jobs=3)
+        )
+        assert summary.records_written == len(list(read_csv(io.StringIO(out.getvalue())))) == 12
+        assert max(spools_at_write) <= 3
+        assert list(spool_dir.iterdir()) == []
+
+    def test_failed_crc_fails_its_week_as_in_line(self, aps_fixture_text, tmp_path, spool_dir):
+        weeks = self.WEEKS[:3]
+        transport = _served_weeks(aps_fixture_text, weeks)
+        stored = io.BytesIO()
+        with zipfile.ZipFile(stored, "w", zipfile.ZIP_STORED) as archive:
+            archive.writestr("w.txt", aps_fixture_text.encode("latin-1"))
+        transport.add(_week_url(weeks[1]), stored.getvalue())
+        config = _config(tmp_path, transport)
+        _cache_with_bad_crc(config, weeks, weeks[1], b"WKU  039305672")
+        runs = {}
+        for jobs in (1, 3):
+            out = io.StringIO()
+            config.jobs = jobs
+            summary = get_bulk_patent_data(weeks, CsvSink(out), config)
+            runs[jobs] = summary.to_dict(), out.getvalue()
+        assert runs[1] == runs[3]
+        [failure] = runs[3][0]["weeks_failed"]
+        assert (failure["week"], "Bad CRC-32" in failure["reason"]) == (2, True)
+        assert list(spool_dir.iterdir()) == []
+
+    def test_failed_write_to_the_output_is_fatal(self, aps_fixture_text, tmp_path, spool_dir):
+        transport = _served_weeks(aps_fixture_text, self.WEEKS)
+        with pytest.raises(OutputError, match="No space left"):
+            get_bulk_patent_data(
+                self.WEEKS, CsvSink(FullDisk()), _config(tmp_path, transport, jobs=3)
+            )
+        assert list(spool_dir.iterdir()) == []
+
+    def test_worker_that_dies_fails_its_week(self, aps_fixture_text, data_dir, tmp_path):
+        aps_week, xml_week = WeekSpec(1976, 1), WeekSpec(2010, 1)
+        transport = _served_weeks(aps_fixture_text, [aps_week])
+        xml4 = (data_dir / "era_xml4.xml").read_bytes()
+        transport.add(_week_url(xml_week), make_zip({"ipg.xml": xml4}))
+        config = _config(tmp_path, transport)
+        assert pipeline.fetch_weeks([aps_week, xml_week], config).weeks_failed == []
+        spool = tmp_path / "tmp"
+        spool.mkdir()
+        result = run_python(
+            "-c", DYING_WORKER, "convert", "--years", "1976,2010", "--weeks", "1", "--jobs", "2",
+            "--cache-dir", config.cache_dir, "--output", tmp_path / "out.csv", "--quiet",
+            timeout=60, TMPDIR=str(spool),
+        )
+        assert result.returncode in (1, 2), result.stderr
+        assert re.search(r"2010wk01: \S", result.stderr), result.stderr
+        assert list(spool.iterdir()) == []
+
+
+# runs the command line in a process whose parse of an XML4 week kills
+# the worker that runs it
+DYING_WORKER = """
+import os, sys
+from patentbulk import cli, pipeline
+from patentbulk.model import SourceFormat
+parse = pipeline.parse_archive_stream
+
+def dying_parse(stream, format, encoding):
+    if format is SourceFormat.XML4:
+        os._exit(1)
+    return parse(stream, format, encoding)
+
+pipeline.parse_archive_stream = dying_parse
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+class TestExceptionsCrossProcesses:
+    ERRORS = [
+        model.WrongFileTypeError("expected <us-patent-grant>, found <PATDOC>"),
+        model.IpcParseError("no section letter: '9X'"),
+        model.GrantParseError(7, "no WKU"),
+        fetchmod.FetchError("http://fake.test/bulk/pftaps19760106_wk01.zip", "HTTP 404", 404),
+        fetchmod.IntegrityError("w.zip: Bad CRC-32 for file 'w.txt'"),
+        fetchmod.TransportError("connection dropped mid-stream"),
+    ]
+
+    def test_every_exception_class_listed(self):
+        defined = {
+            value
+            for module in (model, fetchmod)
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        }
+        assert defined == {type(error) for error in self.ERRORS}
+
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+    def test_pickle_round_trip(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
+
+
 class TestConvertStream:
     def test_aps_stream(self, aps_fixture_text, tmp_path):
         source = tmp_path / "week.txt"
@@ -444,36 +626,38 @@ def _claim_text():
     return sentence * (CLAIM_BYTES // len(sentence))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 class TestBoundedMemory:
     """``convert --years`` over one cached week whose parsed records
     outgrow ``MEMORY_LIMIT``: writing each record as it is parsed keeps
-    the command under it."""
+    the command under it, and so does parsing in a worker process, which
+    inherits the cap."""
 
-    def _convert(self, tmp_path, week, documents):
+    def _convert(self, tmp_path, week, documents, jobs):
         cache, summary = tmp_path / "cache", tmp_path / "summary.json"
         _cache_week(cache, week, documents)
         result = run_capped(
             MEMORY_LIMIT, "cli", "convert", "--years", week.year, "--weeks", week.week,
             "--cache-dir", cache, "--output", os.devnull, "--summary-json", summary, "--quiet",
-            timeout=60,
+            "--jobs", jobs, timeout=60,
         )
         assert result.returncode == 0, result.stderr[-2000:]
         written = json.loads(summary.read_text())
         assert written["output_bytes"] > MEMORY_LIMIT
         return written
 
-    def test_aps_week(self, tmp_path):
+    def test_aps_week(self, tmp_path, jobs):
         claim = b"PAR  1. " + _claim_text() + b"\n"
         documents = (
             b"PATN\nWKU  0393%05d\nISD  19760106\nTTL  Widget press\nCLMS\n" % i + claim
             for i in range(PATENTS)
         )
-        summary = self._convert(tmp_path, WeekSpec(1976, 1), documents)
+        summary = self._convert(tmp_path, WeekSpec(1976, 1), documents, jobs)
         assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
 
-    def test_xml4_week(self, data_dir, tmp_path):
+    def test_xml4_week(self, data_dir, tmp_path, jobs):
         base = (data_dir / "era_xml4.xml").read_bytes()
         document = base.replace(b"a frame; and", _claim_text())
         documents = (document.replace(b"07641234", b"%08d" % i) for i in range(PATENTS))
-        summary = self._convert(tmp_path, WeekSpec(2005, 1), documents)
+        summary = self._convert(tmp_path, WeekSpec(2005, 1), documents, jobs)
         assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
