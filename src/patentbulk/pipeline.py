@@ -41,6 +41,8 @@ from .model import (
 csv.field_size_limit(64 * 1024 * 1024)
 
 T = TypeVar("T")
+# a spooled source: spool file name, WKUs written, (warnings, compressed, decompressed)
+Spooled = tuple[str, list[str], tuple[int, int, int]]
 
 
 class RunError(Exception):
@@ -67,23 +69,17 @@ class RunSummary:
     input_bytes_decompressed: int = 0
     _wkus: set[str] = dataclass_field(default_factory=set, init=False, repr=False, compare=False)
 
-    def write(self, records: Iterable[PatentRecord], sink: Sink) -> None:
-        """Write ``records`` to ``sink`` as one batch, counting them and the
-        ones whose WKU this run has already written.  If iterating
-        ``records`` raises, no row reaches the sink and nothing is counted."""
-        wkus: list[str] = []
-        with sink.spooled() as spool:
-            for record in records:
-                spool.write(record)
-                wkus.append(record.wku)
+    def append(self, spooled: Spooled, sink: Sink) -> None:
+        """Append a source spooled by :func:`spool_file` to ``sink`` and count
+        its records, the ones whose WKU this run has already written, its
+        warnings and its input sizes.  A failed write raises OutputError."""
+        name, wkus, (warnings, compressed, decompressed) = spooled
+        sink.append(name)
         new = set(wkus) - self._wkus
         self._wkus |= new
         self.duplicate_wkus += len(wkus) - len(new)
         self.records_written += len(wkus)
         self.output_bytes = sink.bytes_written
-
-    def count_input(self, warnings: int, compressed: int, decompressed: int) -> None:
-        """Add one parsed file's warning count and byte sizes."""
         self.warnings_total += warnings
         self.input_bytes_compressed += compressed
         self.input_bytes_decompressed += decompressed
@@ -135,9 +131,10 @@ class OutputError(OSError):
 
 class Sink:
     """Writes records to ``out`` with ``write(record)``, one line each, in
-    the subclass's format.  Runs write in batches through :meth:`spooled`;
-    ``bytes_written`` counts the UTF-8 bytes of the header and of every
-    batch appended that way, not those of a direct ``write``.
+    the subclass's format.  Runs write each source to a spool file with
+    :func:`spool_file`, maybe in a worker process, and copy it to ``out``
+    with :meth:`append`; ``bytes_written`` counts the UTF-8 bytes of the
+    header and of every spool appended, not those of a direct ``write``.
     """
 
     def __init__(self, out: TextIO, header: str = "") -> None:
@@ -149,16 +146,11 @@ class Sink:
         """A sink of this format over ``out`` that writes no header."""
         return type(self)(out)
 
-    @contextmanager
-    def spooled(self) -> Iterator[Sink]:
-        """A sink of this format over an anonymous temp file, appended to
-        ``out`` when the block exits normally and dropped if it raises, so
-        memory holds no batch and a failed batch adds no rows."""
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-            yield self._headless(spool)
-            spool.flush()
-            size = spool.buffer.tell()
-            spool.seek(0)
+    def append(self, name: str) -> None:
+        """Copy the spool file ``name`` to ``out`` and delete it."""
+        with open(name, encoding="utf-8", newline="") as spool:
+            os.unlink(name)
+            size = os.fstat(spool.fileno()).st_size
             try:
                 shutil.copyfileobj(spool, self.out)
             except OSError as exc:
@@ -254,10 +246,20 @@ def parse_archive_stream(
     """Era dispatch: records iterator plus the live parser report."""
     if format is SourceFormat.APS:
         parser = aps.ApsParser()
-        text = io.TextIOWrapper(stream, encoding=encoding)
-        return parser.parse(text), parser.report
+        return _parse_text(parser, stream, encoding), parser.report
     parser = xmlgrants.XmlWeeklyParser(format)
     return parser.parse(stream), parser.report
+
+
+def _parse_text(parser: aps.ApsParser, stream: IO[bytes], encoding: str) -> Iterator[PatentRecord]:
+    """``parser`` over ``stream`` decoded; the decoder is detached when the
+    parse ends, leaving ``stream`` to be closed by the caller that opened it."""
+    text = io.TextIOWrapper(stream, encoding=encoding)
+    try:
+        yield from parser.parse(text)
+    finally:
+        if not stream.closed:
+            text.detach()
 
 
 def _reason(error: BaseException) -> str:
@@ -318,19 +320,37 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
     return week_list
 
 
-def _parse_file(
-    path: Union[str, Path], format: SourceFormat, encoding: str, consume: Callable[..., None]
-) -> tuple[int, int, int]:
-    """Open, size and parse one weekly file and pass its records to
-    ``consume``; returns the arguments of :meth:`RunSummary.count_input`."""
+def spool_file(
+    path: Union[str, Path],
+    format: SourceFormat,
+    encoding: str,
+    sink: Sink,
+    spool_dir: Optional[str] = None,
+) -> Spooled:
+    """Open, size and parse one weekly file, a ``.zip`` archive or a plain
+    one, writing each record as it is parsed, in ``sink``'s format but not
+    to its output, to a new temp file in ``spool_dir`` (default ``TMPDIR``).
+    Returns the :data:`Spooled` result for :meth:`RunSummary.append`.  A
+    file that fails to open or parse removes the temp file and raises."""
     path = Path(path)
     zipped = path.suffix == ".zip"
-    with fetchmod.open_archive(path) if zipped else open(path, "rb") as stream:
-        compressed = path.stat().st_size
-        decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
-        records, report = parse_archive_stream(stream, format, encoding)
-        consume(records)
-    return report.warnings_total, compressed, decompressed
+    handle, name = tempfile.mkstemp(dir=spool_dir)
+    try:
+        with open(handle, "w", encoding="utf-8", newline="") as spool, (
+            fetchmod.open_archive(path) if zipped else open(path, "rb")
+        ) as stream:
+            compressed = path.stat().st_size
+            decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
+            records, report = parse_archive_stream(stream, format, encoding)
+            writer = sink._headless(spool)
+            wkus = []
+            for record in records:
+                writer.write(record)
+                wkus.append(record.wku)
+    except BaseException:
+        os.unlink(name)
+        raise
+    return name, wkus, (report.warnings_total, compressed, decompressed)
 
 
 def write_file(
@@ -341,101 +361,66 @@ def write_file(
     encoding: str = aps.DEFAULT_ENCODING,
 ) -> None:
     """Parse one weekly file, a ``.zip`` archive or a plain one, into
-    ``sink`` and count it in ``summary``.
-
-    Records stream one at a time through :meth:`RunSummary.write`, so
-    memory stays bounded by one patent.  A file that fails to open or
-    parse raises, and adds no rows and no counts.
-    """
-    counts = _parse_file(path, format, encoding, lambda records: summary.write(records, sink))
-    summary.count_input(*counts)
+    ``sink`` and count it in ``summary``.  A file that fails to open or
+    parse raises, and adds no rows and no counts."""
+    summary.append(spool_file(path, format, encoding, sink), sink)
 
 
-def _parse_to_spool(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> tuple:
-    """Worker step: parse one weekly file into a new file in ``spool_dir``,
-    one ``pickle.dump`` per record and then ``None``; returns that file's
-    name and the weekly file's counts."""
-    import pickle  # not at the top, as multiprocessing: only runs with workers load it
-
-    handle, name = tempfile.mkstemp(dir=spool_dir)
-    with open(handle, "wb") as spool:
-
-        def dump(records: Iterator[PatentRecord]) -> None:
-            for record in records:
-                pickle.dump(record, spool, pickle.HIGHEST_PROTOCOL)
-            pickle.dump(None, spool)
-
-        return name, _parse_file(path, format, encoding, dump)
+_worker_sink: Optional[Sink] = None  # the run's sink, set only in workers by the pool's initializer
 
 
-def _write_spool(name: str, counts: tuple, sink: Sink, summary: RunSummary) -> None:
-    """Write a worker's spool to ``sink`` one record at a time, deleting
-    the file once it is open, and count the weekly file in ``summary``."""
-    import pickle
+def _set_worker_sink(sink: Sink) -> None:
+    global _worker_sink
+    _worker_sink = sink
 
-    with open(name, "rb") as spool:
-        os.unlink(name)
-        summary.write(iter(partial(pickle.load, spool), None), sink)
-    summary.count_input(*counts)
+
+def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> Spooled:
+    return spool_file(path, format, encoding, _worker_sink, spool_dir)
 
 
 @contextmanager
-def _week_steps(config: PipelineConfig, weeks: int) -> Iterator[Callable[..., tuple]]:
-    """The step :func:`get_bulk_patent_data` runs per week: with one job
-    :func:`_fetch_week`; with more, that and then a worker's parse of it."""
+def _week_steps(config: PipelineConfig, weeks: int, sink: Sink) -> Iterator[Callable[..., Spooled]]:
+    """The step :func:`get_bulk_patent_data` runs per week: fetch it, then
+    :func:`spool_file` it, with one job on the calling thread and with
+    more in a worker process, which gets ``sink`` through the fork."""
+
+    def step(week: WeekSpec, config: PipelineConfig) -> Spooled:
+        plan, entry = _fetch_week(week, config)
+        _emit_progress(config, "parsing %s" % week.label())
+        return spool(entry.cache_path, plan.format, config.encoding)
+
     if config.jobs <= 1:
-        yield _fetch_week
+        spool = partial(spool_file, sink=sink)
+        yield step
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(config.jobs, weeks, len(os.sched_getaffinity(0)))
     fork = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory() as spool_dir, ProcessPoolExecutor(workers, fork) as pool:
+    with tempfile.TemporaryDirectory() as spool_dir, ProcessPoolExecutor(
+        workers, fork, initializer=_set_worker_sink, initargs=(sink,)
+    ) as pool:
         pool.submit(int).result()  # forks every worker now, before any fetch thread starts
 
-        def step(week: WeekSpec, config: PipelineConfig) -> tuple:
-            plan, entry = _fetch_week(week, config)
-            spooled = pool.submit(
-                _parse_to_spool, entry.cache_path, plan.format, config.encoding, spool_dir
-            )
-            return (plan, entry, *spooled.result())
+        def spool(*args: object) -> Spooled:
+            return pool.submit(_spool_in_worker, *args, spool_dir).result()
 
         yield step
 
 
-def get_bulk_patent_data(
-    weeks: Iterable[WeekSpec],
-    sink: Sink,
-    config: Optional[PipelineConfig] = None,
+def _run(
+    weeks: list[WeekSpec], config: PipelineConfig, step: Callable[..., T], take: Callable[..., None]
 ) -> RunSummary:
-    """Collect a range of weeks into one sink.
-
-    Weeks are fetched (cache-first) ``config.jobs`` at a time and reach
-    the sink in ascending (year, week) order.  With one job each is parsed
-    on the calling thread by :func:`write_file`.  With ``jobs=N`` they are
-    parsed in up to N worker processes, each bounded by one patent, and
-    their records reach the sink one at a time through a pickle spool in
-    ``TMPDIR``.  The workers are forked when the run starts, so a caller
-    whose own threads may then hold locks should use one job.  A failing
-    week adds no rows; it is recorded in the summary and does not abort
-    the run.  If every week fails a RunError is raised instead, and a
-    failed write to the sink's output raises OutputError at once.
-    """
-    week_list = _sorted_weeks(weeks)
-    config = config or PipelineConfig()
-    summary = RunSummary(weeks_requested=len(week_list))
-    with _week_steps(config, len(week_list)) as step, closing(
-        _ordered_weeks(week_list, config, step)
-    ) as fetched_weeks:
-        for week, fetched in fetched_weeks:
+    """Run ``step`` over ``weeks`` with :func:`_ordered_weeks` and pass each
+    result, in week order, to ``take(summary, result)``.  A week whose step
+    or ``take`` raises fails alone, but OutputError ends the run; if every
+    week fails, RunError is raised."""
+    summary = RunSummary(weeks_requested=len(weeks))
+    with closing(_ordered_weeks(weeks, config, step)) as results:
+        for week, result in results:
             try:
-                plan, entry, *spooled = fetched.result()
-                _emit_progress(config, "parsing %s" % week.label())
-                if spooled:
-                    _write_spool(*spooled, sink, summary)
-                else:
-                    write_file(entry.cache_path, plan.format, sink, summary, config.encoding)
+                take(summary, result.result())
             except OutputError:
                 raise
             except Exception as error:
@@ -447,20 +432,33 @@ def get_bulk_patent_data(
     return summary
 
 
+def get_bulk_patent_data(
+    weeks: Iterable[WeekSpec],
+    sink: Sink,
+    config: Optional[PipelineConfig] = None,
+) -> RunSummary:
+    """Collect a range of weeks into one sink.
+
+    Weeks are fetched (cache-first) ``config.jobs`` at a time and reach
+    the sink in ascending (year, week) order.  Each is parsed into a temp
+    file in ``TMPDIR`` by :func:`spool_file`, bounded by one patent, and
+    appended to the sink on the calling thread.  With ``jobs=N`` the parse
+    runs in up to N worker processes, so the sink's ``write`` runs there
+    and only its ``append`` here; they are forked when the run starts, so
+    a caller whose own threads may then hold locks should use one job.  A
+    failing week adds no rows; it is recorded in the summary and does not
+    abort the run.  If every week fails a RunError is raised instead, and
+    a failed write to the sink's output raises OutputError at once.
+    """
+    week_list = _sorted_weeks(weeks)
+    config = config or PipelineConfig()
+    with _week_steps(config, len(week_list), sink) as step:
+        return _run(week_list, config, step, lambda summary, spooled: summary.append(spooled, sink))
+
+
 def fetch_weeks(
     weeks: Iterable[WeekSpec], config: Optional[PipelineConfig] = None
 ) -> RunSummary:
     """Fetch a range of weeks into the cache without parsing them; jobs,
     order and failure policy as in :func:`get_bulk_patent_data`."""
-    week_list = _sorted_weeks(weeks)
-    config = config or PipelineConfig()
-    summary = RunSummary(weeks_requested=len(week_list))
-    for week, fetched in _ordered_weeks(week_list, config, _fetch_week):
-        error = fetched.exception()
-        if error is None:
-            summary.weeks_fetched += 1
-        else:
-            summary.weeks_failed.append((week, _reason(error)))
-    if summary.weeks_fetched == 0:
-        raise RunError(summary.weeks_failed)
-    return summary
+    return _run(_sorted_weeks(weeks), config or PipelineConfig(), _fetch_week, lambda *_: None)

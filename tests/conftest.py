@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -72,13 +73,16 @@ def parse_aps(lines):
 
 
 def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
-    """Write ``records`` as one batch through a sink over ``path`` opened
-    in ``mode``; returns the sink's byte count."""
+    """Write ``records`` as one spool appended to a sink over ``path``
+    opened in ``mode``; returns the sink's byte count."""
     with open(path, mode, encoding="utf-8", newline="") as out:
         sink = sink_class(out, **sink_args)
-        with sink.spooled() as batch:
+        handle, spool = tempfile.mkstemp()
+        with open(handle, "w", encoding="utf-8", newline="") as batch:
+            writer = sink._headless(batch)
             for record in records:
-                batch.write(record)
+                writer.write(record)
+        sink.append(spool)
     return sink.bytes_written
 
 

@@ -475,14 +475,14 @@ class TestGetAndFetch:
             monkeypatch,
             {resolve_plan(WeekSpec(1976, w)).url: make_zip({"w.txt": text}) for w in (1, 2)},
         )
-        write_file = pipeline.write_file
+        spool_file = pipeline.spool_file
 
-        def out_of_memory_in_week_2(path, *args):
+        def out_of_memory_in_week_2(path, *args, **kwargs):
             if "wk02" in str(path):
                 raise MemoryError()
-            write_file(path, *args)
+            return spool_file(path, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "write_file", out_of_memory_in_week_2)
+        monkeypatch.setattr(pipeline, "spool_file", out_of_memory_in_week_2)
         summary_path = tmp_path / "summary.json"
         code, _, err = run_cli(
             ["get", "--years", "1976", "--weeks", "1-2", "--cache-dir", str(tmp_path / "cache"),

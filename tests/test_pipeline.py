@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import pickle
 import re
 import tempfile
 import threading
+import warnings
 import weakref
 import zipfile
 from pathlib import Path
@@ -203,20 +205,23 @@ class TestGetBulkPatentData:
         rows = list(read_csv(io.StringIO(out.getvalue())))
         assert rows[0].wku == "039305672"  # week 1 rows come first
 
-    def test_parallel_run_matches_sequential_bytes(self, aps_fixture_text, tmp_path):
+    @pytest.mark.parametrize("sink_class", [CsvSink, JsonlSink])
+    def test_parallel_run_matches_sequential_bytes(self, aps_fixture_text, tmp_path, sink_class):
         weeks = [WeekSpec(1976, w) for w in range(1, 5)]
         responses = {}
         for i, week in enumerate(weeks):
             text = aps_fixture_text.replace("039305672", "03930%04d" % i)
             responses[_week_url(week)] = make_zip({"w.txt": text.encode("latin-1")})
         seq_out, par_out = io.StringIO(), io.StringIO()
-        get_bulk_patent_data(
-            weeks, CsvSink(seq_out), _config(tmp_path / "s", FakeTransport(responses), jobs=1)
+        seq = get_bulk_patent_data(
+            weeks, sink_class(seq_out), _config(tmp_path / "s", FakeTransport(responses), jobs=1)
         )
-        get_bulk_patent_data(
-            weeks, CsvSink(par_out), _config(tmp_path / "p", FakeTransport(responses), jobs=4)
+        par = get_bulk_patent_data(
+            weeks, sink_class(par_out), _config(tmp_path / "p", FakeTransport(responses), jobs=4)
         )
         assert seq_out.getvalue() == par_out.getvalue()
+        assert seq.to_dict() == par.to_dict()
+        assert seq.records_written == 8
 
     def test_look_ahead_bounded_by_jobs(self, aps_fixture_text, tmp_path):
         jobs = 2
@@ -235,12 +240,12 @@ class TestGetBulkPatentData:
         served_at_first_write = []
 
         class StallingSink(CsvSink):
-            def write(self, record):
+            def append(self, name):
                 if not served_at_first_write:
                     # gives a loop that looks further ahead time to fetch more weeks
                     overrun.wait(timeout=1.0)
                     served_at_first_write.append(len(transport.requests))
-                super().write(record)
+                super().append(name)
 
         summary = get_bulk_patent_data(
             weeks, StallingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
@@ -259,18 +264,20 @@ class TestGetBulkPatentData:
             ).encode("latin-1")})
             for week in weeks
         })
+        log = tmp_path / "alive.log"
         written = []
-        alive_at_write = []
 
         class TrackingSink(CsvSink):
             def write(self, record):
                 written.append(weakref.ref(record))
-                alive_at_write.append(sum(ref() is not None for ref in written))
+                with open(log, "a") as handle:  # forked workers write here too
+                    handle.write("%d\n" % sum(ref() is not None for ref in written))
                 super().write(record)
 
         summary = get_bulk_patent_data(
             weeks, TrackingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
         )
+        alive_at_write = [int(line) for line in log.read_text().splitlines()]
         assert summary.records_written == len(alive_at_write) == 30
         # the record being written and at most the one before it: no week is held
         assert max(alive_at_write) <= 2
@@ -473,9 +480,9 @@ class TestWorkerProcesses:
         spools_at_write = []
 
         class CountingSink(CsvSink):
-            def write(self, record):
+            def append(self, name):
                 spools_at_write.append(sum(path.is_file() for path in spool_dir.rglob("*")))
-                super().write(record)
+                super().append(name)
 
         out = io.StringIO()
         summary = get_bulk_patent_data(
@@ -601,6 +608,19 @@ class TestConvertStream:
         assert summary.records_written == 1
         assert summary.output_bytes == len(out.getvalue().encode())
 
+    @pytest.mark.parametrize("zipped", [False, True], ids=["txt", "zip"])
+    def test_aps_file_leaves_no_file_unclosed(self, aps_fixture_text, tmp_path, zipped):
+        text = aps_fixture_text.encode("latin-1")
+        source = tmp_path / ("week.zip" if zipped else "week.txt")
+        source.write_bytes(make_zip({"w.txt": text}) if zipped else text)
+        summary = RunSummary()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+            gc.collect()
+        assert summary.records_written == 2
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
 
 def _cache_week(cache, week, documents):
     """Zip ``documents`` (byte strings, written as they are drawn) into one
@@ -628,16 +648,19 @@ def _claim_text():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 class TestBoundedMemory:
-    """``convert --years`` over one cached week whose parsed records
+    """``convert --years`` over cached weeks whose parsed records
     outgrow ``MEMORY_LIMIT``: writing each record as it is parsed keeps
     the command under it, and so does parsing in a worker process, which
     inherits the cap."""
 
     def _convert(self, tmp_path, week, documents, jobs):
+        _cache_week(tmp_path / "cache", week, documents)
+        return self._run(tmp_path, week.year, week.week, jobs)
+
+    def _run(self, tmp_path, years, weeks, jobs):
         cache, summary = tmp_path / "cache", tmp_path / "summary.json"
-        _cache_week(cache, week, documents)
         result = run_capped(
-            MEMORY_LIMIT, "cli", "convert", "--years", week.year, "--weeks", week.week,
+            MEMORY_LIMIT, "cli", "convert", "--years", years, "--weeks", weeks,
             "--cache-dir", cache, "--output", os.devnull, "--summary-json", summary, "--quiet",
             "--jobs", jobs, timeout=60,
         )
@@ -661,3 +684,16 @@ class TestBoundedMemory:
         documents = (document.replace(b"07641234", b"%08d" % i) for i in range(PATENTS))
         summary = self._convert(tmp_path, WeekSpec(2005, 1), documents, jobs)
         assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
+
+    def test_three_aps_weeks(self, tmp_path, jobs):
+        claim = b"PAR  1. " + _claim_text() + b"\n"
+        for week in (1, 2, 3):
+            _cache_week(tmp_path / "cache", WeekSpec(1976, week), (
+                b"PATN\nWKU  0393%02d%03d\nISD  19760106\nTTL  Widget press\nCLMS\n" % (week, i)
+                + claim
+                for i in range(PATENTS // 2)
+            ))
+        summary = self._run(tmp_path, 1976, "1-3", jobs)
+        assert summary["output_bytes"] // 3 < MEMORY_LIMIT  # the run outgrows it, no week does
+        assert summary["records_written"] == 3 * (PATENTS // 2)
+        assert (summary["duplicate_wkus"], summary["weeks_failed"]) == (0, [])
