@@ -33,15 +33,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_FATAL, "%s: error: %s\n" % (self.prog, message))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of ``--jobs`` and ``--top``: an integer of at least 1."""
+def _int_at_least(lowest: int, kind: str, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer, not %r" % text)
+        value = lowest - 1
+    if value < lowest:
+        raise argparse.ArgumentTypeError("must be a %s integer, not %r" % (kind, text))
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--jobs`` and ``--top``: an integer of at least 1."""
+    return _int_at_least(1, "positive", text)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of ``--retries``: an integer of at least 0."""
+    return _int_at_least(0, "non-negative", text)
 
 
 def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
@@ -100,7 +109,8 @@ def _add_week_selection(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--weeks", default=None, help="week range, e.g. 1-8 (default: every grant week)"
     )
-    parser.add_argument("--retries", type=int, default=3, help="download attempts per week")
+    parser.add_argument("--retries", type=_non_negative_int, default=3, metavar="N",
+                        help="download attempts per week (0: cache only)")
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -244,6 +254,8 @@ def _cmd_get(args: argparse.Namespace) -> int:
 def _convert_local(args: argparse.Namespace) -> int:
     if not args.format_era:
         raise ValueError("--format-era is required with --input")
+    if args.jobs > 1:
+        raise ValueError("--jobs applies to --years; --input files are converted one at a time")
     format = SourceFormat(args.format_era)
     summary = pipeline.RunSummary()
     with _open_output(args.output, args.append) as out:

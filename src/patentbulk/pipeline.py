@@ -158,15 +158,28 @@ class Sink:
         self.bytes_written += size
 
 
+def _csv_cell(cell: str) -> str:
+    """``cell`` as a CSV field: quoted, its ``"`` doubled, if it holds ``"``,
+    ``,``, ``\\n`` or ``\\r``.  Cells hold no ``\\r`` (``sanitize_field``
+    removes it), but one is quoted, as Python 3.12's ``csv.writer`` does."""
+    if '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    if "," in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell + '"'
+    return cell
+
+
 class CsvSink(Sink):
-    """Serialized writer for the canonical CSV surface."""
+    """The canonical CSV surface: a header line, then each record's nine
+    cells (:func:`model.record_to_row`) quoted by :func:`_csv_cell`, joined
+    with ``,`` and ended by ``\\n``, in one write: the bytes that
+    ``csv.writer(out, lineterminator="\\n")`` writes, on any Python version."""
 
     def __init__(self, out: TextIO, write_header: bool = True) -> None:
         super().__init__(out, ",".join(CSV_COLUMNS) + "\n" if write_header else "")
-        self._writer = csv.writer(out, lineterminator="\n")
 
     def write(self, record: PatentRecord) -> None:
-        self._writer.writerow(record_to_row(record))
+        self.out.write(",".join(map(_csv_cell, record_to_row(record))) + "\n")
 
     def _headless(self, out: TextIO) -> Sink:
         return type(self)(out, write_header=False)
@@ -382,7 +395,10 @@ def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: 
 def _week_steps(config: PipelineConfig, weeks: int, sink: Sink) -> Iterator[Callable[..., Spooled]]:
     """The step :func:`get_bulk_patent_data` runs per week: fetch it, then
     :func:`spool_file` it, with one job on the calling thread and with
-    more in a worker process, which gets ``sink`` through the fork."""
+    more in a worker process, which gets ``sink`` through the fork.  Once
+    a worker has died and broken the pool, the weeks not yet handed to it
+    are spooled on their own threads; forking new workers then could
+    copy a lock held by a fetch thread."""
 
     def step(week: WeekSpec, config: PipelineConfig) -> Spooled:
         plan, entry = _fetch_week(week, config)
@@ -395,6 +411,7 @@ def _week_steps(config: PipelineConfig, weeks: int, sink: Sink) -> Iterator[Call
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     workers = min(config.jobs, weeks, len(os.sched_getaffinity(0)))
     fork = multiprocessing.get_context("fork")
@@ -404,7 +421,11 @@ def _week_steps(config: PipelineConfig, weeks: int, sink: Sink) -> Iterator[Call
         pool.submit(int).result()  # forks every worker now, before any fetch thread starts
 
         def spool(*args: object) -> Spooled:
-            return pool.submit(_spool_in_worker, *args, spool_dir).result()
+            try:
+                future = pool.submit(_spool_in_worker, *args, spool_dir)
+            except BrokenProcessPool:
+                return spool_file(*args, sink, spool_dir)
+            return future.result()
 
         yield step
 

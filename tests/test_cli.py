@@ -156,7 +156,19 @@ class TestRetries:
         argv = [command, "--years", "1976", "--weeks", "1", "--cache-dir", str(tmp_path), "--quiet"]
         run_cli(argv, capsys)
         run_cli(argv + ["--retries", "5"], capsys)
-        assert attempts == [3, 5]
+        run_cli(argv + ["--retries", "0"], capsys)
+        assert attempts == [3, 5, 0]
+
+    @pytest.mark.parametrize("command", ["fetch", "get"])
+    def test_negative_retries_rejected_before_any_lookup(
+        self, command, attempts, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run([command, "--years", "1976", "--weeks", "1", "--retries", "-2",
+                     "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert "argument --retries: must be a non-negative integer" in capsys.readouterr().err
+        assert attempts == []
 
     def test_convert_looks_weeks_up_with_zero_attempts(self, attempts, tmp_path, capsys):
         run_cli(["convert", "--years", "1976", "--weeks", "1", "--cache-dir", str(tmp_path),
@@ -186,6 +198,22 @@ class TestConvertLocal:
         )
         assert code == 0
         assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_is_for_cached_weeks(self, jobs, data_dir, tmp_path, capsys):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--format-era", "aps",
+             "--jobs", jobs, "--output", str(out_path), "--quiet"],
+            capsys,
+        )
+        if jobs == "1":
+            assert code == 0
+            assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+        else:
+            assert code == 1
+            assert "--jobs applies to --years" in err
+            assert list(tmp_path.iterdir()) == []
 
     def test_jsonl_to_stdout(self, data_dir, capsys):
         code, out, _ = run_cli(

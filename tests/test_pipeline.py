@@ -1,3 +1,5 @@
+import csv
+import datetime as dt
 import gc
 import io
 import json
@@ -10,8 +12,10 @@ import warnings
 import weakref
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FakeTransport,
@@ -36,6 +40,18 @@ from patentbulk.pipeline import (
     read_csv,
     read_jsonl,
     write_file,
+)
+
+
+# CSV cells of any text but \r: the quoted characters, runs of spaces, and
+# Latin-1 and non-BMP characters, each drawn often
+CSV_CELLS = st.one_of(
+    st.just(""),
+    st.text(alphabet=" ", min_size=1),
+    st.text(alphabet=st.one_of(
+        st.sampled_from('",\n a\xe9\xff\U0001f600'),
+        st.characters(blacklist_characters="\r", blacklist_categories=("Cs",)),
+    )),
 )
 
 
@@ -78,6 +94,30 @@ class TestCsv:
         sink_to_file(target, CsvSink, fixture_records[1:], mode="a", write_header=False)
         assert list(read_csv(target)) == fixture_records
         assert target.read_text().count("wku,title") == 1
+
+    @settings(max_examples=300)
+    @given(st.lists(CSV_CELLS, min_size=9, max_size=9))
+    def test_line_matches_csv_writer(self, cells):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerow(cells)
+        out = io.StringIO()
+        with mock.patch.object(pipeline, "record_to_row", lambda row: row):
+            CsvSink(out, write_header=False).write(cells)
+        assert out.getvalue() == expected.getvalue()
+
+    def test_quotes_and_newlines_round_trip(self, tmp_path):
+        record = model.build_record(
+            wku="04000001",
+            issue_date=dt.date(1977, 1, 4),
+            title='A "quick" press, with ram',
+            claims='1. A press comprising:\na "ram", and\n  a frame.\n\n2. The press of claim 1.',
+        )
+        target = tmp_path / "out.csv"
+        sink_to_file(target, CsvSink, [record])
+        assert target.read_text().splitlines()[1].startswith(
+            '04000001,"A ""quick"" press, with ram",,1977-01-04,,,,,"1. A press comprising:'
+        )
+        assert list(read_csv(target)) == [record]
 
 
 class TestJsonl:
@@ -538,17 +578,44 @@ class TestWorkerProcesses:
         assert re.search(r"2010wk01: \S", result.stderr), result.stderr
         assert list(spool.iterdir()) == []
 
+    def test_dead_worker_costs_only_the_weeks_it_had(self, data_dir, tmp_path):
+        # week 2 kills its worker; week 4 is handed out only once week 2
+        # has failed, so it always finds the pool broken
+        weeks = [WeekSpec(year, 1) for year in (2004, 2005, 2006, 2007)]
+        xml4 = (data_dir / "era_xml4.xml").read_bytes()
+        transport = FakeTransport(
+            {_week_url(weeks[0]): make_zip({"pg.xml": (data_dir / "era_xml2.xml").read_bytes()})}
+        )
+        for week in weeks[1:]:
+            transport.add(
+                _week_url(week),
+                make_zip({"ipg.xml": xml4.replace(b"07641234", b"%08d" % week.year)}),
+            )
+        config = _config(tmp_path, transport)
+        assert pipeline.fetch_weeks(weeks, config).weeks_failed == []
+        spool, out = tmp_path / "tmp", tmp_path / "out.csv"
+        spool.mkdir()
+        result = run_python(
+            "-c", DYING_WORKER, "convert", "--years", "2004-2007", "--weeks", "1", "--jobs", "2",
+            "--cache-dir", config.cache_dir, "--output", out, "--quiet",
+            timeout=60, TMPDIR=str(spool),
+        )
+        assert result.returncode == 2, result.stderr
+        assert re.search(r"failed 2005wk01: \S", result.stderr), result.stderr
+        assert "00002007" in [record.wku for record in read_csv(out)]
+        assert list(spool.iterdir()) == []
 
-# runs the command line in a process whose parse of an XML4 week kills
-# the worker that runs it
+
+# runs the command line in a process whose parse of an XML4 week in a
+# worker process kills that worker
 DYING_WORKER = """
 import os, sys
 from patentbulk import cli, pipeline
 from patentbulk.model import SourceFormat
-parse = pipeline.parse_archive_stream
+command, parse = os.getpid(), pipeline.parse_archive_stream
 
 def dying_parse(stream, format, encoding):
-    if format is SourceFormat.XML4:
+    if format is SourceFormat.XML4 and os.getpid() != command:
         os._exit(1)
     return parse(stream, format, encoding)
 
