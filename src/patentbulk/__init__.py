@@ -31,6 +31,7 @@ from .pipeline import (
     JsonlSink,
     PipelineConfig,
     RunSummary,
+    convert_files,
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
@@ -64,6 +65,7 @@ __all__ = [
     "XmlDocSlice",
     "XmlWeeklyParser",
     "build_record",
+    "convert_files",
     "get_bulk_patent_data",
     "ipc_parse",
     "join_multivalue",

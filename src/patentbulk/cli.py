@@ -11,9 +11,11 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import analytics, fetch as fetchmod, pipeline
 from .model import SourceFormat, WeekSpec, tuesdays_in_year
@@ -99,7 +101,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="bulk data base URL (env %s)" % ENV_BASE_URL,
     )
     parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="weeks fetched and parsed at once")
+                        help="weekly files fetched and parsed at once")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -215,14 +217,6 @@ def _list_failures(summary: pipeline.RunSummary) -> int:
     return EXIT_PARTIAL if summary.weeks_failed else EXIT_OK
 
 
-def _finish_run(args: argparse.Namespace, summary: pipeline.RunSummary) -> int:
-    if args.summary_json:
-        Path(args.summary_json).write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
-    if not args.quiet:
-        print(summary.format_table(), file=sys.stderr)
-    return _list_failures(summary)
-
-
 def _pipeline_config(args: argparse.Namespace, **fields) -> pipeline.PipelineConfig:
     return pipeline.PipelineConfig(
         cache_dir=args.cache_dir,
@@ -238,39 +232,31 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return _list_failures(pipeline.fetch_weeks(_resolve_weeks(args), _pipeline_config(args)))
 
 
-def _run_weeks(args: argparse.Namespace) -> int:
-    weeks = _resolve_weeks(args)
+def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) -> int:
+    """Run ``run(sink, config)`` into the output, then report its summary."""
     config = _pipeline_config(args, encoding=args.encoding)
     with _open_output(args.output, args.append) as out:
-        sink = _make_sink(out, args.format, args.append)
-        summary = pipeline.get_bulk_patent_data(weeks, sink, config)
-    return _finish_run(args, summary)
+        summary = run(_make_sink(out, args.format, args.append), config)
+    if args.summary_json:
+        Path(args.summary_json).write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+    if not args.quiet:
+        print(summary.format_table(), file=sys.stderr)
+    return _list_failures(summary)
 
 
 def _cmd_get(args: argparse.Namespace) -> int:
-    return _run_weeks(args)
-
-
-def _convert_local(args: argparse.Namespace) -> int:
-    if not args.format_era:
-        raise ValueError("--format-era is required with --input")
-    if args.jobs > 1:
-        raise ValueError("--jobs applies to --years; --input files are converted one at a time")
-    format = SourceFormat(args.format_era)
-    summary = pipeline.RunSummary()
-    with _open_output(args.output, args.append) as out:
-        sink = _make_sink(out, args.format, args.append)
-        for path in args.input:
-            pipeline.write_file(path, format, sink, summary, args.encoding)
-    return _finish_run(args, summary)
+    return _convert(args, partial(pipeline.get_bulk_patent_data, _resolve_weeks(args)))
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     if args.input:
-        return _convert_local(args)
+        if not args.format_era:
+            raise ValueError("--format-era is required with --input")
+        format = SourceFormat(args.format_era)
+        return _convert(args, partial(pipeline.convert_files, args.input, format))
     if not args.years:
         raise ValueError("convert needs --input FILE or --years/--weeks of cached data")
-    return _run_weeks(args)
+    return _cmd_get(args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -328,7 +314,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FATAL
     try:
         return _COMMANDS[args.command](args)
-    except (pipeline.RunError, fetchmod.IntegrityError, ValueError, OSError) as exc:
+    except (pipeline.RunError, fetchmod.IntegrityError, BrokenExecutor, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FATAL
 

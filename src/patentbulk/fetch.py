@@ -206,14 +206,17 @@ def fetch(
     final (a holiday-shifted or missing week, which retrying cannot fix).
     The cache is read before anything is written, and a lookup allowed
     no attempts (``retries=0``) reads it alone: a miss is a FetchError
-    naming the cache.  Concurrent fetches of the same week coordinate
-    through a per-entry lock so exactly one download occurs.
+    naming the cache.  A negative ``retries`` raises ValueError before the
+    lookup.  Concurrent fetches of the same week coordinate through a
+    per-entry lock so exactly one download occurs.
     """
+    if retries < 0:
+        raise ValueError("retries must be non-negative, not %d" % retries)
     final = Path(cache_dir) / plan.cache_path
     entry = _load_entry(final)
     if entry is not None:
         return entry
-    if retries < 1:
+    if retries == 0:
         raise FetchError(plan.url, "not in cache %s" % cache_dir)
 
     final.parent.mkdir(parents=True, exist_ok=True)

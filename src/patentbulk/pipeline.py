@@ -17,7 +17,6 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, TypeVar, Union
@@ -304,11 +303,11 @@ def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig
 
 
 def _ordered_weeks(
-    weeks: list[WeekSpec], config: PipelineConfig, step: Callable[..., object]
-) -> Iterator[tuple[WeekSpec, Future]]:
-    """Run ``step(week, config)`` for each of ``weeks``; yield ``(week,
-    future)`` in the order given, the future holding the step's result or
-    what it raised.
+    weeks: list[T], config: PipelineConfig, step: Callable[..., object]
+) -> Iterator[tuple[T, Future]]:
+    """Run ``step(week, config)`` for each of ``weeks``, weeks or local
+    paths; yield ``(week, future)`` in the order given, the future holding
+    the step's result or what it raised.
 
     At most ``max(1, config.jobs)`` weeks are submitted and not yet
     consumed: the next week is submitted only after the caller has taken
@@ -366,19 +365,6 @@ def spool_file(
     return name, wkus, (report.warnings_total, compressed, decompressed)
 
 
-def write_file(
-    path: Union[str, Path],
-    format: SourceFormat,
-    sink: Sink,
-    summary: RunSummary,
-    encoding: str = aps.DEFAULT_ENCODING,
-) -> None:
-    """Parse one weekly file, a ``.zip`` archive or a plain one, into
-    ``sink`` and count it in ``summary``.  A file that fails to open or
-    parse raises, and adds no rows and no counts."""
-    summary.append(spool_file(path, format, encoding, sink), sink)
-
-
 _worker_sink: Optional[Sink] = None  # the run's sink, set only in workers by the pool's initializer
 
 
@@ -392,42 +378,34 @@ def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: 
 
 
 @contextmanager
-def _week_steps(config: PipelineConfig, weeks: int, sink: Sink) -> Iterator[Callable[..., Spooled]]:
-    """The step :func:`get_bulk_patent_data` runs per week: fetch it, then
-    :func:`spool_file` it, with one job on the calling thread and with
-    more in a worker process, which gets ``sink`` through the fork.  Once
-    a worker has died and broken the pool, the weeks not yet handed to it
-    are spooled on their own threads; forking new workers then could
-    copy a lock held by a fetch thread."""
-
-    def step(week: WeekSpec, config: PipelineConfig) -> Spooled:
-        plan, entry = _fetch_week(week, config)
-        _emit_progress(config, "parsing %s" % week.label())
-        return spool(entry.cache_path, plan.format, config.encoding)
-
+def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callable[..., Spooled]]:
+    """Yield ``spool(path, format)``, the step every run takes per weekly
+    file: :func:`spool_file` with one job on the calling thread, with more
+    in a worker process, which gets ``sink`` through the fork.  Once a
+    worker has died and broken the pool, the ``files`` not yet handed to
+    it are spooled on their own threads; forking new workers then could
+    copy a lock held by another thread."""
     if config.jobs <= 1:
-        spool = partial(spool_file, sink=sink)
-        yield step
+        yield lambda path, format: spool_file(path, format, config.encoding, sink)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures import process
 
-    workers = min(config.jobs, weeks, len(os.sched_getaffinity(0)))
+    workers = min(config.jobs, files, len(os.sched_getaffinity(0)))
     fork = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory() as spool_dir, ProcessPoolExecutor(
+    with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
         workers, fork, initializer=_set_worker_sink, initargs=(sink,)
     ) as pool:
-        pool.submit(int).result()  # forks every worker now, before any fetch thread starts
+        pool.submit(int).result()  # forks every worker now, before the run starts a thread
 
-        def spool(*args: object) -> Spooled:
+        def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
             try:
-                future = pool.submit(_spool_in_worker, *args, spool_dir)
-            except BrokenProcessPool:
-                return spool_file(*args, sink, spool_dir)
+                future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
+            except process.BrokenProcessPool:
+                return spool_file(path, format, config.encoding, sink, spool_dir)
             return future.result()
 
-        yield step
+        yield spool
 
 
 def _run(
@@ -462,7 +440,7 @@ def get_bulk_patent_data(
 
     Weeks are fetched (cache-first) ``config.jobs`` at a time and reach
     the sink in ascending (year, week) order.  Each is parsed into a temp
-    file in ``TMPDIR`` by :func:`spool_file`, bounded by one patent, and
+    file in ``TMPDIR`` by the spool step :func:`convert_files` shares, and
     appended to the sink on the calling thread.  With ``jobs=N`` the parse
     runs in up to N worker processes, so the sink's ``write`` runs there
     and only its ``append`` here; they are forked when the run starts, so
@@ -473,8 +451,37 @@ def get_bulk_patent_data(
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
-    with _week_steps(config, len(week_list), sink) as step:
+
+    def step(week: WeekSpec, config: PipelineConfig) -> Spooled:
+        plan, entry = _fetch_week(week, config)
+        _emit_progress(config, "parsing %s" % week.label())
+        return spool(entry.cache_path, plan.format)
+
+    with _spooler(config, len(week_list), sink) as spool:
         return _run(week_list, config, step, lambda summary, spooled: summary.append(spooled, sink))
+
+
+def convert_files(
+    paths: Iterable[Union[str, Path]],
+    format: SourceFormat,
+    sink: Sink,
+    config: Optional[PipelineConfig] = None,
+) -> RunSummary:
+    """Parse local weekly files of one era, ``.zip`` archives or plain
+    ones, into ``sink`` in the order given, with the spool step and jobs of
+    :func:`get_bulk_patent_data`.  The first file that fails to open or
+    parse raises and ends the run; the summary counts no weeks."""
+    path_list = list(paths)
+    if not path_list:
+        raise ValueError("paths must be non-empty")
+    config = config or PipelineConfig()
+    summary = RunSummary()
+    with _spooler(config, len(path_list), sink) as spool, closing(
+        _ordered_weeks(path_list, config, lambda path, _: spool(path, format))
+    ) as results:
+        for _, result in results:
+            summary.append(result.result(), sink)
+    return summary
 
 
 def fetch_weeks(

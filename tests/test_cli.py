@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import tempfile
 import time
 import tracemalloc
 import zipfile
@@ -183,6 +184,19 @@ class TestRetries:
         assert attempts == []
 
 
+def _damaged_archive(damage, data_dir):
+    """A ``.zip`` that is only a truncated header, or a stored copy of the
+    APS fixture with one payload byte flipped, so that its CRC check fails."""
+    if damage == "truncated":
+        return b"PK\x03\x04"
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as stored:
+        stored.writestr("w.txt", (data_dir / "aps_two_patents.txt").read_bytes())
+    payload = bytearray(buffer.getvalue())
+    payload[payload.index(b"Widget press")] ^= 0x20  # "W" -> "w"
+    return bytes(payload)
+
+
 class TestConvertLocal:
     def test_golden_csv_from_fixture(self, data_dir, tmp_path, capsys):
         out_path = tmp_path / "out.csv"
@@ -200,20 +214,56 @@ class TestConvertLocal:
         assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_jobs_is_for_cached_weeks(self, jobs, data_dir, tmp_path, capsys):
+    def test_jobs_applies_to_input_files(self, jobs, data_dir, tmp_path, capsys):
         out_path = tmp_path / "out.csv"
-        code, _, err = run_cli(
+        code, _, _ = run_cli(
             ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--format-era", "aps",
              "--jobs", jobs, "--output", str(out_path), "--quiet"],
             capsys,
         )
-        if jobs == "1":
+        assert code == 0
+        assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    def test_two_jobs_write_the_bytes_of_one(self, data_dir, tmp_path, capsys):
+        fixture = data_dir / "aps_two_patents.txt"
+        archive = tmp_path / "week.zip"
+        archive.write_bytes(make_zip({"w.txt": fixture.read_bytes()}))
+        inputs = [arg for path in (fixture, fixture, archive) for arg in ("--input", str(path))]
+        runs = []
+        for jobs in ("1", "2"):
+            out_path, summary_path = tmp_path / ("out%s.csv" % jobs), tmp_path / ("s%s.json" % jobs)
+            code, _, _ = run_cli(
+                ["convert", *inputs, "--format-era", "aps", "--jobs", jobs,
+                 "--output", str(out_path), "--summary-json", str(summary_path), "--quiet"],
+                capsys,
+            )
             assert code == 0
-            assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
-        else:
-            assert code == 1
-            assert "--jobs applies to --years" in err
-            assert list(tmp_path.iterdir()) == []
+            runs.append((out_path.read_bytes(), summary_path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[1][1])["duplicate_wkus"] == 4
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad-crc"])
+    def test_corrupt_archive_at_two_jobs_exits_1_without_output(
+        self, damage, position, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        spool = tmp_path / "tmp"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        archive = tmp_path / "bad.zip"
+        archive.write_bytes(_damaged_archive(damage, data_dir))
+        inputs = [str(data_dir / "aps_two_patents.txt")] * 2
+        inputs.insert(position, str(archive))
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            ["convert", *(arg for path in inputs for arg in ("--input", path)), "--format-era",
+             "aps", "--jobs", "2", "--output", str(out_path), "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and str(archive) in err
+        assert sorted(tmp_path.iterdir()) == [archive, spool]
+        assert list(spool.iterdir()) == []
 
     def test_jsonl_to_stdout(self, data_dir, capsys):
         code, out, _ = run_cli(
@@ -314,16 +364,7 @@ class TestConvertLocal:
     @pytest.mark.parametrize("damage", ["truncated", "bad-crc"])
     def test_corrupt_archive_exits_1_without_output(self, damage, data_dir, tmp_path, capsys):
         archive = tmp_path / "bad.zip"
-        if damage == "truncated":
-            archive.write_bytes(b"PK\x03\x04")
-        else:
-            text = (data_dir / "aps_two_patents.txt").read_bytes()
-            buffer = io.BytesIO()
-            with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as stored:
-                stored.writestr("w.txt", text)
-            payload = bytearray(buffer.getvalue())
-            payload[payload.index(b"Widget press")] ^= 0x20  # "W" -> "w"
-            archive.write_bytes(bytes(payload))
+        archive.write_bytes(_damaged_archive(damage, data_dir))
         out_path = tmp_path / "out.csv"
         code, _, err = run_cli(
             ["convert", "--input", str(archive), "--format-era", "aps",

@@ -17,6 +17,7 @@ from patentbulk.fetch import (
     verify_entry,
 )
 from patentbulk.model import SourceFormat, WeekSpec
+from patentbulk.pipeline import PipelineConfig, RunError, fetch_weeks
 
 
 class TestResolvePlan:
@@ -88,6 +89,18 @@ class TestFetch:
         entry = fetch(plan, cache, transport=fake_transport)
         assert fetch(plan, cache, transport=fake_transport, retries=0) == entry
         assert len(fake_transport.requests) == 1
+
+    def test_negative_attempts_raise_before_any_lookup(self, tmp_path, fake_transport):
+        cache = tmp_path / "cache"
+        with pytest.raises(ValueError, match="retries must be non-negative, not -1"):
+            fetch(self._plan(), cache, transport=fake_transport, retries=-1)
+        config = PipelineConfig(cache_dir=str(cache), transport=fake_transport, retries=-2)
+        with pytest.raises(RunError) as excinfo:
+            fetch_weeks([WeekSpec(1976, 1)], config)
+        [(_, reason)] = excinfo.value.failures
+        assert reason == "retries must be non-negative, not -2"
+        assert fake_transport.requests == []
+        assert not cache.exists()
 
     def test_404_fails_without_retry(self, tmp_path, fake_transport):
         plan = self._plan()

@@ -36,10 +36,10 @@ from patentbulk.pipeline import (
     OutputError,
     RunError,
     RunSummary,
+    convert_files,
     get_bulk_patent_data,
     read_csv,
     read_jsonl,
-    write_file,
 )
 
 
@@ -605,6 +605,19 @@ class TestWorkerProcesses:
         assert "00002007" in [record.wku for record in read_csv(out)]
         assert list(spool.iterdir()) == []
 
+    def test_worker_that_dies_ends_convert_input(self, data_dir, tmp_path):
+        spool, out = tmp_path / "tmp", tmp_path / "out.csv"
+        spool.mkdir()
+        xml4 = data_dir / "era_xml4.xml"
+        result = run_python(
+            "-c", DYING_WORKER, "convert", "--input", xml4, "--input", xml4, "--format-era", "xml4",
+            "--jobs", "2", "--output", out, "--quiet", timeout=60, TMPDIR=str(spool),
+        )
+        assert result.returncode == 1, result.stderr
+        assert re.fullmatch(r"error: \S[^\n]*\n", result.stderr), result.stderr
+        assert not out.exists()
+        assert list(spool.iterdir()) == []
+
 
 # runs the command line in a process whose parse of an XML4 week in a
 # worker process kills that worker
@@ -655,23 +668,20 @@ class TestConvertStream:
     def test_aps_stream(self, aps_fixture_text, tmp_path):
         source = tmp_path / "week.txt"
         source.write_bytes(aps_fixture_text.encode("latin-1"))
-        summary = RunSummary()
-        write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+        summary = convert_files([source], SourceFormat.APS, CsvSink(io.StringIO()))
         assert summary.records_written == 2
         assert summary.warnings_total == 1  # the invalid APD in the second patent
 
     def test_skipped_section_counts_one_warning(self, tmp_path):
         source = tmp_path / "week.txt"
         source.write_text("PATN\nWKU  039305672\nISD  19760106\nPATN\nTTL  Widget\nISD  19760106\n")
-        summary = RunSummary()
-        write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+        summary = convert_files([source], SourceFormat.APS, CsvSink(io.StringIO()))
         assert summary.records_written == 1
         assert summary.warnings_total == 1  # the second section has no WKU
 
     def test_xml_stream(self, data_dir):
         out = io.StringIO()
-        summary = RunSummary()
-        write_file(data_dir / "era_xml4.xml", SourceFormat.XML4, JsonlSink(out), summary)
+        summary = convert_files([data_dir / "era_xml4.xml"], SourceFormat.XML4, JsonlSink(out))
         assert summary.records_written == 1
         assert summary.output_bytes == len(out.getvalue().encode())
 
@@ -680,25 +690,30 @@ class TestConvertStream:
         text = aps_fixture_text.encode("latin-1")
         source = tmp_path / ("week.zip" if zipped else "week.txt")
         source.write_bytes(make_zip({"w.txt": text}) if zipped else text)
-        summary = RunSummary()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            write_file(source, SourceFormat.APS, CsvSink(io.StringIO()), summary)
+            summary = convert_files([source], SourceFormat.APS, CsvSink(io.StringIO()))
             gc.collect()
         assert summary.records_written == 2
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_paths_rejected(self, jobs):
+        with pytest.raises(ValueError, match="paths must be non-empty"):
+            convert_files([], SourceFormat.APS, CsvSink(io.StringIO()), PipelineConfig(jobs=jobs))
+
 
 def _cache_week(cache, week, documents):
     """Zip ``documents`` (byte strings, written as they are drawn) into one
-    member and put it into the cache at ``cache`` as ``week``'s archive."""
+    member and put it into the cache at ``cache`` as ``week``'s archive;
+    returns its cache entry."""
     payload = io.BytesIO()
     with zipfile.ZipFile(payload, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as archive:
         with archive.open("week", "w") as member:
             for document in documents:
                 member.write(document)
     plan = resolve_plan(week)
-    fetch(plan, str(cache), transport=FakeTransport({plan.url: payload.getvalue()}))
+    return fetch(plan, str(cache), transport=FakeTransport({plan.url: payload.getvalue()}))
 
 
 # the address-space cap of the memory tests: well above what the command
@@ -713,21 +728,27 @@ def _claim_text():
     return sentence * (CLAIM_BYTES // len(sentence))
 
 
+def _aps_patents(wkus):
+    """One fixed-tag patent per WKU, each with a claim of ``CLAIM_BYTES``."""
+    claim = b"PAR  1. " + _claim_text() + b"\n"
+    return (b"PATN\nWKU  %s\nISD  19760106\nTTL  Widget press\nCLMS\n" % wku + claim for wku in wkus)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 class TestBoundedMemory:
-    """``convert --years`` over cached weeks whose parsed records
+    """``convert`` of cached weeks and of local files whose parsed records
     outgrow ``MEMORY_LIMIT``: writing each record as it is parsed keeps
     the command under it, and so does parsing in a worker process, which
     inherits the cap."""
 
     def _convert(self, tmp_path, week, documents, jobs):
         _cache_week(tmp_path / "cache", week, documents)
-        return self._run(tmp_path, week.year, week.week, jobs)
+        return self._run(tmp_path, jobs, "--years", week.year, "--weeks", week.week)
 
-    def _run(self, tmp_path, years, weeks, jobs):
+    def _run(self, tmp_path, jobs, *sources):
         cache, summary = tmp_path / "cache", tmp_path / "summary.json"
         result = run_capped(
-            MEMORY_LIMIT, "cli", "convert", "--years", years, "--weeks", weeks,
+            MEMORY_LIMIT, "cli", "convert", *sources,
             "--cache-dir", cache, "--output", os.devnull, "--summary-json", summary, "--quiet",
             "--jobs", jobs, timeout=60,
         )
@@ -737,13 +758,15 @@ class TestBoundedMemory:
         return written
 
     def test_aps_week(self, tmp_path, jobs):
-        claim = b"PAR  1. " + _claim_text() + b"\n"
-        documents = (
-            b"PATN\nWKU  0393%05d\nISD  19760106\nTTL  Widget press\nCLMS\n" % i + claim
-            for i in range(PATENTS)
-        )
+        documents = _aps_patents(b"0393%05d" % i for i in range(PATENTS))
         summary = self._convert(tmp_path, WeekSpec(1976, 1), documents, jobs)
         assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
+
+    def test_local_aps_zip(self, tmp_path, jobs):
+        documents = _aps_patents(b"0393%05d" % i for i in range(PATENTS))
+        entry = _cache_week(tmp_path / "cache", WeekSpec(1976, 1), documents)
+        summary = self._run(tmp_path, jobs, "--input", entry.cache_path, "--format-era", "aps")
+        assert (summary["records_written"], summary["weeks_requested"]) == (PATENTS, 0)
 
     def test_xml4_week(self, data_dir, tmp_path, jobs):
         base = (data_dir / "era_xml4.xml").read_bytes()
@@ -753,14 +776,10 @@ class TestBoundedMemory:
         assert (summary["records_written"], summary["weeks_failed"]) == (PATENTS, [])
 
     def test_three_aps_weeks(self, tmp_path, jobs):
-        claim = b"PAR  1. " + _claim_text() + b"\n"
         for week in (1, 2, 3):
-            _cache_week(tmp_path / "cache", WeekSpec(1976, week), (
-                b"PATN\nWKU  0393%02d%03d\nISD  19760106\nTTL  Widget press\nCLMS\n" % (week, i)
-                + claim
-                for i in range(PATENTS // 2)
-            ))
-        summary = self._run(tmp_path, 1976, "1-3", jobs)
+            documents = _aps_patents(b"0393%02d%03d" % (week, i) for i in range(PATENTS // 2))
+            _cache_week(tmp_path / "cache", WeekSpec(1976, week), documents)
+        summary = self._run(tmp_path, jobs, "--years", 1976, "--weeks", "1-3")
         assert summary["output_bytes"] // 3 < MEMORY_LIMIT  # the run outgrows it, no week does
         assert summary["records_written"] == 3 * (PATENTS // 2)
         assert (summary["duplicate_wkus"], summary["weeks_failed"]) == (0, [])
