@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from .model import (
+    LIST_COLUMNS,
     GrantParseError,
     ParseReport,
     PatentRecord,
@@ -41,8 +42,6 @@ CAPTURED_FIELDS: dict[str, dict[str, str]] = {
     "CLAS": {"ICL": "ipc_codes"},
     "UREF": {"PNO": "references"},
 }
-
-LIST_FIELDS = frozenset({"inventors", "assignees", "ipc_codes", "references"})
 
 # Sections whose text lines become the claims field, formatting preserved.
 CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
@@ -104,7 +103,7 @@ class ApsParser:
             mapped = section_fields.get(code) if section_fields else None
             if pending is not None and mapped is not None:
                 target = pending.setdefault(mapped, [])
-                if target and mapped not in LIST_FIELDS:
+                if target and mapped not in LIST_COLUMNS:
                     # duplicate scalar tag; record_fields reads only the first value
                     report.skipped_fields += 1
                 target.append(value)

@@ -263,10 +263,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     format = args.input_format
     if format is None:
         format = "jsonl" if args.input.endswith((".jsonl", ".ndjson")) else "csv"
-    # CSV rows decode only the three fields the analyses read; JSONL
-    # lines are still decoded and checked whole
-    reader = pipeline.read_jsonl if format == "jsonl" else pipeline.read_csv_grants
-    records = reader(args.input)
+    # both formats decode only the three fields the analyses read
+    records = pipeline.read_grants(args.input, jsonl=format == "jsonl")
 
     # the table is computed before --output is opened, so an unreadable
     # input leaves no output file behind

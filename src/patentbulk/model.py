@@ -17,18 +17,21 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 MULTIVALUE_DELIMITER = "; "
 
-# Canonical flat-file column order.  Changing this breaks every golden file.
-CSV_COLUMNS = (
-    "wku",
-    "title",
-    "app_date",
-    "issue_date",
-    "inventors",
-    "assignees",
-    "ipc_codes",
-    "references",
-    "claims",
+# Column kinds.  CLAIMS is the one text that may hold newlines; LIST holds strings.
+TEXT, CLAIMS, DATE, OPTIONAL_DATE, LIST, IPC_LIST = (
+    "text", "claims", "date", "optional date", "list", "IPC list"
 )
+
+# Every column's name and kind, in the canonical flat-file order; the
+# codecs below and PatentRecord's checks all read it.  Changing the order
+# breaks every golden file.
+COLUMNS = (
+    ("wku", TEXT), ("title", TEXT), ("app_date", OPTIONAL_DATE), ("issue_date", DATE),
+    ("inventors", LIST), ("assignees", LIST), ("ipc_codes", IPC_LIST), ("references", LIST),
+    ("claims", CLAIMS),
+)
+CSV_COLUMNS = tuple(name for name, _ in COLUMNS)
+LIST_COLUMNS = frozenset(name for name, kind in COLUMNS if kind in (LIST, IPC_LIST))
 
 
 def sanitize_field(raw: str, preserve_newlines: bool = False) -> str:
@@ -51,6 +54,12 @@ def sanitize_field(raw: str, preserve_newlines: bool = False) -> str:
     return collapsed.replace(MULTIVALUE_DELIMITER, ", ")
 
 
+def _unjoinable(item: str) -> bool:
+    """Whether ``item`` would make a ``"; "`` join ambiguous: it is empty or
+    holds the delimiter or a line break.  The one rule for list items."""
+    return not item or MULTIVALUE_DELIMITER in item or "\n" in item or "\r" in item
+
+
 def join_multivalue(items: Sequence[str]) -> str:
     """Join already-sanitized values with the two-character delimiter.
 
@@ -58,12 +67,8 @@ def join_multivalue(items: Sequence[str]) -> str:
     a sanitization bug upstream, not bad source data.
     """
     for item in items:
-        if not item:
-            raise ValueError("multi-value item is empty; sanitize upstream")
-        if MULTIVALUE_DELIMITER in item or "\n" in item or "\r" in item:
-            raise ValueError(
-                "multi-value item contains the delimiter or a newline: %r" % (item,)
-            )
+        if _unjoinable(item):
+            raise ValueError("multi-value item empty or not sanitized: %r" % (item,))
     return MULTIVALUE_DELIMITER.join(items)
 
 
@@ -242,6 +247,10 @@ class IpcCode:
     subclass: Optional[str]
     remainder: str = ""
 
+    def __post_init__(self) -> None:
+        if _unjoinable(self.canonical()):
+            raise IpcParseError("IPC code holds the delimiter or a newline: %r" % self.canonical())
+
     def canonical(self) -> str:
         head = self.section + self.class_num + (self.subclass or "")
         return "%s %s" % (head, self.remainder) if self.remainder else head
@@ -279,15 +288,16 @@ def ipc_parse(raw: str) -> IpcCode:
 
     Tolerates the fixed-tag era's padded fields ("C07D29512", "A47B 4700")
     and the XML eras' slashed or concatenated forms ("C07D 295/12").  The
-    canonical form is stable under re-parse.
+    canonical form is stable under re-parse; one that holds the ``"; "``
+    delimiter raises IpcParseError, as :class:`IpcCode` does.
     """
     m = _ipc_head(raw)
     section, class_num, subclass = m.groups()
-    remainder = _normalize_ipc_remainder(m.string[m.end() :])
-    # the head holds no "; ", so only the remainder can put it in the canonical form
-    if MULTIVALUE_DELIMITER in remainder:
-        raise IpcParseError("IPC code holds the %r delimiter: %r" % (MULTIVALUE_DELIMITER, raw))
-    return IpcCode(section, class_num, subclass, remainder)
+    return IpcCode(section, class_num, subclass, _normalize_ipc_remainder(m.string[m.end() :]))
+
+
+_ONE_LINE_COLUMNS = tuple(name for name, kind in COLUMNS if kind == TEXT)
+_STRING_LIST_COLUMNS = tuple(name for name, kind in COLUMNS if kind == LIST)
 
 
 @dataclass(frozen=True)
@@ -312,17 +322,14 @@ class PatentRecord:
     def __post_init__(self) -> None:
         if not self.wku or self.wku != self.wku.strip():
             raise ValueError("wku must be non-empty with no surrounding whitespace")
-        for name in ("wku", "title"):
+        for name in _ONE_LINE_COLUMNS:
             if "\n" in getattr(self, name) or "\r" in getattr(self, name):
                 raise ValueError("%s may not contain newlines" % name)
-        for name in ("inventors", "assignees", "references"):
+        # an IpcCode checks its own canonical form
+        for name in _STRING_LIST_COLUMNS:
             for item in getattr(self, name):
-                if not item:
-                    raise ValueError("%s contains an empty element" % name)
-                if MULTIVALUE_DELIMITER in item or "\n" in item or "\r" in item:
-                    raise ValueError(
-                        "%s element not sanitized: %r" % (name, item)
-                    )
+                if _unjoinable(item):
+                    raise ValueError("%s element empty or not sanitized: %r" % (name, item))
 
     @property
     def subclass_keys(self) -> tuple[str, ...]:
@@ -392,7 +399,7 @@ class GrantParseError(Exception):
         return type(self), (self.ordinal, self.reason)
 
 
-_SCALAR_FIELDS = ("wku", "title", "app_date", "issue_date")
+_SCALAR_FIELDS = tuple(name for name, kind in COLUMNS if kind in (TEXT, DATE, OPTIONAL_DATE))
 
 
 def record_fields(values: dict[str, list[str]], position: int, report: ParseReport) -> dict:
@@ -431,47 +438,52 @@ def record_fields(values: dict[str, list[str]], position: int, report: ParseRepo
             report.warn(position, "%s: unparseable IPC code %r skipped" % (wku, raw))
             continue
         codes.setdefault(code.canonical(), code)
-    return dict(
-        fields,
-        inventors=values.get("inventors", ()),
-        assignees=values.get("assignees", ()),
-        ipc_codes=codes.values(),
-        references=values.get("references", ()),
-        claims="\n".join(values.get("claims", ())),
-    )
+    fields.update((name, values.get(name, ())) for name in _STRING_LIST_COLUMNS)
+    fields.update(ipc_codes=codes.values(), claims="\n".join(values.get("claims", ())))
+    return fields
+
+
+# kind -> (field value -> JSON value, CSV cell -> field value)
+_CODECS = {
+    TEXT: (str, str),
+    CLAIMS: (str, str),
+    DATE: (format_date, parse_date),
+    OPTIONAL_DATE: (
+        lambda d: None if d is None else format_date(d),
+        lambda cell: parse_date(cell) if cell else None,
+    ),
+    LIST: (list, lambda cell: tuple(split_multivalue(cell))),
+    IPC_LIST: (
+        lambda codes: [c.canonical() for c in codes],
+        lambda cell: tuple(ipc_parse(c) for c in split_multivalue(cell)),
+    ),
+}
+_ENCODERS = tuple((name, _CODECS[kind][0]) for name, kind in COLUMNS)
+_DECODERS = tuple((name, _CODECS[kind][1]) for name, kind in COLUMNS)
+_APP_DATE, _ISSUE_DATE, _IPC_CODES = map(CSV_COLUMNS.index, ("app_date", "issue_date", "ipc_codes"))
+
+
+def record_to_dict(record: PatentRecord) -> dict:
+    """JSON-friendly mapping with keys in schema order; lists stay arrays
+    and an absent application date is None."""
+    return {name: encode(getattr(record, name)) for name, encode in _ENCODERS}
 
 
 def record_to_row(record: PatentRecord) -> list[str]:
-    """Flatten a record into the canonical CSV cell order."""
+    """The values of :func:`record_to_dict` as CSV cells: None as ``""``, a
+    list joined with ``"; "``, which the constructors keep unambiguous."""
     return [
-        record.wku,
-        record.title,
-        format_date(record.app_date) if record.app_date else "",
-        format_date(record.issue_date),
-        join_multivalue(record.inventors),
-        join_multivalue(record.assignees),
-        join_multivalue([c.canonical() for c in record.ipc_codes]),
-        join_multivalue(record.references),
-        record.claims,
+        MULTIVALUE_DELIMITER.join(value) if type(value) is list else value or ""
+        for value in record_to_dict(record).values()
     ]
 
 
 def record_from_row(row: Sequence[str]) -> PatentRecord:
-    """Rebuild a record from a CSV row; exact inverse of record_to_row."""
-    if len(row) != len(CSV_COLUMNS):
-        raise ValueError("expected %d cells, got %d" % (len(CSV_COLUMNS), len(row)))
-    wku, title, app, issue, inv, assg, ipc, refs, claims = row
-    return PatentRecord(
-        wku=wku,
-        title=title,
-        app_date=parse_date(app) if app else None,
-        issue_date=parse_date(issue),
-        inventors=tuple(split_multivalue(inv)),
-        assignees=tuple(split_multivalue(assg)),
-        ipc_codes=tuple(ipc_parse(c) for c in split_multivalue(ipc)),
-        references=tuple(split_multivalue(refs)),
-        claims=claims,
-    )
+    """Rebuild a record from a CSV row, each cell decoded by its column's
+    kind; exact inverse of record_to_row."""
+    if len(row) != len(COLUMNS):
+        raise ValueError("expected %d cells, got %d" % (len(COLUMNS), len(row)))
+    return PatentRecord(**{name: decode(cell) for (name, decode), cell in zip(_DECODERS, row)})
 
 
 def grant_from_row(row: Sequence[str]) -> Grant:
@@ -479,49 +491,29 @@ def grant_from_row(row: Sequence[str]) -> Grant:
     keys; the other six cells are not read.  A wrong cell count, a bad
     date or an IPC code without a section and class raises ValueError,
     as in :func:`record_from_row`."""
-    if len(row) != len(CSV_COLUMNS):
-        raise ValueError("expected %d cells, got %d" % (len(CSV_COLUMNS), len(row)))
-    app = parse_date(row[2]) if row[2] else None
-    issue = parse_date(row[3])
+    if len(row) != len(COLUMNS):
+        raise ValueError("expected %d cells, got %d" % (len(COLUMNS), len(row)))
+    app = parse_date(row[_APP_DATE]) if row[_APP_DATE] else None
+    issue = parse_date(row[_ISSUE_DATE])
     keys: list[str] = []
-    for code in split_multivalue(row[6]):
+    for code in split_multivalue(row[_IPC_CODES]):
         key = ipc_subclass_key(code)
         if key is not None and key not in keys:
             keys.append(key)
     return Grant(issue, app, tuple(keys))
 
 
-def record_to_dict(record: PatentRecord) -> dict:
-    """JSON-friendly mapping with keys in schema order; lists stay arrays."""
-    return {
-        "wku": record.wku,
-        "title": record.title,
-        "app_date": format_date(record.app_date) if record.app_date else None,
-        "issue_date": format_date(record.issue_date),
-        "inventors": list(record.inventors),
-        "assignees": list(record.assignees),
-        "ipc_codes": [c.canonical() for c in record.ipc_codes],
-        "references": list(record.references),
-        "claims": record.claims,
-    }
-
-
-_LIST_FIELDS = ("inventors", "assignees", "ipc_codes", "references")
-
-
-def record_from_dict(data: object) -> PatentRecord:
-    """Rebuild a record from a JSON value; exact inverse of record_to_dict.
-
-    Decodes through :func:`record_from_row`, so a value that is not an
-    object, a missing ``wku`` or ``issue_date`` and a field of the wrong
-    type all raise ValueError.
-    """
+def row_from_dict(data: object) -> list[str]:
+    """The CSV row of a JSON value that :func:`record_to_dict` could have
+    given: a value that is not an object, a field of the wrong type and a
+    list item that :func:`join_multivalue` rejects raise ValueError; the
+    cells are not decoded."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object, got %s" % type(data).__name__)
     row = []
     for name in CSV_COLUMNS:
         value = data.get(name)
-        if name in _LIST_FIELDS:
+        if name in LIST_COLUMNS:
             value = [] if value is None else value
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ValueError("%s must be a list of strings" % name)
@@ -529,4 +521,10 @@ def record_from_dict(data: object) -> PatentRecord:
         elif not isinstance(value, (str, type(None))):
             raise ValueError("%s must be a string, not %s" % (name, type(value).__name__))
         row.append(value or "")
-    return record_from_row(row)
+    return row
+
+
+def record_from_dict(data: object) -> PatentRecord:
+    """Rebuild a record from a JSON value checked by :func:`row_from_dict`,
+    through :func:`record_from_row`; exact inverse of record_to_dict."""
+    return record_from_row(row_from_dict(data))

@@ -14,12 +14,12 @@ import os
 import shutil
 import tempfile
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from pathlib import Path
-from typing import IO, Callable, ContextManager, Iterable, Iterator, Optional, TextIO, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
 from . import aps, fetch as fetchmod, xmlgrants
 from .model import (
@@ -30,10 +30,10 @@ from .model import (
     SourceFormat,
     WeekSpec,
     grant_from_row,
-    record_from_dict,
     record_from_row,
     record_to_dict,
     record_to_row,
+    row_from_dict,
 )
 
 # Claims cells routinely exceed the csv module's default field cap.
@@ -191,26 +191,29 @@ class JsonlSink(Sink):
         self.out.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
 
 
-def _open_source(source: Union[str, Path, TextIO]) -> ContextManager[TextIO]:
-    """A path opened for reading and closed on exit; an open file as is."""
-    if hasattr(source, "read"):
-        return nullcontext(source)
-    return open(source, encoding="utf-8", newline="")
-
-
-def _read_rows(source: Union[str, Path, TextIO], decode: Callable[[list[str]], T]) -> Iterator[T]:
-    """``decode`` of each row of pipeline CSV output, after checking its
-    header; a row that ``decode`` rejects raises naming its line."""
-    with _open_source(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is not None and tuple(header) != CSV_COLUMNS:
-            raise ValueError("unexpected CSV header: %r" % (header,))
-        for row in reader:
+def _read_rows(
+    source: Union[str, Path, TextIO], decode: Callable[[list[str]], T], jsonl: bool = False
+) -> Iterator[T]:
+    """``decode`` of each row of pipeline output, read from a path or an
+    open file: a CSV row, once the header is checked, or the row that
+    :func:`model.row_from_dict` makes of a non-blank JSONL line after
+    checking it.  A row that fails raises naming its line."""
+    with nullcontext(source) if hasattr(source, "read") else open(
+        source, encoding="utf-8", newline=""
+    ) as handle:
+        if jsonl:
+            rows = ((number, line) for number, line in enumerate(handle, 1) if line.strip())
+        else:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is not None and tuple(header) != CSV_COLUMNS:
+                raise ValueError("unexpected CSV header: %r" % (header,))
+            rows = ((reader.line_num, row) for row in reader)
+        for number, row in rows:
             try:
-                item = decode(row)
+                item = decode(row_from_dict(json.loads(row)) if jsonl else row)
             except ValueError as exc:
-                raise ValueError("line %d: %s" % (reader.line_num, exc)) from exc
+                raise ValueError("line %d: %s" % (number, exc)) from exc
             yield item
 
 
@@ -219,21 +222,15 @@ def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     return _read_rows(source, record_from_row)
 
 
-def read_csv_grants(source: Union[str, Path, TextIO]) -> Iterator[Grant]:
-    """The issue date, application date and IPC subclass keys of each row
-    of pipeline CSV output; the other six cells are not decoded."""
-    return _read_rows(source, grant_from_row)
-
-
 def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
-    with _open_source(source) as handle:
-        for number, line in enumerate(handle, 1):
-            if line.strip():
-                try:
-                    record = record_from_dict(json.loads(line))
-                except ValueError as exc:
-                    raise ValueError("line %d: %s" % (number, exc)) from exc
-                yield record
+    """Re-read pipeline JSONL output; each line must be a record object."""
+    return _read_rows(source, record_from_row, jsonl=True)
+
+
+def read_grants(source: Union[str, Path, TextIO], jsonl: bool = False) -> Iterator[Grant]:
+    """The issue date, application date and IPC subclass keys of each row
+    of pipeline CSV or JSONL output; the other six cells are not decoded."""
+    return _read_rows(source, grant_from_row, jsonl)
 
 
 @dataclass
@@ -470,7 +467,8 @@ def convert_files(
     """Parse local weekly files of one era, ``.zip`` archives or plain
     ones, into ``sink`` in the order given, with the spool step and jobs of
     :func:`get_bulk_patent_data`.  The first file that fails to open or
-    parse raises and ends the run; the summary counts no weeks."""
+    parse raises and ends the run, a worker's death with the file's path;
+    the summary counts no weeks."""
     path_list = list(paths)
     if not path_list:
         raise ValueError("paths must be non-empty")
@@ -479,8 +477,11 @@ def convert_files(
     with _spooler(config, len(path_list), sink) as spool, closing(
         _ordered_weeks(path_list, config, lambda path, _: spool(path, format))
     ) as results:
-        for _, result in results:
-            summary.append(result.result(), sink)
+        for path, result in results:
+            try:
+                summary.append(result.result(), sink)
+            except BrokenExecutor as exc:
+                raise type(exc)("%s: %s" % (path, exc)) from exc
     return summary
 
 

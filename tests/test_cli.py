@@ -13,7 +13,7 @@ from conftest import FakeTransport, make_zip, random_record, random_records, run
 from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import WeekSpec
-from patentbulk.pipeline import CsvSink, read_csv
+from patentbulk.pipeline import CsvSink, JsonlSink, read_csv, read_jsonl
 
 
 def run_cli(argv, capsys):
@@ -692,19 +692,29 @@ class TestStats:
         assert "error: line %d: " % last_line in err
         assert not table.exists()
 
-    def test_csv_tables_equal_those_of_whole_records(self, tmp_path, capsys):
-        # CSV rows decode only three cells; the tables must equal those of
-        # the records read_csv rebuilds, including heads spelled by hand
-        path = tmp_path / "in.csv"
-        sink_to_file(path, CsvSink, random_records(300, seed=3))
+    # issue date, application date and IPC codes spelled by hand
+    HAND_ROWS = [
+        ("h1", "1974-03-05", "1976-01-06", ["c 07 d 295/12", "C07D295/12", "a01b 1/00"]),
+        ("h2", "", "1976-01-13", ["C07D 1/00", "A01 5/00", "C07"]),
+        ("h3", "1975-07-01", "1976-01-13", ["A01", "h04l 9/32", "C07D 2/00", "H04L 1/00"]),
+        ("h4", "", "1976-01-13", []),
+    ]
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_tables_equal_those_of_whole_records(self, format, tmp_path, capsys):
+        # rows decode only three fields; in either format the tables must
+        # equal those of the whole records, including heads spelled by hand
+        path = tmp_path / ("in." + format)
+        sink_to_file(path, CsvSink if format == "csv" else JsonlSink, random_records(300, seed=3))
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(
-                "h1,t,1974-03-05,1976-01-06,,,c 07 d 295/12; C07D295/12; a01b 1/00,,\n"
-                "h2,t,,1976-01-13,,,C07D 1/00; A01 5/00; C07,,\n"
-                "h3,t,1975-07-01,1976-01-13,,,A01; h04l 9/32; C07D 2/00; H04L 1/00,,\n"
-                "h4,t,,1976-01-13,,,,,\n"
-            )
-        records = list(read_csv(path))
+            for wku, app, issue, ipc in self.HAND_ROWS:
+                if format == "csv":
+                    handle.write("%s,t,%s,%s,,,%s,,\n" % (wku, app, issue, "; ".join(ipc)))
+                else:
+                    line = {"wku": wku, "title": "t", "app_date": app or None, "issue_date": issue}
+                    handle.write(json.dumps(dict(line, ipc_codes=ipc)) + "\n")
+        records = list((read_csv if format == "csv" else read_jsonl)(path))
+        assert len(records) == 304
         expected = {
             "weekly": (analytics.weekly_table, analytics.weekly_counts(records)),
             "classes": (analytics.classes_table, analytics.top_ipc_subclasses(records, 20)),
@@ -727,8 +737,9 @@ class TestStats:
             "[1]",
             '{"wku": "1", "issue_date": null}',
             '{"wku": "1", "issue_date": "1976-01-06", "inventors": [1]}',
+            '{"wku": "1", "issue_date": "1976-01-06", "ipc_codes": ["A01B 1/00; C07D"]}',
         ],
-        ids=["empty-object", "not-an-object", "null-issue-date", "wrong-type"],
+        ids=["empty-object", "not-an-object", "null-issue-date", "wrong-type", "delimiter-in-item"],
     )
     def test_malformed_jsonl_line_exits_1_without_output(self, line, tmp_path, capsys):
         source = tmp_path / "in.jsonl"

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from patentbulk.model import (
     CSV_COLUMNS,
     MAX_REPORT_MESSAGES,
+    IpcCode,
     IpcParseError,
     ParseReport,
     PatentRecord,
@@ -188,6 +189,16 @@ class TestIpcParse:
             return
         assert split_multivalue(join_multivalue([canonical])) == [canonical]
 
+    @given(st.text(alphabet="X1/; \n\r"))
+    def test_built_code_joins_as_one_cell(self, remainder):
+        # the constructor, not the writer, rejects a code that would split its cell
+        try:
+            canonical = IpcCode("A", "01", "B", remainder).canonical()
+        except IpcParseError:
+            assert "; " in remainder or "\n" in remainder or "\r" in remainder
+            return
+        assert split_multivalue(join_multivalue([canonical])) == [canonical]
+
     def test_fixed_width_forms(self):
         assert ipc_parse("C07D29512").canonical() == "C07D 295/12"
         assert ipc_parse("A47B 4700").canonical() == "A47B 47/00"
@@ -242,6 +253,10 @@ class TestPatentRecord:
                 wku=" 1", title="t", app_date=None, issue_date=dt.date(1976, 1, 6),
                 inventors=(), assignees=(), ipc_codes=(), references=(), claims="",
             )
+        # a code built directly, not parsed, is checked when it is built
+        for remainder in ("1/00; X", "1/00\n2/00", "1/00\r"):
+            with pytest.raises(IpcParseError, match="delimiter"):
+                IpcCode("A", "01", "B", remainder)
 
     def test_row_round_trip(self):
         record = self._minimal(

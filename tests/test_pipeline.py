@@ -615,6 +615,7 @@ class TestWorkerProcesses:
         )
         assert result.returncode == 1, result.stderr
         assert re.fullmatch(r"error: \S[^\n]*\n", result.stderr), result.stderr
+        assert "era_xml4.xml" in result.stderr
         assert not out.exists()
         assert list(spool.iterdir()) == []
 

@@ -4,9 +4,13 @@ Renaming or deleting one of them fails here instead of breaking
 ``perfbench/run.py --trace 1``."""
 
 import importlib.util
+import io
 from pathlib import Path
 
+import pytest
+
 import patentbulk
+from conftest import random_records
 from patentbulk.model import ParseReport, SourceFormat
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -73,3 +77,19 @@ def test_parsers_call_the_traced_names(data_dir):
             assert tracer.calls["model.ipc_parse"] > 0
     finally:
         tracing.uninstall(saved)
+
+
+@pytest.mark.parametrize("sink_class", [patentbulk.CsvSink, patentbulk.JsonlSink])
+def test_one_serialize_span_per_record(sink_class):
+    # record_to_row is built on record_to_dict; only the name the sink
+    # calls may open a serialize span, or each row would count two
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    saved = tracing.install(tracer, patentbulk)
+    try:
+        sink = sink_class(io.StringIO())
+        for record in random_records(25, seed=5):
+            sink.write(record)
+    finally:
+        tracing.uninstall(saved)
+    assert tracer.calls["model.serialize"] == tracer.calls["pipeline.sink_write"] == 25
