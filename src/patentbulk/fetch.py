@@ -16,8 +16,6 @@ import io
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -103,6 +101,11 @@ class UrllibTransport:
     """Default HTTP(S) transport; tests inject fakes instead."""
 
     def get(self, url: str) -> TransportResponse:
+        # imported on first use: with http.client, email and ssl they would
+        # add to the start-up of every command that does not download
+        import urllib.error
+        import urllib.request
+
         try:
             response = urllib.request.urlopen(url, timeout=_TIMEOUT_S)
         except urllib.error.HTTPError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -86,8 +87,14 @@ def parse_date(raw: str) -> dt.date:
     """Parse ``YYYY-MM-DD`` or the bulk files' ``YYYYMMDD`` into a date.
 
     Raises ValueError for anything that is not a valid Gregorian calendar
-    date (bad month lengths, month 00, Feb 30, ...).
+    date (bad month lengths, month 00, Feb 30, ...).  The spelling
+    :func:`format_date` writes skips the regex; any other goes through it.
     """
+    if len(raw) == 10 and raw[4] == "-" and raw[7] == "-" and raw.isascii():
+        try:
+            return dt.date.fromisoformat(raw)
+        except ValueError:
+            pass  # the rule below accepts or rejects it, with its own message
     m = _DATE_RE.match(raw.strip())
     if m is None:
         raise ValueError("unrecognized date: %r" % (raw,))
@@ -210,6 +217,8 @@ class IpcParseError(ValueError):
 
 
 _IPC_HEAD = re.compile(r"([A-H])\s?(\d{2})\s?([A-Z])?")
+# the characters of a canonical head, ``C07D``: no space, ASCII, upper case
+_SECTIONS, _DIGITS, _LETTERS = map(frozenset, ("ABCDEFGH", string.digits, string.ascii_uppercase))
 
 
 _SLASHED_GROUP = re.compile(r"(\d+)/(\d+)$")
@@ -278,7 +287,16 @@ def _ipc_head(raw: str) -> re.Match:
 def ipc_subclass_key(raw: str) -> Optional[str]:
     """The 4-character subclass key of an IPC symbol (``C07D`` of
     ``c 07 d 295/12``), or None when it has no subclass; only the head is
-    read, by the same rule as :func:`ipc_parse`."""
+    read, by the same rule as :func:`ipc_parse`; a head spelled as
+    :meth:`IpcCode.canonical` spells it skips the regex."""
+    if (
+        len(raw) >= 4
+        and raw[0] in _SECTIONS
+        and raw[1] in _DIGITS
+        and raw[2] in _DIGITS
+        and raw[3] in _LETTERS
+    ):
+        return raw[:4]
     section, class_num, subclass = _ipc_head(raw).groups()
     return None if subclass is None else section + class_num + subclass
 

@@ -14,7 +14,7 @@ import os
 import shutil
 import tempfile
 from collections import deque
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
@@ -467,7 +467,7 @@ def convert_files(
     """Parse local weekly files of one era, ``.zip`` archives or plain
     ones, into ``sink`` in the order given, with the spool step and jobs of
     :func:`get_bulk_patent_data`.  The first file that fails to open or
-    parse raises and ends the run, a worker's death with the file's path;
+    parse raises and ends the run, the error's text naming the file once;
     the summary counts no weeks."""
     path_list = list(paths)
     if not path_list:
@@ -479,9 +479,18 @@ def convert_files(
     ) as results:
         for path, result in results:
             try:
-                summary.append(result.result(), sink)
-            except BrokenExecutor as exc:
-                raise type(exc)("%s: %s" % (path, exc)) from exc
+                spooled = result.result()
+            except UnicodeDecodeError as error:  # its text is not made from its args
+                raise ValueError("%s: %s" % (path, error)) from error
+            except Exception as error:
+                # the text of an IntegrityError, or of an OSError with a
+                # filename, names the file already
+                if not isinstance(error, fetchmod.IntegrityError) and (
+                    getattr(error, "filename", None) is None
+                ):
+                    error.args = ("%s: %s" % (path, error),)
+                raise
+            summary.append(spooled, sink)
     return summary
 
 

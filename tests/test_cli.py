@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 import tempfile
 import time
 import tracemalloc
@@ -113,6 +114,16 @@ def test_single_job_commands_start_no_processes(data_dir, tmp_path):
          "--output", str(tmp_path / "cached.csv"), "--quiet"],
     ]
     result = run_python("-c", IMPORTS_CHILD, json.dumps(argvs), timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+def test_cli_import_leaves_out_the_http_stack():
+    # only a download needs it, and every command would pay for loading it
+    child = (
+        "import sys, patentbulk.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    )
+    result = run_python("-c", child, timeout=60)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
@@ -400,6 +411,27 @@ class TestConvertLocal:
         )
         assert code == 1
         assert "no PATN header" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_input_is_named_once(self, jobs, data_dir, tmp_path, capsys):
+        xml2, xml4 = str(data_dir / "era_xml2.xml"), str(data_dir / "era_xml4.xml")
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes((data_dir / "aps_two_patents.txt").read_bytes().replace(b"T", b"\xc9"))
+        missing = str(tmp_path / "missing.xml")
+        for inputs, era, shown in [
+            ([xml4, xml2], "xml4", xml2),  # the wrong era
+            ([xml4, missing], "xml4", missing),  # an OSError names it itself
+            ([str(latin1)], "aps", str(latin1)),  # undecodable under --encoding
+        ]:
+            code, _, err = run_cli(
+                ["convert", *(arg for path in inputs for arg in ("--input", path)),
+                 "--format-era", era, "--encoding", "utf-8", "--jobs", jobs, "--quiet",
+                 "--output", str(tmp_path / "out.csv")],
+                capsys,
+            )
+            assert code == 1
+            assert err.startswith("error: ") and err.count(shown) == 1, err
+            assert [path for path in inputs if path in err] == [shown]
 
     def test_input_requires_era(self, data_dir, capsys):
         code, _, err = run_cli(
@@ -729,6 +761,38 @@ class TestStats:
             )
             assert code == 0
             assert out == table.getvalue()
+
+    def test_other_accepted_spellings_give_the_same_tables(self, tmp_path, capsys):
+        # cells in the form convert writes take a fast path; every other
+        # spelling the rules accept must decode to the same tables
+        canonical, respelled = tmp_path / "canonical.csv", tmp_path / "respelled.csv"
+        sink_to_file(canonical, CsvSink, random_records(300, seed=5))
+        dates = [lambda d: d.replace("-", ""), lambda d: " %s " % d, lambda d: d + " "]
+        with open(canonical, encoding="utf-8", newline="") as source, open(
+            respelled, "w", encoding="utf-8", newline=""
+        ) as target:
+            rows = csv.reader(source)
+            writer = csv.writer(target, lineterminator="\n")
+            writer.writerow(next(rows))
+            for number, row in enumerate(rows):
+                respell = dates[number % len(dates)]
+                row[2] = respell(row[2]) if row[2] else ""
+                row[3] = respell(row[3])
+                row[6] = "; ".join(
+                    "%s %s %s%s" % (code[0].lower(), code[1:3], code[3].lower(), code[4:])
+                    for code in row[6].split("; ") if code
+                )  # C07D 295/12 as c 07 d 295/12
+                writer.writerow(row)
+        spelled = respelled.read_text(encoding="utf-8")
+        assert all(re.search(form, spelled) for form in (r",\d{8},", r", \d{4}-", r"[a-h] \d\d [a-z] "))
+        for analysis in ("weekly", "classes", "lag-by-class", "lag-by-year"):
+            tables = []
+            for path in (canonical, respelled):
+                code, out, _ = run_cli(["stats", analysis, "--input", str(path), "--quiet"], capsys)
+                assert code == 0
+                tables.append(out)
+            assert tables[0] == tables[1]
+            assert tables[0].count("\n") > 1
 
     @pytest.mark.parametrize(
         "line",

@@ -1,11 +1,13 @@
 import datetime as dt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from patentbulk import model
 from patentbulk.model import (
     CSV_COLUMNS,
     MAX_REPORT_MESSAGES,
+    MULTIVALUE_DELIMITER,
     IpcCode,
     IpcParseError,
     ParseReport,
@@ -27,6 +29,25 @@ from patentbulk.model import (
     split_multivalue,
     tuesdays_in_year,
 )
+
+
+ARABIC_DIGITS = "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"
+TO_ARABIC_DIGITS = str.maketrans("0123456789", ARABIC_DIGITS)
+
+
+def _date_by_rule(raw):
+    """The ``_DATE_RE`` rule alone, without the fast path."""
+    m = model._DATE_RE.match(raw.strip())
+    if m is None:
+        raise ValueError("unrecognized date: %r" % (raw,))
+    return dt.date(*map(int, m.groups()))
+
+
+def _outcome(parse, raw):
+    try:
+        return parse(raw)
+    except ValueError as error:
+        return type(error), str(error)
 
 
 class TestSanitizeField:
@@ -107,6 +128,33 @@ class TestDates:
     @given(st.dates(min_value=dt.date(1900, 1, 1), max_value=dt.date(2100, 1, 1)))
     def test_round_trip(self, d):
         assert parse_date(format_date(d)) == d
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789-" + ARABIC_DIGITS + " \tT+:", min_size=8, max_size=12),
+            st.dates().map(format_date),  # years below 1000 too
+            st.dates().map(lambda d: "%04d%02d%02d" % (d.year, d.month, d.day)),
+            st.tuples(st.integers(0, 9999), st.integers(0, 99), st.integers(0, 99)).map(
+                lambda ymd: "%04d-%02d-%02d" % ymd  # 2001-02-30, month 00, ...
+            ),
+            st.dates().map(lambda d: format_date(d).translate(TO_ARABIC_DIGITS)),
+            st.builds(
+                lambda d, at, char: format_date(d)[:at] + char + format_date(d)[at + 1 :],
+                st.dates(min_value=dt.date(1000, 1, 1)),
+                st.integers(0, 9),
+                st.sampled_from(" +:-TWx" + ARABIC_DIGITS[1]),
+            ),
+            st.dates().map(lambda d: d.strftime("%G-W%V-%u")),  # ISO week, 10 characters
+        ),
+        st.sampled_from(["", " ", "\t", "\n"]),
+        st.sampled_from(["", " ", "\n"]),
+    )
+    def test_same_outcome_as_the_regex_rule(self, spelling, before, after):
+        # the fast path for the spelling format_date writes must neither
+        # accept nor reject a text other than the rule does
+        raw = before + spelling + after
+        assert _outcome(parse_date, raw) == _outcome(_date_by_rule, raw)
 
 
 class TestWeekSpec:
@@ -207,8 +255,34 @@ class TestIpcParse:
         assert ipc_parse("C07D 295/12").subclass_key() == "C07D"
         assert len(ipc_parse("A01B").subclass_key()) == 4
 
-    @given(st.text(alphabet="AChz0179 /\tX"))
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="AChz0179 /\tX" + ARABIC_DIGITS),
+            st.builds(
+                lambda head, at, char: head[:at] + char + head[at + 1 :],
+                st.from_regex(r"[A-H][0-9]{2}[A-Z] 295/12", fullmatch=True),
+                st.integers(0, 3),
+                st.sampled_from("Zc 1X" + ARABIC_DIGITS[7]),
+            ),
+            st.builds(
+                lambda head, tail, spell: spell(head + tail),
+                st.from_regex(r"[A-HZ][0-9]{2}[A-Z]?", fullmatch=True),
+                st.sampled_from(["", " 295/12", "29512", " 4700", "/", "9"]),
+                st.sampled_from(
+                    [
+                        str,
+                        str.lower,
+                        lambda code: code[:3] + code[3:].lower(),
+                        lambda code: " " + code,
+                        lambda code: code.translate(TO_ARABIC_DIGITS),
+                    ]
+                ),
+            ),
+        )
+    )
     def test_subclass_key_takes_the_head_rule_of_ipc_parse(self, raw):
+        assume(MULTIVALUE_DELIMITER not in raw)  # a cell's items never hold it
         try:
             code = ipc_parse(raw)
         except IpcParseError:
