@@ -2,14 +2,18 @@
 
 Lines carry a field code in columns 1-4 and the value from column 6; a
 blank code marks a continuation of the previous field.  Records are
-delimited by PATN section headers.  The parser is single-pass and holds
-at most one patent section in memory, so weekly files of any size stream
-through in bounded space.
+delimited by PATN section headers.  The parser is single-pass: it reads
+its input in pieces (``READ_SIZE`` characters from a stream), cuts the
+text before each line-start PATN and splits each section into lines
+once.  Memory holds one PATN section plus one read, so weekly files of
+any size stream through in bounded space.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from functools import partial
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .model import (
     LIST_COLUMNS,
@@ -48,6 +52,12 @@ CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
 
 DEFAULT_ENCODING = "latin-1"
 
+# characters taken from a text stream per read
+READ_SIZE = 64 * 1024
+# a line's field code as written, and its value
+_TAG = itemgetter(slice(0, 4))
+_VALUE = itemgetter(slice(5, None))
+
 
 class ApsParser:
     """One-shot parser; create a fresh instance per input stream.
@@ -60,20 +70,52 @@ class ApsParser:
     def __init__(self) -> None:
         self.report = ParseReport()
 
-    def parse(self, lines: Iterable[str]) -> Iterator[PatentRecord]:
+    def parse(self, source: Union[IO[str], Iterable[str]]) -> Iterator[PatentRecord]:
+        """The records of ``source``: a text stream, read ``READ_SIZE``
+        characters at a time, or an iterable of text pieces, such as lines,
+        that join into the input."""
         report = self.report
-        # raw values of the open PATN section by record field, and its line
-        pending: Optional[dict[str, list[str]]] = None
-        start_line = lines_read = 0
+        pieces = iter(partial(source.read, READ_SIZE), "") if hasattr(source, "read") else source
+        for text in _sections(pieces):
+            start_line = report.lines_read + 1
+            if not text.startswith("PATN"):
+                self._read_section(text, None)
+                continue
+            report.patn_sections += 1
+            pending: dict[str, list[str]] = {"claims": []}
+            self._read_section(text, pending)
+            try:
+                fields = record_fields(pending, start_line, report)
+            except GrantParseError as exc:
+                report.skip(exc.ordinal, exc.reason)
+                continue
+            record = build_record(**fields)
+            report.records_emitted += 1
+            yield record
+        if not report.patn_sections and report.lines_read:
+            raise WrongFileTypeError("no PATN header in %d lines of input" % report.lines_read)
+
+    def _read_section(self, text: str, pending: Optional[dict[str, list[str]]]) -> None:
+        """Apply the line rules to ``text``, one PATN section, adding its raw
+        values to ``pending``, or lines before the first PATN, when
+        ``pending`` is None.  After a claims header, the rest of the section
+        is taken in one step when it holds no header and no blank value:
+        every rule would append each line's value to the claims."""
+        report = self.report
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ended with a line break
+        if "\r" in text:
+            lines = [line.rstrip("\r") for line in lines]  # what is left of "\r\n" ends
+        report.lines_read += len(lines)
         # current section's capture table and claims list; the list a continuation extends
         section_fields: Optional[dict[str, str]] = None
         claims: Optional[list[str]] = None
         target: Optional[list[str]] = None
 
-        for line in lines:
-            lines_read += 1
+        for index, line in enumerate(lines):
             code = line[:4].strip()
-            value = line[5:].rstrip("\r\n")
+            value = line[5:]
 
             if not code:
                 # continuation: a claims line of its own, or the rest of the last value
@@ -85,19 +127,19 @@ class ApsParser:
                     report.skipped_fields += 1
                 continue
 
-            if code == "PATN":
-                report.lines_read = lines_read
-                yield from self._flush(pending, start_line)
-                report.patn_sections += 1
-                pending, start_line = {"claims": []}, lines_read
-                section_fields, claims, target = CAPTURED_FIELDS["PATN"], None, None
-                continue
-
             if code in SECTION_HEADERS:
+                # PATN opens the section; a claims header opens its claims list
                 section_fields = CAPTURED_FIELDS.get(code)
                 claims = target = (
                     pending["claims"] if pending is not None and code in CLAIMS_SECTIONS else None
                 )
+                if claims is not None:
+                    rest = lines[index + 1 :]
+                    if SECTION_HEADERS.isdisjoint(map(_TAG, rest)):
+                        values = list(map(_VALUE, rest))
+                        if "" not in map(str.strip, values):
+                            claims += values
+                            return
                 continue
 
             mapped = section_fields.get(code) if section_fields else None
@@ -119,20 +161,35 @@ class ApsParser:
                 report.skipped_fields += 1
                 target = None
 
-        report.lines_read = lines_read
-        if pending is None and lines_read:
-            raise WrongFileTypeError("no PATN header in %d lines of input" % lines_read)
-        yield from self._flush(pending, start_line)
 
-    def _flush(self, pending: Optional[dict[str, list[str]]], line: int) -> Iterator[PatentRecord]:
-        """The record of a closed section, if it has one."""
-        if pending is None:
-            return
-        try:
-            fields = record_fields(pending, line, self.report)
-        except GrantParseError as exc:
-            self.report.skip(exc.ordinal, exc.reason)
-            return
-        record = build_record(**fields)
-        self.report.records_emitted += 1
-        yield record
+def _sections(pieces: Iterable[str]) -> Iterator[str]:
+    """The text of ``pieces`` cut before each line-start ``PATN``: each PATN
+    section whole, and the lines before the first in runs of whole lines.
+    Those form no record and the line rules count each alone, so they
+    need not be held at once."""
+    parts: list[str] = []  # the text since the last cut
+    # whether that text is a PATN section's and ends a line: then a piece
+    # that holds no PATN cuts nothing, and one that ends a line keeps it so
+    opened = False
+    for piece in pieces:
+        if opened and "PATN" not in piece and piece[-1:] == "\n":
+            parts.append(piece)
+            continue
+        text = "".join(parts) + piece
+        # the text before the piece holds no "\nPATN", but one may straddle the join
+        begin, cut = 0, text.find("\nPATN", max(len(text) - len(piece) - 4, 0))
+        while cut >= 0:
+            yield text[begin : cut + 1]
+            begin = cut + 1
+            cut = text.find("\nPATN", begin)
+        section = text.startswith("PATN", begin)
+        opened = section and text[-1:] == "\n"
+        if not section:
+            end = text.rfind("\n") + 1
+            if end > begin:
+                yield text[begin:end]
+                begin = end
+        parts = [text[begin:]]
+    text = "".join(parts)
+    if text:
+        yield text

@@ -49,8 +49,8 @@ def sanitize_field(raw: str, preserve_newlines: bool = False) -> str:
     Idempotent in both modes.
     """
     if preserve_newlines:
-        text = raw.replace("\r\n", "\n").replace("\r", "\n")
-        return "\n".join(line.rstrip() for line in text.split("\n")).strip("\n")
+        text = raw.replace("\r\n", "\n").replace("\r", "\n") if "\r" in raw else raw
+        return "\n".join(map(str.rstrip, text.split("\n"))).strip("\n")
     collapsed = " ".join(raw.split())
     return collapsed.replace(MULTIVALUE_DELIMITER, ", ")
 

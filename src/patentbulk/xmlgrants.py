@@ -211,14 +211,16 @@ def _claim_text(claim: ET.Element, para_tags: frozenset) -> str:
     A paragraph element (tag in ``para_tags``) starts a new line at any
     depth; whitespace within a line collapses.  NUL marks the breaks, as
     XML cannot contain it: the marks go into the text and tail of each
-    paragraph element, so the C ``itertext`` does the walk.
+    paragraph element, so the C ``itertext`` does the walk.  NUL is not
+    whitespace, so the whole claim collapses at once; then the one space
+    a run may leave beside a mark goes.
     """
     for e in claim.iter():
         if e.tag in para_tags:
             e.text = "\0" + (e.text or "")
             e.tail = "\0" + (e.tail or "")
-    lines = map(_collapse, "".join(claim.itertext()).split("\0"))
-    return "\n".join(line for line in lines if line)
+    text = _collapse("".join(claim.itertext())).replace(" \0", "\0").replace("\0 ", "\0")
+    return "\n".join(filter(None, text.split("\0")))
 
 
 def parse_grant_xml(

@@ -3,9 +3,11 @@ import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from aps_oracle import OracleApsParser
 from conftest import parse_aps
+from patentbulk import aps
 from patentbulk.aps import ApsParser
 from patentbulk.model import PatentRecord, WrongFileTypeError
 
@@ -300,3 +302,98 @@ def test_streaming_is_lazy():
     stream = parser.parse(lines())
     first = next(stream)
     assert first.wku == "1"
+
+
+# Differential check against the line-at-a-time parser (tests/aps_oracle.py).
+# Claims runs take the one-step path unless they hold a header or a tag with
+# a blank value; those fall back to the line rules.  Values may end in "\r".
+_CLAIMS_LINE = st.one_of(
+    st.text(st.characters(blacklist_characters="\n"), min_size=1, max_size=10).map(
+        lambda value: "PAR  " + value
+    ),
+    st.text(st.characters(blacklist_characters="\n"), max_size=10).map(
+        lambda value: "     " + value
+    ),
+    st.sampled_from(
+        ("PAR ", "PAL  ", "     ", "", "PAR  x\r", "CLMS", "DCLM  y", "ABST  z", "INVT", "NAM  X")
+    ),
+)
+_SECTION = st.tuples(
+    st.sampled_from(((), ("PATN",), ("PATN", "WKU  1", "ISD  19760106"))),
+    st.lists(_APS_LINE, max_size=5),
+    st.lists(st.tuples(st.sampled_from(("CLMS", "DCLM")), st.lists(_CLAIMS_LINE, max_size=8))),
+).map(lambda s: list(s[0]) + s[1] + [line for header, run in s[2] for line in [header, *run]])
+
+
+@st.composite
+def _aps_texts(draw):
+    """(text, pieces): a fixed-tag text, its lines all ended by ``\\n``, all
+    by ``\\r\\n`` or each by either, the last maybe by nothing, and the
+    same text cut at random offsets and inside each ``\\nPATN``."""
+    lines = sum(draw(st.lists(_SECTION, max_size=5)), [])
+    end = st.sampled_from(("\n", "\r\n"))
+    each = st.lists(end, min_size=len(lines), max_size=len(lines))
+    ends = draw(st.one_of(end.map(lambda e: [e] * len(lines)), each))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    cuts = set(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    at = text.find("\nPATN")
+    while at >= 0:
+        cuts.add(at + draw(st.integers(1, 4)))
+        at = text.find("\nPATN", at + 1)
+    bounds = [0, *sorted(cuts), len(text)]
+    return text, [text[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _run(parser, source):
+    """(records, error text) of ``parser`` over ``source``, and its report."""
+    records, error = [], None
+    try:
+        records.extend(parser.parse(source))
+    except WrongFileTypeError as exc:
+        error = str(exc)
+    return records, error, parser.report
+
+
+@settings(max_examples=300)
+@given(_aps_texts())
+def test_same_records_and_report_as_the_line_parser(text_and_pieces):
+    text, pieces = text_and_pieces
+    expected = _run(OracleApsParser(), io.StringIO(text))
+    assert _run(ApsParser(), io.StringIO(text)) == expected
+    assert _run(ApsParser(), iter(pieces)) == expected
+    assert _run(ApsParser(), io.StringIO(text).readlines()) == expected
+
+
+def test_same_records_and_report_as_the_line_parser_on_the_fixture(aps_fixture_text):
+    expected = _run(OracleApsParser(), io.StringIO(aps_fixture_text))
+    assert expected[0]
+    for size in (1, 7, 64, len(aps_fixture_text)):
+        pieces = [aps_fixture_text[i : i + size] for i in range(0, len(aps_fixture_text), size)]
+        assert _run(ApsParser(), pieces) == expected
+
+
+def test_lines_before_the_first_patn_are_not_held():
+    # a file of another era streams through to its WrongFileTypeError
+    parser = ApsParser()
+
+    def lines():
+        for number in range(1000):
+            assert parser.report.lines_read == number
+            yield "<claim>A widget press.</claim>\n"
+
+    with pytest.raises(WrongFileTypeError, match="no PATN header in 1000 lines"):
+        list(parser.parse(lines()))
+
+
+def test_stream_is_read_in_pieces():
+    class Stream(io.StringIO):
+        sizes = []
+
+        def read(self, size=-1):
+            self.sizes.append(size)
+            return super().read(size)
+
+    list(ApsParser().parse(Stream("PATN\nWKU  1\nISD  19760106\n")))
+    assert Stream.sizes == [aps.READ_SIZE, aps.READ_SIZE]

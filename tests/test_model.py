@@ -67,6 +67,20 @@ class TestSanitizeField:
     def test_claims_crlf_normalized(self):
         assert sanitize_field("a\r\nb\rc", preserve_newlines=True) == "a\nb\nc"
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=4),
+                st.sampled_from(("\r", "\r\n", "\n", "\x85", "\x1c", " ", "\t", "\xa0", "\n\n ")),
+            )
+        ).map("".join)
+    )
+    def test_claims_mode_keeps_the_per_line_rule(self, text):
+        # the rule before the carriage-return guard and the C-level strip
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        expected = "\n".join(line.rstrip() for line in lines).strip("\n")
+        assert sanitize_field(text, preserve_newlines=True) == expected
+
     @given(st.text(), st.booleans())
     def test_idempotent(self, text, flag):
         once = sanitize_field(text, flag)

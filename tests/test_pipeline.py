@@ -704,6 +704,90 @@ class TestConvertStream:
             convert_files([], SourceFormat.APS, CsvSink(io.StringIO()), PipelineConfig(jobs=jobs))
 
 
+def _local_weeks(tmp_path, weeks=3, patents=40):
+    """Plain fixed-tag files whose rows outgrow a pipe's buffer, with
+    Latin-1 names that UTF-8 writes in two bytes."""
+    paths = []
+    for week in range(weeks):
+        path = tmp_path / ("week%d.txt" % week)
+        path.write_bytes(b"".join(
+            b"PATN\nWKU  0400%02d%03d\nISD  19760106\nINVT\nNAM  M\xfcller; J\xf6rg\nCLMS\n"
+            % (week, i) + b"PAR  1. A press, \"the\" ram.\n     a frame.\n" * 60
+            for i in range(patents)
+        ))
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sink_class", [CsvSink, JsonlSink])
+class TestSinkAppend:
+    """Each kind of output gets the same bytes and ``bytes_written``: a file
+    takes the spools by ``os.sendfile``, a file opened to append refuses
+    it and a ``StringIO`` has no descriptor, so both get the text; a pipe
+    may take part of each call."""
+
+    def _expected(self, paths, sink_class, jobs):
+        out = io.StringIO()
+        summary = convert_files(paths, SourceFormat.APS, sink_class(out), PipelineConfig(jobs=jobs))
+        data = out.getvalue().encode("utf-8")
+        assert summary.output_bytes == len(data) > len(paths) * 64 * 1024
+        return data
+
+    def test_file_and_append(self, tmp_path, sink_class, jobs):
+        paths = _local_weeks(tmp_path)
+        expected = self._expected(paths, sink_class, jobs)
+        target = tmp_path / "out"
+        with open(target, "w", encoding="utf-8", newline="") as out:
+            sink = sink_class(out)
+            convert_files(paths[:1], SourceFormat.APS, sink, PipelineConfig(jobs=jobs))
+        with open(target, "a", encoding="utf-8", newline="") as out:
+            appended = sink_class(out) if sink_class is JsonlSink else CsvSink(out, False)
+            convert_files(paths[1:], SourceFormat.APS, appended, PipelineConfig(jobs=jobs))
+        assert target.read_bytes() == expected
+        assert sink.bytes_written + appended.bytes_written == len(expected)
+
+    def test_partial_sends_are_resumed(self, tmp_path, sink_class, jobs):
+        paths = _local_weeks(tmp_path)
+        expected = self._expected(paths, sink_class, jobs)
+        send, calls = os.sendfile, []
+
+        def short_send(out, spool, offset, count):
+            calls.append(count)
+            return send(out, spool, offset, min(count, 5000))
+
+        with open(tmp_path / "out", "w", encoding="utf-8", newline="") as out, mock.patch.object(
+            os, "sendfile", short_send
+        ):
+            sink = sink_class(out)
+            convert_files(paths, SourceFormat.APS, sink, PipelineConfig(jobs=jobs))
+        assert (tmp_path / "out").read_bytes() == expected
+        assert sink.bytes_written == len(expected) and len(calls) > len(expected) // 5000
+
+    def test_pipe_to_a_subprocess(self, tmp_path, sink_class, jobs):
+        paths = _local_weeks(tmp_path)
+        expected = self._expected(paths, sink_class, jobs)
+        inputs = [arg for path in paths for arg in ("--input", path)]
+        result = run_python(
+            "-c", "from patentbulk.cli import main; main()", "convert", *inputs,
+            "--format-era", "aps", "--format", "csv" if sink_class is CsvSink else "jsonl",
+            "--jobs", jobs, "--summary-json", tmp_path / "summary.json", "--quiet",
+            timeout=60, PYTHONIOENCODING="utf-8",
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.encode("utf-8") == expected
+        assert json.loads((tmp_path / "summary.json").read_text())["output_bytes"] == len(expected)
+
+    def test_other_encodings_get_the_text(self, tmp_path, sink_class, jobs):
+        paths = _local_weeks(tmp_path, weeks=1)
+        expected = self._expected(paths, sink_class, jobs)
+        with open(tmp_path / "out", "w", encoding="utf-16", newline="") as out:
+            sink = sink_class(out)
+            convert_files(paths, SourceFormat.APS, sink, PipelineConfig(jobs=jobs))
+        assert (tmp_path / "out").read_bytes() == expected.decode("utf-8").encode("utf-16")
+        assert sink.bytes_written == len(expected)
+
+
 def _cache_week(cache, week, documents):
     """Zip ``documents`` (byte strings, written as they are drawn) into one
     member and put it into the cache at ``cache`` as ``week``'s archive;

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from patentbulk.xmlgrants import (
     WrongFileTypeError,
     XmlDocSlice,
     XmlWeeklyParser,
+    _claim_text,
     mapping_for,
     parse_grant_xml,
     split_concatenated_documents,
@@ -308,3 +310,38 @@ class TestWeeklyParser:
         second = list(XmlWeeklyParser(SourceFormat.XML4).parse(io.BytesIO(data)))
         assert first == second
         assert len(first) == 3
+
+
+# text that XML can hold (no NUL) with runs of the whitespace str.split knows
+_CLAIM_TEXT = st.lists(
+    st.one_of(
+        st.text(st.characters(blacklist_characters="\0"), max_size=4),
+        st.sampled_from((" ", "  ", "\n", "\t", "\r\n", "\xa0", "\x85", "\x1c", "\u3000")),
+    ),
+    max_size=6,
+).map("".join)
+# a claim tree: (tag, text, children, tail), paragraphs among other tags
+_CLAIM_TREE = st.recursive(
+    st.tuples(st.sampled_from(("p", "b")), _CLAIM_TEXT, st.just(()), _CLAIM_TEXT),
+    lambda kids: st.tuples(st.sampled_from(("p", "b")), _CLAIM_TEXT, st.lists(kids, max_size=3), _CLAIM_TEXT),
+    max_leaves=8,
+)
+
+
+def _element(tree):
+    tag, text, children, tail = tree
+    elem = ET.Element(tag)
+    elem.text, elem.tail = text, tail
+    elem.extend(map(_element, children))
+    return elem
+
+
+@given(_CLAIM_TREE)
+def test_claim_text_collapses_each_line_as_alone(tree):
+    # the rule that collapsed each marked line on its own
+    marked = _element(tree)
+    for e in marked.iter():
+        if e.tag == "p":
+            e.text, e.tail = "\0" + (e.text or ""), "\0" + (e.tail or "")
+    lines = (" ".join(line.split()) for line in "".join(marked.itertext()).split("\0"))
+    assert _claim_text(_element(tree), frozenset({"p"})) == "\n".join(line for line in lines if line)
