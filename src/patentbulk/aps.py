@@ -166,13 +166,16 @@ def _sections(pieces: Iterable[str]) -> Iterator[str]:
     """The text of ``pieces`` cut before each line-start ``PATN``: each PATN
     section whole, and the lines before the first in runs of whole lines.
     Those form no record and the line rules count each alone, so they
-    need not be held at once."""
-    parts: list[str] = []  # the text since the last cut
-    # whether that text is a PATN section's and ends a line: then a piece
-    # that holds no PATN cuts nothing, and one that ends a line keeps it so
-    opened = False
+    need not be held at once.  A piece is joined to the text held only
+    when it cuts it, or ends a line before the first PATN, so each
+    character is copied a bounded number of times."""
+    parts: list[str] = []  # the text since the last cut, which starts a line
+    section = False  # whether that text starts with PATN
+    tail = "\n"  # the last four characters read; the input starts a line
     for piece in pieces:
-        if opened and "PATN" not in piece and piece[-1:] == "\n":
+        window = tail + piece
+        tail = window[-4:]
+        if "\nPATN" not in window and (section or "\n" not in piece):
             parts.append(piece)
             continue
         text = "".join(parts) + piece
@@ -183,7 +186,6 @@ def _sections(pieces: Iterable[str]) -> Iterator[str]:
             begin = cut + 1
             cut = text.find("\nPATN", begin)
         section = text.startswith("PATN", begin)
-        opened = section and text[-1:] == "\n"
         if not section:
             end = text.rfind("\n") + 1
             if end > begin:

@@ -7,7 +7,6 @@ position) regardless of how many weeks are fetched in parallel.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -147,44 +146,15 @@ class Sink:
         return type(self)(out)
 
     def append(self, name: str) -> None:
-        """Copy the spool file ``name`` to ``out`` and delete it.  The
-        bytes go by ``os.sendfile`` when ``out`` is a UTF-8 file whose
-        descriptor takes it, so ``out``'s own newline translation, if it
-        has one, does not apply to them; else the text is copied."""
-        with open(name, "rb") as spool:
+        """Copy the spool file ``name`` to ``out`` and delete it."""
+        with open(name, encoding="utf-8", newline="") as spool:
             os.unlink(name)
             size = os.fstat(spool.fileno()).st_size
             try:
-                if not _send(spool, self.out, size):
-                    with io.TextIOWrapper(spool, encoding="utf-8", newline="") as text:
-                        shutil.copyfileobj(text, self.out)
+                shutil.copyfileobj(spool, self.out)
             except OSError as exc:
                 raise OutputError("writing the output failed: %s" % exc) from exc
         self.bytes_written += size
-
-
-def _send(spool: IO[bytes], out: TextIO, size: int) -> bool:
-    """Send the ``size`` bytes of ``spool`` to ``out``'s descriptor, once
-    ``out`` is flushed, if ``out`` is a UTF-8 text file; returns whether
-    they were sent.  The loop resumes the partial writes a pipe takes.  A
-    descriptor that refuses the first call, as one opened with
-    ``O_APPEND`` does, has been sent nothing, and False is returned."""
-    try:
-        descriptor = out.fileno()
-    except (AttributeError, OSError):
-        return False
-    if codecs.lookup(out.encoding).name != "utf-8":
-        return False
-    out.flush()
-    sent = 0
-    while sent < size:
-        try:
-            sent += os.sendfile(descriptor, spool.fileno(), sent, size - sent)
-        except OSError:
-            if sent:
-                raise
-            return False
-    return True
 
 
 def _csv_cell(cell: str) -> str:

@@ -1,6 +1,7 @@
 import datetime as dt
 import io
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,3 +398,30 @@ def test_stream_is_read_in_pieces():
 
     list(ApsParser().parse(Stream("PATN\nWKU  1\nISD  19760106\n")))
     assert Stream.sizes == [aps.READ_SIZE, aps.READ_SIZE]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "PATN\nWKU  1\nISD  19760106\nCLMS\n" + "PAL  A widget press with a lever.\n" * 80000,
+        "<" * 40 * aps.READ_SIZE + "\nPATN\nWKU  1\nISD  19760106\n",
+    ],
+    ids=["one-section", "one-line-before-patn"],
+)
+def test_text_read_in_pieces_is_joined_once(text):
+    # a section or a line spanning many reads is joined at its end, not at
+    # each read: the characters joined stay within twice those of the input
+    joined = []
+
+    def count_joins(frame, event, arg):
+        if event == "c_call" and frame.f_code is aps._sections.__code__ and arg.__name__ == "join":
+            joined.append(sum(map(len, frame.f_locals["parts"])))
+
+    parser = ApsParser()
+    sys.setprofile(count_joins)
+    try:
+        records = list(parser.parse(io.StringIO(text)))
+    finally:
+        sys.setprofile(None)
+    assert [record.wku for record in records] == ["1"]
+    assert len(text) > 40 * aps.READ_SIZE and sum(joined) <= 2 * len(text)
