@@ -2,16 +2,14 @@
 
 Lines carry a field code in columns 1-4 and the value from column 6; a
 blank code marks a continuation of the previous field.  Records are
-delimited by PATN section headers.  The parser is single-pass: it reads
-its input in pieces (``READ_SIZE`` characters from a stream), cuts the
-text before each line-start PATN and splits each section into lines
-once.  Memory holds one PATN section plus one read, so weekly files of
-any size stream through in bounded space.
+delimited by PATN section headers.  The parser is single-pass: it cuts
+its input before each line-start PATN (``model.cut_before``) and splits
+each section into lines once.  Memory holds one section plus one read,
+so weekly files of any size stream through in bounded space.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -22,6 +20,7 @@ from .model import (
     PatentRecord,
     WrongFileTypeError,
     build_record,
+    cut_before,
     ipc_parse,  # noqa: F401 - unused; perfbench/tracing.py wraps it by this module's name
     record_fields,
 )
@@ -52,8 +51,6 @@ CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
 
 DEFAULT_ENCODING = "latin-1"
 
-# characters taken from a text stream per read
-READ_SIZE = 64 * 1024
 # a line's field code as written, and its value
 _TAG = itemgetter(slice(0, 4))
 _VALUE = itemgetter(slice(5, None))
@@ -71,12 +68,10 @@ class ApsParser:
         self.report = ParseReport()
 
     def parse(self, source: Union[IO[str], Iterable[str]]) -> Iterator[PatentRecord]:
-        """The records of ``source``: a text stream, read ``READ_SIZE``
-        characters at a time, or an iterable of text pieces, such as lines,
-        that join into the input."""
+        """The records of ``source``: a text stream, or an iterable of text
+        pieces, such as lines, that join into the input."""
         report = self.report
-        pieces = iter(partial(source.read, READ_SIZE), "") if hasattr(source, "read") else source
-        for text in _sections(pieces):
+        for text in cut_before(source, "\nPATN"):
             start_line = report.lines_read + 1
             if not text.startswith("PATN"):
                 self._read_section(text, None)
@@ -160,38 +155,3 @@ class ApsParser:
             else:
                 report.skipped_fields += 1
                 target = None
-
-
-def _sections(pieces: Iterable[str]) -> Iterator[str]:
-    """The text of ``pieces`` cut before each line-start ``PATN``: each PATN
-    section whole, and the lines before the first in runs of whole lines.
-    Those form no record and the line rules count each alone, so they
-    need not be held at once.  A piece is joined to the text held only
-    when it cuts it, or ends a line before the first PATN, so each
-    character is copied a bounded number of times."""
-    parts: list[str] = []  # the text since the last cut, which starts a line
-    section = False  # whether that text starts with PATN
-    tail = "\n"  # the last four characters read; the input starts a line
-    for piece in pieces:
-        window = tail + piece
-        tail = window[-4:]
-        if "\nPATN" not in window and (section or "\n" not in piece):
-            parts.append(piece)
-            continue
-        text = "".join(parts) + piece
-        # the text before the piece holds no "\nPATN", but one may straddle the join
-        begin, cut = 0, text.find("\nPATN", max(len(text) - len(piece) - 4, 0))
-        while cut >= 0:
-            yield text[begin : cut + 1]
-            begin = cut + 1
-            cut = text.find("\nPATN", begin)
-        section = text.startswith("PATN", begin)
-        if not section:
-            end = text.rfind("\n") + 1
-            if end > begin:
-                yield text[begin:end]
-                begin = end
-        parts = [text[begin:]]
-    text = "".join(parts)
-    if text:
-        yield text

@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from . import analytics, fetch as fetchmod, pipeline
+from . import analytics, aps, fetch as fetchmod, pipeline
 from .model import SourceFormat, WeekSpec, tuesdays_in_year
 
 ENV_BASE_URL = "PATENTBULK_BASE_URL"
@@ -122,7 +122,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
         "--append", action="store_true", help="append to output, suppressing the header"
     )
     parser.add_argument(
-        "--encoding", default="latin-1", help="text encoding for fixed-tag era files"
+        "--encoding", default=aps.DEFAULT_ENCODING, help="text encoding for fixed-tag era files"
     )
     parser.add_argument("--summary-json", metavar="PATH", help="also write the run summary as JSON")
 

@@ -14,7 +14,8 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import IO, AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 MULTIVALUE_DELIMITER = "; "
 
@@ -145,6 +146,48 @@ class WeekSpec:
 
     def label(self) -> str:
         return "%dwk%02d" % (self.year, self.week)
+
+
+READ_SIZE = 64 * 1024
+
+
+def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iterator[AnyStr]:
+    """The input cut before each line-start ``key[1:]``, the marker after
+    ``key``'s newline (``"\\nPATN"``, ``b"\\n<?xml"``): each chunk that
+    starts with it whole, and what comes before the first in runs of whole
+    lines, never held at once.  ``source`` is a stream, read ``READ_SIZE``
+    at a time, or an iterable of pieces, such as lines, that join into the
+    input; text or bytes, as ``key`` is.  A piece is joined to the input
+    held only when it cuts it or ends a line before the first marker, so
+    each character is copied a bounded number of times.
+    """
+    empty, newline, marker = key[:0], key[:1], key[1:]
+    width = len(marker)
+    pieces = iter(partial(source.read, READ_SIZE), empty) if hasattr(source, "read") else source
+    parts = []  # the input since the last cut, which starts a line
+    marked = False  # whether that input starts with the marker
+    tail = newline  # the last ``width`` characters read; the input starts a line
+    for piece in pieces:
+        window = tail + piece
+        tail = window[-width:]
+        parts.append(piece)
+        if key not in window and (marked or newline not in piece):
+            continue
+        text = empty.join(parts)
+        begin, cut = 0, text.find(key)
+        while cut >= 0:
+            yield text[begin : cut + 1]
+            begin = cut + 1
+            cut = text.find(key, begin)
+        marked = text.startswith(marker, begin)
+        end = text.rfind(newline) + 1
+        if not marked and end > begin:
+            yield text[begin:end]
+            begin = end
+        parts = [text[begin:]]
+    text = empty.join(parts)
+    if text:
+        yield text
 
 
 # Warning messages kept verbatim; beyond this only the total grows, so a

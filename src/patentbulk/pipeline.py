@@ -201,20 +201,24 @@ def _read_rows(
     with nullcontext(source) if hasattr(source, "read") else open(
         source, encoding="utf-8", newline=""
     ) as handle:
-        if jsonl:
-            rows = ((number, line) for number, line in enumerate(handle, 1) if line.strip())
-        else:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is not None and tuple(header) != CSV_COLUMNS:
-                raise ValueError("unexpected CSV header: %r" % (header,))
-            rows = ((reader.line_num, row) for row in reader)
-        for number, row in rows:
-            try:
-                item = decode(row_from_dict(json.loads(row)) if jsonl else row)
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (number, exc)) from exc
-            yield item
+        try:
+            if jsonl:
+                rows = ((number, line) for number, line in enumerate(handle, 1) if line.strip())
+            else:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is not None and tuple(header) != CSV_COLUMNS:
+                    raise ValueError("unexpected CSV header: %r" % (header,))
+                rows = ((reader.line_num, row) for row in reader)
+            for number, row in rows:
+                try:
+                    item = decode(row_from_dict(json.loads(row)) if jsonl else row)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError("line %d: %s" % (number, exc)) from exc
+                yield item
+        except csv.Error as exc:
+            # a line the CSV reader cannot take fails on the reader's count
+            raise ValueError("line %d: %s" % (reader.line_num, exc)) from exc
 
 
 def read_csv(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:

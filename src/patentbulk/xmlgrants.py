@@ -1,11 +1,12 @@
 """Splitter and record mapper for the XML-era weekly grant files.
 
 A weekly file concatenates thousands of standalone XML documents, each
-with its own prolog.  The splitter yields one document at a time keyed on
-``<?xml`` boundaries at line starts; each document is then mapped to a
-record through an era-specific element mapping table.  The tables are
-data (JSON shipped with the package), not code, so schema drift within an
-era is absorbed by editing paths.
+with its own prolog.  The splitter yields one document at a time, cut
+before each line-start ``<?xml`` by ``model.cut_before``, as APS input is
+cut before each PATN.  Each document is then mapped to a record through an
+era-specific element mapping table.  The tables are data (JSON shipped
+with the package), not code, so schema drift within an era is absorbed
+by editing paths.
 
 Each document is parsed in one expat pass.  An entity that nothing in the
 document declares (``&bull;`` of the DTD-era files) becomes its name in
@@ -35,6 +36,7 @@ from .model import (
     SourceFormat,
     WrongFileTypeError,
     build_record,
+    cut_before,
     ipc_parse,  # noqa: F401 - unused; perfbench/tracing.py wraps it by this module's name
     record_fields,
 )
@@ -53,26 +55,19 @@ def split_concatenated_documents(
 ) -> Iterator[XmlDocSlice]:
     """Yield each embedded document once, in file order.
 
-    Splits on lines starting with ``<?xml``.  Slices cover every byte
-    from their prolog up to the next prolog, so concatenating them (after
-    any leading whitespace) reproduces the input exactly.  Raises
-    WrongFileTypeError when no prolog is found.
+    Cuts the input, a stream or an iterable of pieces such as lines,
+    before each line that starts with ``<?xml``.  A slice covers every
+    byte from its prolog up to the next, so concatenating the slices
+    reproduces the input from its first prolog on; any bytes before that
+    are dropped.  Raises WrongFileTypeError when no prolog is found.
     """
-    buf: list[bytes] = []
     ordinal = 0
-    seen_prolog = False
-    for line in stream:
-        if line.startswith(b"<?xml"):
-            if seen_prolog:
-                yield XmlDocSlice(b"".join(buf), ordinal)
-                ordinal += 1
-            seen_prolog = True
-            buf = [line]
-        elif seen_prolog:
-            buf.append(line)
-    if not seen_prolog:
+    for chunk in cut_before(stream, b"\n<?xml"):
+        if chunk.startswith(b"<?xml"):
+            yield XmlDocSlice(chunk, ordinal)
+            ordinal += 1
+    if not ordinal:
         raise WrongFileTypeError("no XML document prolog found in input")
-    yield XmlDocSlice(b"".join(buf), ordinal)
 
 
 class ElementMapping:

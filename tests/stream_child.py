@@ -1,11 +1,13 @@
 """Child process for the memory-bound checks.
 
-Caps its own address space at LIMIT_BYTES, then either parses a
-synthetic stream of repeated fixture sections with ``ApsParser`` and
-prints its counts as JSON, or runs the ``patentbulk`` command line and
+Caps its own address space at LIMIT_BYTES, then parses a synthetic
+stream of repeated fixture sections with ``ApsParser``, or splits one of
+repeated fixture documents with ``split_concatenated_documents``, and
+prints its counts as JSON; or runs the ``patentbulk`` command line and
 exits with its status.  Run:
 
     python stream_child.py LIMIT_BYTES aps FIXTURE_PATH TARGET_BYTES
+    python stream_child.py LIMIT_BYTES xml FIXTURE_PATH TARGET_BYTES
     python stream_child.py LIMIT_BYTES cli ARG...
 """
 
@@ -41,12 +43,27 @@ def aps_stream(fixture_path: str, target_bytes: int) -> int:
     return 0
 
 
+def xml_stream(fixture_path: str, target_bytes: int) -> int:
+    from patentbulk.xmlgrants import split_concatenated_documents
+
+    with open(fixture_path, "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    bytes_per_repeat = sum(len(line) for line in lines)
+    repeats = target_bytes // bytes_per_repeat + 1
+
+    stream = itertools.chain.from_iterable(itertools.repeat(lines, repeats))
+    slices = sum(1 for _ in split_concatenated_documents(stream))
+    print(json.dumps({"slices": slices, "repeats": repeats, "bytes_fed": bytes_per_repeat * repeats}))
+    return 0
+
+
 def main() -> int:
     limit_bytes, mode, *rest = sys.argv[1:]
     resource.setrlimit(resource.RLIMIT_AS, (int(limit_bytes), int(limit_bytes)))
-    if mode == "aps":
+    streams = {"aps": aps_stream, "xml": xml_stream}
+    if mode in streams:
         fixture_path, target_bytes = rest
-        return aps_stream(fixture_path, int(target_bytes))
+        return streams[mode](fixture_path, int(target_bytes))
     from patentbulk import cli
 
     return cli.run(rest)

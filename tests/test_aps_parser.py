@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from aps_oracle import OracleApsParser
 from conftest import parse_aps
-from patentbulk import aps
+from patentbulk import model
 from patentbulk.aps import ApsParser
 from patentbulk.model import PatentRecord, WrongFileTypeError
+from patentbulk.xmlgrants import split_concatenated_documents
 
 
 def parse_text(text):
@@ -387,41 +388,68 @@ def test_lines_before_the_first_patn_are_not_held():
     with pytest.raises(WrongFileTypeError, match="no PATN header in 1000 lines"):
         list(parser.parse(lines()))
 
+    # the XML splitter's cutter passes on each line before the first prolog as it is read
+    fed = []
+
+    def xml_lines():
+        for number in range(1000):
+            fed.append(number)
+            yield b"PATN\n"
+
+    for count, chunk in enumerate(model.cut_before(xml_lines(), b"\n<?xml"), 1):
+        assert (chunk, len(fed)) == (b"PATN\n", count)
+    assert count == 1000
+    with pytest.raises(WrongFileTypeError, match="no XML document prolog"):
+        list(split_concatenated_documents(xml_lines()))
+
 
 def test_stream_is_read_in_pieces():
-    class Stream(io.StringIO):
-        sizes = []
+    sizes = []
 
+    class Counted:
         def read(self, size=-1):
-            self.sizes.append(size)
+            sizes.append(size)
             return super().read(size)
 
-    list(ApsParser().parse(Stream("PATN\nWKU  1\nISD  19760106\n")))
-    assert Stream.sizes == [aps.READ_SIZE, aps.READ_SIZE]
+    class Text(Counted, io.StringIO):
+        pass
+
+    class Binary(Counted, io.BytesIO):
+        pass
+
+    list(ApsParser().parse(Text("PATN\nWKU  1\nISD  19760106\n")))
+    list(split_concatenated_documents(Binary(b'<?xml version="1.0"?>\n<a/>\n')))
+    assert sizes == [model.READ_SIZE] * 4
 
 
 @pytest.mark.parametrize(
     "text",
     [
         "PATN\nWKU  1\nISD  19760106\nCLMS\n" + "PAL  A widget press with a lever.\n" * 80000,
-        "<" * 40 * aps.READ_SIZE + "\nPATN\nWKU  1\nISD  19760106\n",
+        "<" * 40 * model.READ_SIZE + "\nPATN\nWKU  1\nISD  19760106\n",
+        b'<?xml version="1.0"?>\n<claims>\n' + b"<claim>A widget press.</claim>\n" * 90000,
+        b"<" * 40 * model.READ_SIZE + b'\n<?xml version="1.0"?>\n<a/>\n',
     ],
-    ids=["one-section", "one-line-before-patn"],
+    ids=["one-section", "one-line-before-patn", "one-document", "one-line-before-prolog"],
 )
 def test_text_read_in_pieces_is_joined_once(text):
-    # a section or a line spanning many reads is joined at its end, not at
-    # each read: the characters joined stay within twice those of the input
-    joined = []
+    # a section, a document or a line spanning many reads is joined at its
+    # end, not at each read: the characters joined stay within twice those
+    # of the input
+    joined, cut_code = [], model.cut_before.__code__
 
     def count_joins(frame, event, arg):
-        if event == "c_call" and frame.f_code is aps._sections.__code__ and arg.__name__ == "join":
+        if event == "c_call" and frame.f_code is cut_code and arg.__name__ == "join":
             joined.append(sum(map(len, frame.f_locals["parts"])))
 
-    parser = ApsParser()
+    if isinstance(text, str):
+        units = ApsParser().parse(io.StringIO(text))
+    else:
+        units = split_concatenated_documents(io.BytesIO(text))
     sys.setprofile(count_joins)
     try:
-        records = list(parser.parse(io.StringIO(text)))
+        units = list(units)
     finally:
         sys.setprofile(None)
-    assert [record.wku for record in records] == ["1"]
-    assert len(text) > 40 * aps.READ_SIZE and sum(joined) <= 2 * len(text)
+    assert len(units) == 1
+    assert len(text) > 40 * model.READ_SIZE and sum(joined) <= 2 * len(text)

@@ -643,6 +643,10 @@ class TestGetAndFetch:
         assert code == 0
 
 
+# a CSV cell longer than this fails to read in the malformed-input tests
+FIELD_LIMIT = 64 * 1024
+
+
 class TestStats:
     @pytest.fixture
     def converted_csv(self, data_dir, tmp_path, capsys):
@@ -701,6 +705,13 @@ class TestStats:
         assert code == 1
         assert "error" in err
 
+    @pytest.fixture
+    def low_field_limit(self):
+        # the reader's cap on a cell, lowered from 64 MiB so an oversized cell stays small
+        default_limit = csv.field_size_limit(FIELD_LIMIT)
+        yield
+        csv.field_size_limit(default_limit)
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -709,10 +720,16 @@ class TestStats:
             "9,t,1975-02-30,1976-01-06,,,,,",
             "9,t,,1976-01-06,,,9X,,",
             "9,t,,1976-01-06,,,C07D 1/00; ,,",
+            "9,t,,1976-01-06,,,,,%s" % ("x" * (FIELD_LIMIT + 1)),
         ],
-        ids=["short-row", "bad-issue-date", "bad-app-date", "bad-ipc-head", "empty-ipc-element"],
+        ids=[
+            "short-row", "bad-issue-date", "bad-app-date", "bad-ipc-head", "empty-ipc-element",
+            "cell-over-field-limit",
+        ],
     )
-    def test_malformed_row_exits_1_without_output(self, row, converted_csv, tmp_path, capsys):
+    def test_malformed_row_exits_1_without_output(
+        self, row, converted_csv, tmp_path, capsys, low_field_limit
+    ):
         with open(converted_csv, "a", encoding="utf-8") as handle:
             handle.write(row + "\n")
         last_line = len(converted_csv.read_text(encoding="utf-8").splitlines())
@@ -723,6 +740,13 @@ class TestStats:
         assert code == 1
         assert "error: line %d: " % last_line in err
         assert not table.exists()
+
+    def test_header_cell_over_field_limit_exits_1(self, tmp_path, capsys, low_field_limit):
+        source = tmp_path / "in.csv"
+        source.write_text("wku,%s\n" % ("x" * (FIELD_LIMIT + 1)), encoding="utf-8")
+        code, _, err = run_cli(["stats", "weekly", "--input", str(source)], capsys)
+        assert code == 1
+        assert "error: line 1: " in err
 
     # issue date, application date and IPC codes spelled by hand
     HAND_ROWS = [
@@ -802,8 +826,12 @@ class TestStats:
             '{"wku": "1", "issue_date": null}',
             '{"wku": "1", "issue_date": "1976-01-06", "inventors": [1]}',
             '{"wku": "1", "issue_date": "1976-01-06", "ipc_codes": ["A01B 1/00; C07D"]}',
+            "[" * 200_000 + "]" * 200_000,
         ],
-        ids=["empty-object", "not-an-object", "null-issue-date", "wrong-type", "delimiter-in-item"],
+        ids=[
+            "empty-object", "not-an-object", "null-issue-date", "wrong-type", "delimiter-in-item",
+            "nested-too-deep",
+        ],
     )
     def test_malformed_jsonl_line_exits_1_without_output(self, line, tmp_path, capsys):
         source = tmp_path / "in.jsonl"

@@ -58,8 +58,9 @@ def test_install_wraps_callers_and_uninstall_restores():
 
 
 def test_parsers_call_the_traced_names(data_dir):
-    # a parser that binds build_record or ipc_parse to a local name would
-    # bypass the wrappers and read as zero time in those layers
+    # a parser that binds build_record or ipc_parse to a local name, or an
+    # XML parser that cuts its documents without split_concatenated_documents,
+    # would bypass the wrappers and read as zero time in those layers
     tracing = load_tracing()
     tracer = tracing.Tracer()
     saved = tracing.install(tracer, patentbulk)
@@ -75,6 +76,7 @@ def test_parsers_call_the_traced_names(data_dir):
             assert tracer.calls["model.build_record"] == parser.report.records_emitted
             assert tracer.calls["model.build_record"] == len(records) > 0
             assert tracer.calls["model.ipc_parse"] > 0
+            assert tracer.calls["xmlgrants.split"] >= parser.report.slices_seen
     finally:
         tracing.uninstall(saved)
 

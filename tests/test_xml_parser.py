@@ -1,12 +1,14 @@
 import datetime as dt
 import io
+import json
 import random
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import parse_aps
+from conftest import parse_aps, run_capped
+from xml_oracle import oracle_split
 from patentbulk.model import ParseReport, SourceFormat
 from patentbulk.xmlgrants import (
     ElementMapping,
@@ -75,6 +77,68 @@ class TestSplit:
             slices = list(split_concatenated_documents(io.BytesIO(data)))
             assert len(slices) == n
             assert b"".join(s.data for s in slices) == data
+
+    def test_stream_twice_the_memory_cap_splits_under_it(self, data_dir):
+        # the fixture document repeated, fed line by line: one document is held at a time
+        limit_bytes = 64 * 1024 * 1024
+        result = run_capped(
+            limit_bytes, "xml", data_dir / "era_xml4.xml", 2 * limit_bytes, timeout=120
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        stats = json.loads(result.stdout)
+        assert stats["bytes_fed"] >= 2 * limit_bytes
+        assert stats["slices"] == stats["repeats"]
+
+
+# lines of a weekly XML text: a prolog, one not at a line start, near
+# misses, whitespace and other bytes
+_XML_LINE = st.one_of(
+    st.sampled_from(
+        [b'<?xml version="1.0"?>', b" <?xml", b"a<?xml", b"<?xm", b"<?XML", b"", b" ", b"\r"]
+    ),
+    st.binary(max_size=12),
+)
+_XML_PART = st.one_of(st.just(MINIMAL_XML4.split(b"\n")[:-1]), st.lists(_XML_LINE, max_size=3))
+
+
+@st.composite
+def _xml_texts(draw):
+    """(text, pieces): documents and other lines, all ended by ``\\n`` or
+    each by ``\\n`` or ``\\r\\n``, the last maybe by nothing, and the same
+    text cut at random offsets and inside each ``\\n<?xml``."""
+    lines = sum(draw(st.lists(_XML_PART, max_size=6)), [])
+    each = st.lists(st.sampled_from((b"\n", b"\r\n")), min_size=len(lines), max_size=len(lines))
+    ends = draw(st.one_of(st.just([b"\n"] * len(lines)), each))
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    cuts = set(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    at = text.find(b"\n<?xml")
+    while at >= 0:
+        cuts.add(at + draw(st.integers(1, 5)))
+        at = text.find(b"\n<?xml", at + 1)
+    bounds = [0, *sorted(cuts), len(text)]
+    return text, [text[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _split(split, source):
+    """(slices, error text) of ``split`` over ``source``."""
+    slices, error = [], None
+    try:
+        slices.extend(split(source))
+    except WrongFileTypeError as exc:
+        error = str(exc)
+    return slices, error
+
+
+@settings(max_examples=300)
+@given(_xml_texts())
+def test_same_slices_as_the_line_splitter(text_and_pieces):
+    text, pieces = text_and_pieces
+    expected = _split(oracle_split, io.BytesIO(text))
+    assert _split(split_concatenated_documents, io.BytesIO(text)) == expected
+    assert _split(split_concatenated_documents, io.BytesIO(text).readlines()) == expected
+    assert _split(split_concatenated_documents, iter(pieces)) == expected
 
 
 class TestMappingFor:
