@@ -4,7 +4,7 @@ Lines carry a field code in columns 1-4 and the value from column 6; a
 blank code marks a continuation of the previous field.  Records are
 delimited by PATN section headers.  The parser is single-pass: it cuts
 its input before each line-start PATN (``model.cut_before``) and splits
-each section into lines once.  Memory holds one section plus one read,
+each section into lines once.  Memory holds a few copies of one section,
 so weekly files of any size stream through in bounded space.
 """
 

@@ -155,14 +155,13 @@ def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iter
     """The input cut before each line-start ``key[1:]``, the marker after
     ``key``'s newline (``"\\nPATN"``, ``b"\\n<?xml"``): each chunk that
     starts with it whole, and what comes before the first in runs of whole
-    lines, never held at once.  ``source`` is a stream, read ``READ_SIZE``
-    at a time, or an iterable of pieces, such as lines, that join into the
-    input; text or bytes, as ``key`` is.  A piece is joined to the input
-    held only when it cuts it or ends a line before the first marker, so
-    each character is copied a bounded number of times.
+    lines.  ``source`` is a stream, read ``READ_SIZE`` at a time, or an
+    iterable of pieces, such as lines, text or bytes as ``key`` is.  Pieces
+    are joined, and then dropped, only when one cuts the input or ends a
+    line before the first marker: while a chunk is used, the cutter holds
+    the text it was cut from and the last read, whatever the input's size.
     """
-    empty, newline, marker = key[:0], key[:1], key[1:]
-    width = len(marker)
+    empty, newline, marker, width = key[:0], key[:1], key[1:], len(key) - 1
     pieces = iter(partial(source.read, READ_SIZE), empty) if hasattr(source, "read") else source
     parts = []  # the input since the last cut, which starts a line
     marked = False  # whether that input starts with the marker
@@ -173,7 +172,7 @@ def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iter
         parts.append(piece)
         if key not in window and (marked or newline not in piece):
             continue
-        text = empty.join(parts)
+        text, parts = empty.join(parts), []
         begin, cut = 0, text.find(key)
         while cut >= 0:
             yield text[begin : cut + 1]
@@ -184,8 +183,8 @@ def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iter
         if not marked and end > begin:
             yield text[begin:end]
             begin = end
-        parts = [text[begin:]]
-    text = empty.join(parts)
+        parts.append(text[begin:])
+    text, parts = empty.join(parts), []
     if text:
         yield text
 

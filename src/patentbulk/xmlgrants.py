@@ -2,11 +2,10 @@
 
 A weekly file concatenates thousands of standalone XML documents, each
 with its own prolog.  The splitter yields one document at a time, cut
-before each line-start ``<?xml`` by ``model.cut_before``, as APS input is
-cut before each PATN.  Each document is then mapped to a record through an
-era-specific element mapping table.  The tables are data (JSON shipped
-with the package), not code, so schema drift within an era is absorbed
-by editing paths.
+before each line-start ``<?xml`` by ``model.cut_before`` as APS input is
+cut before each PATN, and maps it through an era-specific element table.
+The tables are data (JSON shipped with the package), not code, so schema
+drift within an era is absorbed by editing paths.
 
 Each document is parsed in one expat pass.  An entity that nothing in the
 document declares (``&bull;`` of the DTD-era files) becomes its name in
