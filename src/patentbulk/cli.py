@@ -12,10 +12,9 @@ import json
 import os
 import sys
 from concurrent.futures import BrokenExecutor
-from contextlib import contextmanager, suppress
+from contextlib import nullcontext
 from functools import partial
-from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
 from . import analytics, aps, fetch as fetchmod, pipeline
 from .model import SourceFormat, WeekSpec, tuesdays_in_year
@@ -124,7 +123,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--encoding", default=aps.DEFAULT_ENCODING, help="text encoding for fixed-tag era files"
     )
-    parser.add_argument("--summary-json", metavar="PATH", help="also write the run summary as JSON")
+    parser.add_argument("--summary-json", metavar="PATH",
+                        help="also write the run summary as JSON ('-' for stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,32 +181,19 @@ def _make_sink(out, format: str, append: bool) -> pipeline.Sink:
     return pipeline.CsvSink(out, write_header=not append)
 
 
-@contextmanager
-def _open_output(path: str, append: bool = False) -> Iterator[TextIO]:
+def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
     """Standard output, left open on exit, or ``path`` opened for writing.
 
-    A new or regular file is written as a temporary file beside it that
-    replaces it only when the block exits without an exception, so a
-    failed command leaves no partial table.  Appends, standard output and
-    special files (``/dev/null``, symlinks, pipes) are written in place.
+    A new or regular file is published (:func:`fetch.published`), so a
+    failed command leaves no partial file and keeps an older one at
+    ``path``.  Appends and special files (``/dev/null``, symlinks, pipes)
+    are written in place.
     """
     if path == "-":
-        yield sys.stdout
-        return
-    special = os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
-    if append or special:
-        with open(path, "a" if append else "w", encoding="utf-8", newline="") as out:
-            yield out
-        return
-    temp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        with open(temp, "x", encoding="utf-8", newline="") as out:
-            yield out
-        os.replace(temp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(temp)
-        raise
+        return nullcontext(sys.stdout)
+    in_place = append or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
+    opener = open if in_place else fetchmod.published
+    return opener(path, "a" if append else "w", encoding="utf-8", newline="")
 
 
 def _list_failures(summary: pipeline.RunSummary) -> int:
@@ -238,7 +225,8 @@ def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) 
     with _open_output(args.output, args.append) as out:
         summary = run(_make_sink(out, args.format, args.append), config)
     if args.summary_json:
-        Path(args.summary_json).write_text(json.dumps(summary.to_dict(), indent=2) + "\n")
+        with _open_output(args.summary_json) as out:
+            out.write(json.dumps(summary.to_dict(), indent=2) + "\n")
     if not args.quiet:
         print(summary.format_table(), file=sys.stderr)
     return _list_failures(summary)

@@ -2,9 +2,12 @@
 
 Weekly archives are immutable once published, so the cache keys by file
 name; digests recorded in a sidecar index detect local corruption, not
-upstream changes.  Downloads land in a temporary file and are renamed
-into place only after the zip verifies, so a partial download is never
-visible under a final name.
+upstream changes.  Every file patentbulk leaves at a path, the cached
+archive and its sidecar here and the CLI's table and summary, is written
+through one publish step, :func:`published`: a temp file beside the path
+that replaces it only when the write ends cleanly, so a partial file is
+never visible under a final name.  A download is published only once its
+zip verifies.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import os
 import time
 import zipfile
 import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, Protocol, Union
+from typing import IO, BinaryIO, Callable, Iterator, Optional, Protocol, Union
 
 from .model import SourceFormat, WeekSpec
 
@@ -143,6 +147,24 @@ def resolve_plan(week: WeekSpec, base_url: str = DEFAULT_BASE_URL) -> FetchPlan:
     )
 
 
+@contextmanager
+def published(path: Union[str, os.PathLike[str]], mode: str, **open_args) -> Iterator[IO]:
+    """``path`` opened for writing with ``open(..., mode, **open_args)``, as
+    the temp file ``PATH.<pid>.tmp`` (a stale one of that name can only be
+    left by a dead process, and is truncated).  When the block exits
+    cleanly the temp file replaces ``path``; when it raises the temp file
+    is removed.  So ``path`` ends up whole or untouched."""
+    temp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(temp, mode, **open_args) as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
+
+
 def _meta_path(final: Path) -> Path:
     return final.with_name(final.name + ".meta.json")
 
@@ -165,23 +187,6 @@ def _load_entry(final: Path) -> Optional[CacheEntry]:
     if final.stat().st_size != entry.byte_size:
         return None
     return entry
-
-
-def _write_entry(final: Path, entry: CacheEntry) -> None:
-    meta = _meta_path(final)
-    tmp = meta.with_name(meta.name + ".tmp")
-    tmp.write_text(
-        json.dumps(
-            {
-                "source_url": entry.source_url,
-                "byte_size": entry.byte_size,
-                "content_digest": entry.content_digest,
-                "retrieved_at": entry.retrieved_at,
-            },
-            indent=2,
-        )
-    )
-    os.replace(tmp, meta)
 
 
 def verify_entry(entry: CacheEntry) -> bool:
@@ -242,7 +247,6 @@ def _download(
     retries: int,
     sleep: Callable[[float], None],
 ) -> CacheEntry:
-    tmp = final.with_name(final.name + ".tmp-%d" % os.getpid())
     last_status: Optional[int] = None
     last_reason = ""
     for attempt in range(retries):
@@ -250,55 +254,49 @@ def _download(
             sleep(_BACKOFF_S * (2 ** (attempt - 1)))
         try:
             response = transport.get(plan.url)
+            if response.status == 200:
+                return _cache_archive(plan, final, response.chunks)
         except TransportError as exc:
             last_reason = str(exc)
             continue
-        if response.status != 200:
-            last_status = response.status
-            last_reason = "HTTP %d" % response.status
-            if 500 <= response.status < 600:
-                continue
+        last_status = response.status
+        last_reason = "HTTP %d" % response.status
+        if not 500 <= response.status < 600:
             raise FetchError(plan.url, last_reason, status=response.status)
-
-        digest = hashlib.sha256()
-        size = 0
-        try:
-            with open(tmp, "wb") as out:
-                for block in response.chunks:
-                    out.write(block)
-                    digest.update(block)
-                    size += len(block)
-        except TransportError as exc:
-            tmp.unlink(missing_ok=True)
-            last_reason = str(exc)
-            continue
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-        try:
-            with zipfile.ZipFile(tmp) as archive:
-                bad = archive.testzip()
-            if bad is not None:
-                raise zipfile.BadZipFile("bad CRC for member %r" % bad)
-        except (zipfile.BadZipFile, OSError) as exc:
-            tmp.unlink(missing_ok=True)
-            raise IntegrityError("%s: %s" % (plan.url, exc)) from exc
-
-        entry = CacheEntry(
-            cache_path=str(final),
-            source_url=plan.url,
-            byte_size=size,
-            content_digest="sha256:" + digest.hexdigest(),
-            retrieved_at=dt.datetime.now(dt.timezone.utc).isoformat(),
-        )
-        os.replace(tmp, final)
-        _write_entry(final, entry)
-        return entry
     raise FetchError(
         plan.url, "giving up after %d attempts: %s" % (retries, last_reason),
         status=last_status,
     )
+
+
+def _cache_archive(plan: FetchPlan, final: Path, chunks: Iterator[bytes]) -> CacheEntry:
+    """Publish the downloaded ``chunks`` at ``final`` once they pass
+    ``testzip``, then the sidecar that makes them a cache entry.  A
+    TransportError mid-stream or an IntegrityError leaves ``final`` as it
+    was."""
+    digest = hashlib.sha256()
+    with published(final, "wb") as out:
+        for block in chunks:
+            out.write(block)
+            digest.update(block)
+        out.flush()
+        try:
+            with zipfile.ZipFile(out.name) as archive:
+                bad = archive.testzip()
+            if bad is not None:
+                raise zipfile.BadZipFile("bad CRC for member %r" % bad)
+        except (zipfile.BadZipFile, zlib.error, EOFError, OSError) as exc:
+            raise IntegrityError("%s: %s" % (plan.url, exc)) from exc
+        size = out.tell()
+    sidecar = {
+        "source_url": plan.url,
+        "byte_size": size,
+        "content_digest": "sha256:" + digest.hexdigest(),
+        "retrieved_at": dt.datetime.now(dt.timezone.utc).isoformat(),
+    }
+    with published(_meta_path(final), "w") as out:
+        out.write(json.dumps(sidecar, indent=2))
+    return CacheEntry(cache_path=str(final), **sidecar)
 
 
 class _ConcatenatedMembers(io.RawIOBase):

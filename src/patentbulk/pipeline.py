@@ -340,13 +340,14 @@ def spool_file(
     sink: Sink,
     spool_dir: Optional[str] = None,
 ) -> Spooled:
-    """Open, size and parse one weekly file, a ``.zip`` archive or a plain
-    one, writing each record as it is parsed, in ``sink``'s format but not
-    to its output, to a new temp file in ``spool_dir`` (default ``TMPDIR``).
-    Returns the :data:`Spooled` result for :meth:`RunSummary.append`.  A
-    file that fails to open or parse removes the temp file and raises."""
+    """Open, size and parse one weekly file, a ``.zip`` archive (the suffix
+    in any case) or a plain one, writing each record as it is parsed, in
+    ``sink``'s format but not to its output, to a new temp file in
+    ``spool_dir`` (default ``TMPDIR``).  Returns the :data:`Spooled` result
+    for :meth:`RunSummary.append`.  A file that fails to open or parse
+    removes the temp file and raises."""
     path = Path(path)
-    zipped = path.suffix == ".zip"
+    zipped = path.suffix.lower() == ".zip"
     handle, name = tempfile.mkstemp(dir=spool_dir)
     try:
         with open(handle, "w", encoding="utf-8", newline="") as spool, (

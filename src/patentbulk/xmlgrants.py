@@ -181,9 +181,9 @@ def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
     head = section + class_num + subclass
     if group and subgroup:
         return "%s %s/%s" % (head, group, subgroup)
-    if group:
-        return "%s %s" % (head, group)
-    return head
+    # a lone group follows the subclass unspaced: "C07D 295" would read as
+    # the fixed-tag era's packed group and subgroup, 29/5
+    return head + group
 
 
 def _ipc_texts(root: ET.Element, rule: dict) -> Iterator[str]:

@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 import zipfile
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +42,9 @@ class TestParseRange:
         with pytest.raises(ValueError):
             cli.parse_range("8-1", 1, 53, "week")
 
+    def test_empty_parts_are_skipped(self):
+        assert cli.parse_range("1,,2", 1, 53, "week") == [1, 2]
+
 
 class TestExitContract:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -55,6 +59,13 @@ class TestExitContract:
 
     def test_no_subcommand_exits_1(self, capsys):
         assert cli.run([]) == 1
+
+    def test_selection_without_numbers_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["convert", "--years", "1976", "--weeks", ",", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert "error: empty week selection" in err
 
     def test_year_before_coverage_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -359,6 +370,72 @@ class TestConvertLocal:
         assert summary["input_bytes_compressed"] == source.stat().st_size
         assert summary["input_bytes_decompressed"] == len(text)
         assert summary["size_reduction_ratio"] == out_path.stat().st_size / len(text)
+
+    @pytest.mark.parametrize(
+        "compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED], ids=["stored", "deflated"]
+    )
+    def test_zip_suffix_in_any_case(self, compression, data_dir, tmp_path, capsys):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", compression) as archive:
+            archive.writestr("w.txt", (data_dir / "aps_two_patents.txt").read_bytes())
+        runs = []
+        for name in ("week.zip", "WEEK.ZIP"):
+            source = tmp_path / name
+            source.write_bytes(buffer.getvalue())
+            out_path, summary_path = tmp_path / (name + ".csv"), tmp_path / (name + ".json")
+            code, _, _ = run_cli(
+                ["convert", "--input", str(source), "--format-era", "aps", "--output",
+                 str(out_path), "--summary-json", str(summary_path), "--quiet"],
+                capsys,
+            )
+            assert code == 0
+            runs.append((out_path.read_bytes(), summary_path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    def test_empty_input_has_no_size_ratio(self, tmp_path, capsys):
+        source, summary_path = tmp_path / "empty.txt", tmp_path / "summary.json"
+        source.write_bytes(b"")
+        code, _, err = run_cli(
+            ["convert", "--input", str(source), "--format-era", "aps", "--output",
+             str(tmp_path / "out.csv"), "--summary-json", str(summary_path)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(summary_path.read_text())["size_reduction_ratio"] is None
+        assert "records written" in err and "ratio" not in err
+
+    def test_summary_to_stdout(self, data_dir, tmp_path, capsys):
+        out_path = tmp_path / "out.csv"
+        code, out, _ = run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--format-era", "aps",
+             "--output", str(out_path), "--summary-json", "-", "--quiet"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["records_written"] == 2
+        assert list(tmp_path.iterdir()) == [out_path]
+
+    def test_failed_summary_write_keeps_the_old_summary(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        out_path, summary_path = tmp_path / "out.csv", tmp_path / "summary.json"
+        summary_path.write_text("an older summary\n")
+        dumps = json.dumps
+        # the summary's text ends in a character the encoder rejects, so its
+        # write fails once the file is open
+        monkeypatch.setattr(
+            cli, "json", SimpleNamespace(dumps=lambda *a, **k: dumps(*a, **k) + "\udc80")
+        )
+        code, _, err = run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--format-era", "aps",
+             "--output", str(out_path), "--summary-json", str(summary_path), "--quiet"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "can't encode" in err
+        assert summary_path.read_text() == "an older summary\n"
+        assert sorted(tmp_path.iterdir()) == [out_path, summary_path]
 
     def test_repeated_input_counts_duplicate_wkus(self, data_dir, tmp_path, capsys):
         fixture, summary_path = str(data_dir / "aps_two_patents.txt"), tmp_path / "summary.json"
@@ -741,6 +818,16 @@ class TestStats:
         assert "error: line %d: " % last_line in err
         assert not table.exists()
 
+    def test_unexpected_csv_header_exits_1_without_output(self, converted_csv, tmp_path, capsys):
+        source, table = tmp_path / "in.csv", tmp_path / "table.csv"
+        source.write_text(converted_csv.read_text(encoding="utf-8").replace("wku,", "id,", 1))
+        code, _, err = run_cli(
+            ["stats", "weekly", "--input", str(source), "--output", str(table)], capsys
+        )
+        assert code == 1
+        assert "error: unexpected CSV header: ['id', " in err
+        assert not table.exists()
+
     def test_header_cell_over_field_limit_exits_1(self, tmp_path, capsys, low_field_limit):
         source = tmp_path / "in.csv"
         source.write_text("wku,%s\n" % ("x" * (FIELD_LIMIT + 1)), encoding="utf-8")
@@ -827,10 +914,11 @@ class TestStats:
             '{"wku": "1", "issue_date": "1976-01-06", "inventors": [1]}',
             '{"wku": "1", "issue_date": "1976-01-06", "ipc_codes": ["A01B 1/00; C07D"]}',
             "[" * 200_000 + "]" * 200_000,
+            '{"wku": "1", "issue_date": "1976-01-06", "title": 5}',
         ],
         ids=[
             "empty-object", "not-an-object", "null-issue-date", "wrong-type", "delimiter-in-item",
-            "nested-too-deep",
+            "nested-too-deep", "wrong-scalar-type",
         ],
     )
     def test_malformed_jsonl_line_exits_1_without_output(self, line, tmp_path, capsys):

@@ -1,10 +1,14 @@
 import datetime as dt
 import io
+import json
 import os
+import zipfile
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FakeTransport, make_zip
+from patentbulk import fetch as fetchmod
 from patentbulk.fetch import (
     DEFAULT_BASE_URL,
     FetchError,
@@ -145,7 +149,7 @@ class TestFetch:
         with pytest.raises(IntegrityError):
             fetch(plan, tmp_path, transport=fake_transport, sleep=lambda s: None)
         assert not os.path.exists(tmp_path / plan.cache_path)
-        assert not list(tmp_path.glob("*.tmp-*"))
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_kill_mid_download_leaves_no_visible_entry(self, tmp_path, fake_transport):
         plan = self._plan()
@@ -155,7 +159,7 @@ class TestFetch:
             fetch(plan, tmp_path, transport=fake_transport, retries=2, sleep=lambda s: None)
         assert not os.path.exists(tmp_path / plan.cache_path)
         assert not os.path.exists(str(tmp_path / plan.cache_path) + ".meta.json")
-        assert not list(tmp_path.glob("*.tmp-*"))
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_mid_download_failure_then_recovery(self, tmp_path, fake_transport):
         plan = self._plan()
@@ -175,6 +179,51 @@ class TestFetch:
 
         entry = fetch(plan, tmp_path, transport=FlakyStream(), sleep=lambda s: None)
         assert verify_entry(entry)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "compression, offset", [(zipfile.ZIP_STORED, 40), (zipfile.ZIP_DEFLATED, 35)],
+        ids=["bad-crc", "bad-deflate-stream"],
+    )
+    def test_download_failing_testzip_leaves_the_old_archive(
+        self, compression, offset, tmp_path, fake_transport
+    ):
+        plan = self._plan()
+        archive = tmp_path / plan.cache_path
+        archive.write_bytes(b"an older archive")  # no sidecar, so a miss
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", compression) as payload:
+            payload.writestr("a.txt", bytes(range(256)) * 40)
+        damaged = bytearray(buffer.getvalue())
+        damaged[offset] ^= 0xFF  # a byte of the member's data, which starts at 35
+        fake_transport.add(plan.url, bytes(damaged))
+        with pytest.raises(IntegrityError, match=plan.url):
+            fetch(plan, tmp_path, transport=fake_transport, sleep=lambda s: None)
+        assert archive.read_bytes() == b"an older archive"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            plan.cache_path, plan.cache_path + ".lock"
+        ]
+
+    def test_failed_sidecar_write_leaves_no_entry(self, tmp_path, fake_transport, monkeypatch):
+        plan = self._plan()
+        fake_transport.add(plan.url, make_zip({"a.txt": b"ok"}))
+        with monkeypatch.context() as patch:
+            # the sidecar's text holds a character the encoder rejects, so
+            # its write fails once its temp file is open
+            patch.setattr(
+                fetchmod, "json", SimpleNamespace(loads=json.loads, dumps=lambda *a, **k: "{\udc80}")
+            )
+            with pytest.raises(UnicodeEncodeError):
+                fetch(plan, tmp_path, transport=fake_transport)
+        assert not list(tmp_path.glob("*.tmp"))
+        with pytest.raises(FetchError, match="not in cache"):
+            fetch(plan, tmp_path, transport=fake_transport, retries=0)
+        entry = fetch(plan, tmp_path, transport=fake_transport)
+        assert verify_entry(entry)
+        assert json.loads((tmp_path / (plan.cache_path + ".meta.json")).read_text())["byte_size"] == (
+            entry.byte_size
+        )
+        assert len(fake_transport.requests) == 2
 
 
 class TestOpenArchive:

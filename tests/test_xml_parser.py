@@ -254,6 +254,24 @@ class TestParseGrantXml:
         record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
         assert [c.canonical() for c in record.ipc_codes] == ["C07D 295/12", "A01B 1/00"]
 
+    @pytest.mark.parametrize(
+        "groups, expected",
+        [(b"<main-group>295</main-group>", "C07D 295"), (b"", "C07D")],
+        ids=["no-subgroup", "no-group"],
+    )
+    def test_ipcr_without_subgroup_or_group(self, groups, expected):
+        block = (
+            b"<classifications-ipcr><classification-ipcr>"
+            b"<section>C</section><class>07</class><subclass>D</subclass>"
+            + groups
+            + b"</classification-ipcr></classifications-ipcr>"
+        )
+        data = MINIMAL_XML4.replace(
+            b"</us-bibliographic-data-grant>", block + b"</us-bibliographic-data-grant>"
+        )
+        record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
+        assert [c.canonical() for c in record.ipc_codes] == [expected]
+
 
 class TestLookupRule:
     """Every field but the IPC codes takes the non-empty values of the
