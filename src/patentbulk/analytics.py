@@ -11,14 +11,18 @@ Quartiles use the median-of-halves rule (Tukey hinges): with an odd
 number of values the median belongs to both halves.  Lag values are
 whole days between application and issue; negative lags indicate source
 data errors and are excluded from the quartiles but reported in a
-data-quality column rather than silently dropped.
+data-quality column rather than silently dropped.  Each group keeps one
+count per distinct lag day and its quartiles are read from those counts,
+so memory holds groups × distinct lag days, whatever the input's size.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
 
@@ -106,27 +110,24 @@ def top_ipc_subclasses(records: Iterable[Patent], k: int = 10) -> list[ClassCoun
     return [ClassCount(key, n) for key, n in _ranked(counts, k)]
 
 
-def _median(sorted_values: Sequence[int]) -> float:
-    n = len(sorted_values)
-    mid = n // 2
-    if n % 2:
-        return float(sorted_values[mid])
-    return (sorted_values[mid - 1] + sorted_values[mid]) / 2
+def _five_number(counts: Counter) -> tuple[float, float, float, float, float]:
+    """(min, q1, median, q3, max) of the values ``counts`` tallies, each
+    read at its rank in the running totals of the sorted distinct values."""
+    values = sorted(counts)
+    totals = list(accumulate(counts[v] for v in values))
+    n = totals[-1]
+
+    def median(lo: int, hi: int) -> float:  # of the values at ranks lo..hi-1
+        ranks = ((lo + hi - 1) // 2, (lo + hi) // 2)
+        return sum(values[bisect_right(totals, rank)] for rank in ranks) / 2
+
+    lower, upper = median(0, (n + 1) // 2), median(n // 2, n)
+    return float(values[0]), lower, median(0, n), upper, float(values[-1])
 
 
-def tukey_five_number(values: Sequence[int]) -> tuple[float, float, float, float, float]:
+def tukey_five_number(values: Iterable[int]) -> tuple[float, float, float, float, float]:
     """(min, q1, median, q3, max) with hinges from median-of-halves."""
-    ordered = sorted(values)
-    n = len(ordered)
-    lower = ordered[: (n + 1) // 2]
-    upper = ordered[n // 2 :]
-    return (
-        float(ordered[0]),
-        _median(lower),
-        _median(ordered),
-        _median(upper),
-        float(ordered[-1]),
-    )
+    return _five_number(Counter(values))
 
 
 def _group_lags(
@@ -153,9 +154,7 @@ def _group_lags(
 
 
 def _lag_stats(key: Hashable, lags: Counter, negatives: int) -> LagStats:
-    values = sorted(lags.elements())
-    low, q1, median, q3, high = tukey_five_number(values)
-    return LagStats(key, len(values), low, q1, median, q3, high, negatives)
+    return LagStats(key, lags.total(), *_five_number(lags), negatives)
 
 
 def lag_stats_by(

@@ -61,11 +61,11 @@ def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            start_text, _, end_text = part.partition("-")
-            start, end = int(start_text), int(end_text)
-        else:
-            start = end = int(part)
+        start_text, dash, end_text = part.partition("-")
+        try:
+            start, end = int(start_text), int(end_text if dash else start_text)
+        except ValueError:
+            raise ValueError("%s range %r is not N or N-M" % (what, part)) from None
         if start > end:
             raise ValueError("%s range %r is reversed" % (what, part))
         for v in range(start, end + 1):

@@ -258,7 +258,9 @@ class IpcParseError(ValueError):
     """Raised for IPC text without a section letter or two-digit class."""
 
 
-_IPC_HEAD = re.compile(r"([A-H])\s?(\d{2})\s?([A-Z])?")
+# a space before the class or the subclass, not before the remainder, so
+# "C07 29512" and its canonical form keep the same remainder
+_IPC_HEAD = re.compile(r"([A-H])\s?(\d{2})(?:\s?([A-Z]))?")
 # the characters of a canonical head, ``C07D``: no space, ASCII, upper case
 _SECTIONS, _DIGITS, _LETTERS = map(frozenset, ("ABCDEFGH", string.digits, string.ascii_uppercase))
 
@@ -267,22 +269,22 @@ _SLASHED_GROUP = re.compile(r"(\d+)/(\d+)$")
 
 
 def _normalize_ipc_remainder(rest: str) -> str:
-    # The fixed-tag era packs group/subgroup into a 4-5 char field with a
-    # right-aligned 3-char main group and no slash ("29512", " 4700").
-    tail = rest.rstrip()
-    if (
-        "/" not in tail
-        and 4 <= len(tail) <= 5
-        and all(c.isdigit() or c == " " for c in tail)
-    ):
-        group = tail[:3].strip()
-        subgroup = tail[3:].strip()
-        if group and subgroup:
-            return "%s/%s" % (group, subgroup)
     collapsed = " ".join(rest.split())
-    # XML-era legacy blocks zero-pad the main group ("009/04"); strip the
-    # padding so the same code spelled both ways de-duplicates.  Subgroup
-    # leading zeros are significant and stay.
+    # The fixed-tag era packs group and subgroup into one field: five
+    # characters, a right-aligned 3-character main group then a 2-digit
+    # subgroup ("29512", "  705"), or four bare digits ("2951" is 295/1).
+    # Other text reads as its canonical form, " " + collapsed, would, so
+    # that form re-parses to the same code ("  4700" is 47/00).
+    for field in (rest.rstrip(), " " + collapsed):
+        group, subgroup = field[:3].lstrip(" "), field[3:]
+        packed = len(field) == 5 or len(field) == 4 and len(group) == 3
+        if packed and group.isdecimal() and subgroup.isdecimal():
+            collapsed = "%s/%s" % (group, subgroup)
+            break
+    # Packed fields and XML-era legacy blocks zero-pad the main group
+    # ("00069", "009/04"); strip the padding so the same code spelled
+    # either way de-duplicates.  Subgroup leading zeros are significant
+    # and stay.
     m = _SLASHED_GROUP.match(collapsed)
     if m is not None:
         return "%s/%s" % (m.group(1).lstrip("0") or "0", m.group(2))

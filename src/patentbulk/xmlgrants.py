@@ -181,8 +181,6 @@ def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
     head = section + class_num + subclass
     if group and subgroup:
         return "%s %s/%s" % (head, group, subgroup)
-    # a lone group follows the subclass unspaced: "C07D 295" would read as
-    # the fixed-tag era's packed group and subgroup, 29/5
     return head + group
 
 

@@ -1,6 +1,8 @@
 import datetime as dt
 import io
 import random
+import tracemalloc
+from itertools import cycle, islice
 
 import pytest
 
@@ -23,7 +25,7 @@ from patentbulk.analytics import (
     weekly_counts,
     weekly_table,
 )
-from patentbulk.model import build_record, ipc_parse
+from patentbulk.model import Grant, build_record, ipc_parse
 
 
 def record(issue, app=None, subclasses=(), wku="000000001"):
@@ -163,6 +165,21 @@ class TestLagStats:
         stats = lag_stats_by(records, lambda r: "design" if r.wku.startswith("D") else None)
         assert [s.group_key for s in stats] == ["design"]
         assert stats[0].count == 1
+
+    def test_lag_quartiles_hold_distinct_days_not_records(self):
+        """150k lags over 2,901 distinct days: the quartiles are read from
+        one count per day, so the peak does not follow the record count."""
+        issue = dt.date(2001, 12, 25)
+        pool = [Grant(issue, issue - dt.timedelta(days=lag), ()) for lag in range(2901)]
+        tracemalloc.start()
+        try:
+            (stats,) = lag_stats_by_year(islice(cycle(pool), 150_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lags = list(islice(cycle(range(2901)), 150_000))
+        assert stats == LagStats(2001, 150_000, *oracle.oracle_five_number(lags))
+        assert peak < 1.5 * 2**20
 
     def test_median_lag_delta(self):
         stats = [

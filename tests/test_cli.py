@@ -45,6 +45,15 @@ class TestParseRange:
     def test_empty_parts_are_skipped(self):
         assert cli.parse_range("1,,2", 1, 53, "week") == [1, 2]
 
+    @pytest.mark.parametrize(
+        "text, what, part",
+        [("-3", "year", "-3"), ("1-x", "week", "1-x"), ("1,2-", "week", "2-"), ("x", "week", "x")],
+    )
+    def test_unreadable_part_is_named(self, text, what, part):
+        with pytest.raises(ValueError) as excinfo:
+            cli.parse_range(text, 1, 9999, what)
+        assert str(excinfo.value) == "%s range %r is not N or N-M" % (what, part)
+
 
 class TestExitContract:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -59,6 +68,13 @@ class TestExitContract:
 
     def test_no_subcommand_exits_1(self, capsys):
         assert cli.run([]) == 1
+
+    def test_unreadable_selection_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["convert", "--years", "1976", "--weeks", "1-x", "--cache-dir", str(tmp_path)], capsys
+        )
+        assert code == 1
+        assert err.strip() == "error: week range '1-x' is not N or N-M"
 
     def test_selection_without_numbers_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(

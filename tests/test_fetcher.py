@@ -3,6 +3,7 @@ import io
 import json
 import os
 import zipfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -225,6 +226,23 @@ class TestFetch:
         )
         assert len(fake_transport.requests) == 2
 
+    @pytest.mark.parametrize("spoil", ["not-json", "byte-size"])
+    def test_spoiled_sidecar_is_a_miss(self, tmp_path, fake_transport, spoil):
+        plan = self._plan()
+        fake_transport.add(plan.url, make_zip({"a.txt": b"0123456789"}))
+        entry = fetch(plan, tmp_path, transport=fake_transport)
+        meta = fetchmod._meta_path(Path(entry.cache_path))
+        if spoil == "not-json":
+            meta.write_text("{not json")
+        else:
+            meta.write_text(json.dumps({**json.loads(meta.read_text()), "byte_size": 1}))
+        assert fetchmod._load_entry(Path(entry.cache_path)) is None
+
+        again = fetch(plan, tmp_path, transport=fake_transport)
+        assert len(fake_transport.requests) == 2  # downloaded again
+        assert (again.byte_size, again.content_digest) == (entry.byte_size, entry.content_digest)
+        assert fetchmod._load_entry(Path(entry.cache_path)) == again
+
 
 class TestOpenArchive:
     def _entry(self, tmp_path, members):
@@ -262,6 +280,15 @@ class TestOpenArchive:
         (tmp_path / "pftaps19760106_wk01.zip").write_bytes(bytes(data))
         with pytest.raises(IntegrityError):
             open_archive(entry.cache_path)
+
+    def test_encrypted_member_is_integrity_error(self, tmp_path):
+        data = bytearray(make_zip({"plain.txt": b"a", "secret.txt": b"b"}))
+        central = data.rfind(b"PK\x01\x02")  # the last member's directory entry
+        data[central + 8] |= 0x1  # its general purpose flag: encrypted
+        path = tmp_path / "encrypted.zip"
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="member 'secret.txt' is encrypted"):
+            open_archive(path)
 
     def test_archive_sizes(self, tmp_path):
         entry = self._entry(tmp_path, {"1.txt": b"x" * 1000, "2.txt": b"y" * 500})

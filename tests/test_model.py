@@ -307,11 +307,33 @@ class TestIpcParse:
 
     @pytest.mark.parametrize(
         "raw",
-        ["C07D 295/12", "A01B", "C07D29512", "A47B 4700", "H04l 9/32", "C07 295/12", "G06F  17/30"],
+        [
+            "C07D 295/12", "A01B", "C07D29512", "A47B 4700", "H04l 9/32", "C07 295/12",
+            "G06F  17/30", "C07D295", "C07D 295", "C07D0069", "C07D 64  1",
+        ],
     )
     def test_canonical_stable_under_reparse(self, raw):
         code = ipc_parse(raw)
         assert ipc_parse(code.canonical()) == code
+
+    @given(st.from_regex(r"[A-H]\d{2}[A-Z]?", fullmatch=True), st.text(alphabet="0123456789 /"))
+    def test_any_remainder_stable_under_reparse(self, head, remainder):
+        code = ipc_parse(head + remainder)
+        assert ipc_parse(code.canonical()) == code
+
+    @pytest.mark.parametrize(
+        "raw, canonical",
+        [
+            ("C07D  705", "C07D 7/05"),  # a right-aligned group in the 5-character field
+            ("C07D2951", "C07D 295/1"),  # four bare digits
+            ("C07D0069", "C07D 6/9"),  # a zero-padded group, as in "009/04"
+            ("C07D 295", "C07D 295"),  # a lone group does not fill the field
+            ("C07D  4700", "C07D 47/00"),  # read as the canonical " 4700" is
+            ("C07 4700", "C07 47/00"),  # the head keeps the space before the field
+        ],
+    )
+    def test_packed_group_readings(self, raw, canonical):
+        assert ipc_parse(raw).canonical() == canonical
 
 
 class TestPatentRecord:
@@ -341,6 +363,12 @@ class TestPatentRecord:
                 wku=" 1", title="t", app_date=None, issue_date=dt.date(1976, 1, 6),
                 inventors=(), assignees=(), ipc_codes=(), references=(), claims="",
             )
+        for title in ("two\nlines", "two\rlines"):
+            with pytest.raises(ValueError, match="title may not contain newlines"):
+                PatentRecord(
+                    wku="1", title=title, app_date=None, issue_date=dt.date(1976, 1, 6),
+                    inventors=(), assignees=(), ipc_codes=(), references=(), claims="",
+                )
         # a code built directly, not parsed, is checked when it is built
         for remainder in ("1/00; X", "1/00\n2/00", "1/00\r"):
             with pytest.raises(IpcParseError, match="delimiter"):

@@ -91,6 +91,13 @@ class TestCsv:
         sink_to_file(target, CsvSink, fixture_records)
         assert list(read_csv(target)) == fixture_records
 
+    def test_row_with_wrong_cell_count_names_its_line(self):
+        out = io.StringIO()
+        CsvSink(out)
+        out.write("1,t,,1976-01-06,,,,,\n2,t,,1976-01-06,,,,\n")  # 9 cells, then 8
+        with pytest.raises(ValueError, match=r"^line 3: expected 9 cells, got 8$"):
+            list(read_csv(io.StringIO(out.getvalue())))
+
     def test_append_suppresses_header(self, fixture_records, tmp_path):
         target = tmp_path / "out.csv"
         sink_to_file(target, CsvSink, fixture_records[:1])

@@ -7,9 +7,10 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import parse_aps, run_capped
+from conftest import parse_aps, run_capped, sink_to_file
 from xml_oracle import oracle_split
 from patentbulk.model import ParseReport, SourceFormat
+from patentbulk.pipeline import CsvSink, JsonlSink, read_csv, read_jsonl
 from patentbulk.xmlgrants import (
     ElementMapping,
     GrantParseError,
@@ -157,6 +158,12 @@ class TestMappingFor:
         with pytest.raises(ValueError):
             mapping_for(SourceFormat.APS)
 
+    def test_table_missing_a_field_is_named(self):
+        mapping = mapping_for(SourceFormat.XML4)
+        fields = {name: rule for name, rule in mapping.fields.items() if name != "claims"}
+        with pytest.raises(ValueError, match="^mapping table misses fields: claims$"):
+            ElementMapping(SourceFormat.XML4, {"root": mapping.root, "fields": fields})
+
 
 class TestParseGrantXml:
     def test_minimal_document(self):
@@ -260,6 +267,17 @@ class TestParseGrantXml:
         ids=["no-subgroup", "no-group"],
     )
     def test_ipcr_without_subgroup_or_group(self, groups, expected):
+        record = self.ipcr_record(groups)
+        assert [c.canonical() for c in record.ipc_codes] == [expected]
+
+    @pytest.mark.parametrize("sink, read", [(CsvSink, read_csv), (JsonlSink, read_jsonl)])
+    def test_ipcr_lone_group_reads_back_unchanged(self, tmp_path, sink, read):
+        record = self.ipcr_record(b"<main-group>295</main-group>")
+        sink_to_file(tmp_path / "out", sink, [record])
+        assert list(read(tmp_path / "out")) == [record]
+
+    @staticmethod
+    def ipcr_record(groups: bytes):
         block = (
             b"<classifications-ipcr><classification-ipcr>"
             b"<section>C</section><class>07</class><subclass>D</subclass>"
@@ -269,8 +287,7 @@ class TestParseGrantXml:
         data = MINIMAL_XML4.replace(
             b"</us-bibliographic-data-grant>", block + b"</us-bibliographic-data-grant>"
         )
-        record = parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
-        assert [c.canonical() for c in record.ipc_codes] == [expected]
+        return parse_grant_xml(doc(data), mapping_for(SourceFormat.XML4))
 
 
 class TestLookupRule:
