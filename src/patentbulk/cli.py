@@ -116,7 +116,7 @@ def _add_week_selection(parser: argparse.ArgumentParser) -> None:
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default="-", help="output path ('-' for stdout)")
-    parser.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    parser.add_argument("--format", choices=tuple(pipeline.SINKS), default="csv")
     parser.add_argument(
         "--append", action="store_true", help="append to output, suppressing the header"
     )
@@ -175,12 +175,6 @@ def _progress(quiet: bool):
     return lambda message: print(message, file=sys.stderr)
 
 
-def _make_sink(out, format: str, append: bool) -> pipeline.Sink:
-    if format == "jsonl":
-        return pipeline.JsonlSink(out)
-    return pipeline.CsvSink(out, write_header=not append)
-
-
 def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
     """Standard output, left open on exit, or ``path`` opened for writing.
 
@@ -223,7 +217,7 @@ def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) 
     """Run ``run(sink, config)`` into the output, then report its summary."""
     config = _pipeline_config(args, encoding=args.encoding)
     with _open_output(args.output, args.append) as out:
-        summary = run(_make_sink(out, args.format, args.append), config)
+        summary = run(pipeline.SINKS[args.format](out, write_header=not args.append), config)
     if args.summary_json:
         with _open_output(args.summary_json) as out:
             out.write(json.dumps(summary.to_dict(), indent=2) + "\n")

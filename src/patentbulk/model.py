@@ -258,9 +258,9 @@ class IpcParseError(ValueError):
     """Raised for IPC text without a section letter or two-digit class."""
 
 
-# a space before the class or the subclass, not before the remainder, so
-# "C07 29512" and its canonical form keep the same remainder
-_IPC_HEAD = re.compile(r"([A-H])\s?(\d{2})(?:\s?([A-Z]))?")
+# a space before the class; any blanks before a subclass letter ("C07  X" is
+# C07X, as its canonical form is); blanks before the remainder stay in it
+_IPC_HEAD = re.compile(r"([A-H])\s?(\d{2})(?:\s*([A-Z]))?")
 # the characters of a canonical head, ``C07D``: no space, ASCII, upper case
 _SECTIONS, _DIGITS, _LETTERS = map(frozenset, ("ABCDEFGH", string.digits, string.ascii_uppercase))
 
@@ -312,7 +312,7 @@ class IpcCode:
         """Aggregation key, e.g. ``C07D``; 4 characters when subclass present."""
         return self.section + self.class_num + (self.subclass or "")
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
+    def __str__(self) -> str:
         return self.canonical()
 
 

@@ -130,20 +130,20 @@ class OutputError(OSError):
 
 class Sink:
     """Writes records to ``out`` with ``write(record)``, one line each, in
-    the subclass's format.  Runs write each source to a spool file with
-    :func:`spool_file`, maybe in a worker process, and copy it to ``out``
-    with :meth:`append`; ``bytes_written`` counts the UTF-8 bytes of the
-    header and of every spool appended, not those of a direct ``write``.
-    """
+    the format of a subclass, which sets ``header`` and defines ``write``.
+    Runs write each source to a spool file with :func:`spool_file`, maybe
+    in a worker process, through a sink of the same class with no header,
+    and copy it to ``out`` with :meth:`append`; ``bytes_written`` counts
+    the UTF-8 bytes of the header and of every spool appended, not those
+    of a direct ``write``."""
 
-    def __init__(self, out: TextIO, header: str = "") -> None:
+    header = ""  # the format's ASCII header, written first unless ``write_header`` is off
+
+    def __init__(self, out: TextIO, write_header: bool = True) -> None:
         self.out = out
+        header = self.header if write_header else ""
         out.write(header)
-        self.bytes_written = len(header)  # headers are ASCII
-
-    def _headless(self, out: TextIO) -> Sink:
-        """A sink of this format over ``out`` that writes no header."""
-        return type(self)(out)
+        self.bytes_written = len(header)
 
     def append(self, name: str) -> None:
         """Copy the spool file ``name`` to ``out`` and delete it."""
@@ -174,14 +174,10 @@ class CsvSink(Sink):
     with ``,`` and ended by ``\\n``, in one write: the bytes that
     ``csv.writer(out, lineterminator="\\n")`` writes, on any Python version."""
 
-    def __init__(self, out: TextIO, write_header: bool = True) -> None:
-        super().__init__(out, ",".join(CSV_COLUMNS) + "\n" if write_header else "")
+    header = ",".join(CSV_COLUMNS) + "\n"
 
     def write(self, record: PatentRecord) -> None:
         self.out.write(",".join(map(_csv_cell, record_to_row(record))) + "\n")
-
-    def _headless(self, out: TextIO) -> Sink:
-        return type(self)(out, write_header=False)
 
 
 class JsonlSink(Sink):
@@ -189,6 +185,9 @@ class JsonlSink(Sink):
 
     def write(self, record: PatentRecord) -> None:
         self.out.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
+
+
+SINKS = {"csv": CsvSink, "jsonl": JsonlSink}  # each output format's sink, by name
 
 
 def _read_rows(
@@ -356,7 +355,7 @@ def spool_file(
             compressed = path.stat().st_size
             decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
             records, report = parse_archive_stream(stream, format, encoding)
-            writer = sink._headless(spool)
+            writer = type(sink)(spool, write_header=False)
             wkus = []
             for record in records:
                 writer.write(record)

@@ -79,7 +79,7 @@ def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
         sink = sink_class(out, **sink_args)
         handle, spool = tempfile.mkstemp()
         with open(handle, "w", encoding="utf-8", newline="") as batch:
-            writer = sink._headless(batch)
+            writer = type(sink)(batch, write_header=False)
             for record in records:
                 writer.write(record)
         sink.append(spool)

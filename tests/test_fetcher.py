@@ -1,8 +1,13 @@
 import datetime as dt
+import fcntl
 import io
 import json
 import os
+import shutil
+import threading
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -81,6 +86,36 @@ class TestFetch:
         again = fetch(plan, tmp_path, transport=fake_transport)
         assert again == entry
         assert len(fake_transport.requests) == 1  # idempotent: one network call
+
+    def test_entry_cached_while_waiting_for_the_lock_is_not_downloaded(self, tmp_path, monkeypatch):
+        # another fetch of the week holds the entry's lock and caches it
+        # meanwhile; a thread waits on the lock as a second process would,
+        # since flock locks belong to each open file description
+        plan = self._plan()
+        source = FakeTransport({plan.url: make_zip({"a.txt": b"ok"})})
+        cached = fetch(plan, tmp_path / "elsewhere", transport=source)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        final = cache / plan.cache_path
+        looked_up = threading.Event()
+        load_entry = fetchmod._load_entry
+
+        def spy(path):
+            entry = load_entry(path)
+            looked_up.set()
+            return entry
+
+        monkeypatch.setattr(fetchmod, "_load_entry", spy)
+        transport = FakeTransport()
+        with ThreadPoolExecutor(1) as pool, open(cache / (plan.cache_path + ".lock"), "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            result = pool.submit(fetch, plan, cache, transport=transport)
+            assert looked_up.wait(10)  # the lookup before the lock has missed
+            shutil.copy(cached.cache_path, final)
+            shutil.copy(fetchmod._meta_path(Path(cached.cache_path)), fetchmod._meta_path(final))
+            fcntl.flock(lock, fcntl.LOCK_UN)
+            assert result.result(timeout=10) == replace(cached, cache_path=str(final))
+        assert transport.requests == []
 
     def test_zero_attempts_read_the_cache_alone(self, tmp_path, fake_transport):
         plan = self._plan()

@@ -1,4 +1,5 @@
 import datetime as dt
+import string
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -309,16 +310,22 @@ class TestIpcParse:
         "raw",
         [
             "C07D 295/12", "A01B", "C07D29512", "A47B 4700", "H04l 9/32", "C07 295/12",
-            "G06F  17/30", "C07D295", "C07D 295", "C07D0069", "C07D 64  1",
+            "G06F  17/30", "C07D295", "C07D 295", "C07D0069", "C07D 64  1", "C07  X",
+            "C07\t X1",
         ],
     )
     def test_canonical_stable_under_reparse(self, raw):
         code = ipc_parse(raw)
         assert ipc_parse(code.canonical()) == code
+        assert str(code) == code.canonical()
 
-    @given(st.from_regex(r"[A-H]\d{2}[A-Z]?", fullmatch=True), st.text(alphabet="0123456789 /"))
-    def test_any_remainder_stable_under_reparse(self, head, remainder):
-        code = ipc_parse(head + remainder)
+    @given(
+        st.from_regex(r"[A-H]\d{2}[A-Z]?", fullmatch=True),
+        st.text(alphabet=" \t"),
+        st.text(alphabet="0123456789 /\t" + string.ascii_uppercase),
+    )
+    def test_any_remainder_stable_under_reparse(self, head, blanks, remainder):
+        code = ipc_parse(head + blanks + remainder)
         assert ipc_parse(code.canonical()) == code
 
     @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ from patentbulk.pipeline import (
     PipelineConfig,
     OutputError,
     RunError,
-    RunSummary,
     convert_files,
     get_bulk_patent_data,
     read_csv,
