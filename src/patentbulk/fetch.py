@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import time
 import zipfile
 import zlib
@@ -335,9 +336,56 @@ class _ConcatenatedMembers(io.RawIOBase):
         super().close()
 
 
-def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
+class _Inflated(io.FileIO):
+    """A pipe that a forked child fills with ``members`` ahead of the reads.
+    A failing child sends its error's text down a second pipe and exits 1;
+    EOF then raises IntegrityError with that text.  ``close`` closes the
+    pipe first, so the child's next write fails, then reaps the child."""
+
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, to see EOF
+
+    def __init__(self, members: _ConcatenatedMembers) -> None:
+        (pipe, out), (self._errors, err), self._pid = os.pipe(), os.pipe(), 0
+        self._pid = os.fork()
+        if not self._pid:
+            try:
+                os.close(pipe)
+                with open(out, "wb") as sink:
+                    shutil.copyfileobj(members, sink, _CHUNK_SIZE)
+                os._exit(0)
+            except BaseException as exc:  # 4 KiB fits the empty pipe: no wait
+                os.write(err, (str(exc) or type(exc).__name__).encode()[:4096])
+            finally:
+                os._exit(1)
+        os.close(out)
+        os.close(err)
+        members.close()  # the child has the archive now
+        super().__init__(pipe, "rb")
+
+    def readinto(self, buffer) -> int:
+        return super().readinto(buffer) or self._reap(raising=True)
+
+    def close(self) -> None:
+        super().close()
+        self._reap(raising=False)
+
+    def _reap(self, raising: bool) -> int:
+        """Wait for the child, once; if it failed and ``raising`` is set,
+        raise IntegrityError with its text.  Returns 0, the size of EOF."""
+        if self._pid:
+            with open(self._errors, "rb") as sent:
+                text = sent.read().decode(errors="replace")
+            status, self._pid = os.waitpid(self._pid, 0)[1], 0
+            if status and raising:
+                raise IntegrityError(text)
+        return 0
+
+
+def open_archive(path: Union[str, os.PathLike[str]], ahead: bool = True) -> io.BufferedReader:
     """Stream the zip's data members at ``path``, in member order, without
-    materializing the decompressed file."""
+    materializing the decompressed file; with ``ahead``, in a forked child
+    while the caller parses.  A process with other threads passes False:
+    a fork would copy locks they hold."""
     path = os.fspath(path)
     try:
         archive = zipfile.ZipFile(path)
@@ -348,7 +396,8 @@ def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
         if info.flag_bits & 0x1:
             archive.close()
             raise IntegrityError("%s: member %r is encrypted" % (path, info.filename))
-    return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=_CHUNK_SIZE)
+    stream = _ConcatenatedMembers(archive, members)
+    return io.BufferedReader(_Inflated(stream) if ahead else stream, buffer_size=_CHUNK_SIZE)
 
 
 def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:

@@ -13,6 +13,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
@@ -338,19 +339,20 @@ def spool_file(
     encoding: str,
     sink: Sink,
     spool_dir: Optional[str] = None,
+    ahead: bool = True,
 ) -> Spooled:
     """Open, size and parse one weekly file, a ``.zip`` archive (the suffix
-    in any case) or a plain one, writing each record as it is parsed, in
-    ``sink``'s format but not to its output, to a new temp file in
-    ``spool_dir`` (default ``TMPDIR``).  Returns the :data:`Spooled` result
-    for :meth:`RunSummary.append`.  A file that fails to open or parse
-    removes the temp file and raises."""
+    in any case; ``ahead`` as in ``fetch.open_archive``) or a plain one,
+    writing each record as it is parsed, in ``sink``'s format but not to
+    its output, to a new temp file in ``spool_dir`` (default ``TMPDIR``).
+    Returns the :data:`Spooled` result for :meth:`RunSummary.append`.  A
+    file that fails to open or parse removes the temp file and raises."""
     path = Path(path)
     zipped = path.suffix.lower() == ".zip"
     handle, name = tempfile.mkstemp(dir=spool_dir)
     try:
         with open(handle, "w", encoding="utf-8", newline="") as spool, (
-            fetchmod.open_archive(path) if zipped else open(path, "rb")
+            fetchmod.open_archive(path, ahead) if zipped else open(path, "rb")
         ) as stream:
             compressed = path.stat().st_size
             decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
@@ -374,8 +376,9 @@ def _set_worker_sink(sink: Sink) -> None:
     _worker_sink = sink
 
 
-def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> Spooled:
-    return spool_file(path, format, encoding, _worker_sink, spool_dir)
+def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str,
+                     ahead: bool) -> Spooled:
+    return spool_file(path, format, encoding, _worker_sink, spool_dir, ahead)
 
 
 @contextmanager
@@ -385,14 +388,18 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
     in a worker process, which gets ``sink`` through the fork.  Once a
     worker has died and broken the pool, the ``files`` not yet handed to
     it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread."""
+    copy a lock held by another thread.  A forked child inflates each
+    archive ahead of its parse while the workers leave a CPU idle and this
+    process has no other thread, whose locks the fork would copy."""
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(max(1, config.jobs), files, cpus)
+    ahead = workers < cpus and threading.active_count() == 1
     if config.jobs <= 1:
-        yield lambda path, format: spool_file(path, format, config.encoding, sink)
+        yield lambda path, format: spool_file(path, format, config.encoding, sink, ahead=ahead)
         return
     import multiprocessing
     from concurrent.futures import process
 
-    workers = min(config.jobs, files, len(os.sched_getaffinity(0)))
     fork = multiprocessing.get_context("fork")
     with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
         workers, fork, initializer=_set_worker_sink, initargs=(sink,)
@@ -401,9 +408,10 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
 
         def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
             try:
-                future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
+                args = (path, format, config.encoding, spool_dir, ahead)
+                future = pool.submit(_spool_in_worker, *args)
             except process.BrokenProcessPool:
-                return spool_file(path, format, config.encoding, sink, spool_dir)
+                return spool_file(path, format, config.encoding, sink, spool_dir, ahead=False)
             return future.result()
 
         yield spool

@@ -259,7 +259,8 @@ def parse_grant_xml(
 
 
 class XmlWeeklyParser:
-    """Split a weekly file and map each document; one instance per stream."""
+    """Split a weekly file and map each document; one instance per stream.
+    A foreign root before the first record fails the stream; later, it is skipped."""
 
     def __init__(self, format: SourceFormat) -> None:
         self.mapping = mapping_for(format)
@@ -270,6 +271,11 @@ class XmlWeeklyParser:
             self.report.slices_seen += 1
             try:
                 record = parse_grant_xml(doc, self.mapping, self.report)
+            except WrongFileTypeError as exc:
+                if not self.report.records_emitted:
+                    raise
+                self.report.skip(doc.ordinal, str(exc))
+                continue
             except GrantParseError as exc:
                 self.report.skip(exc.ordinal, exc.reason)
                 continue

@@ -7,8 +7,9 @@ and ``threading.settrace``, records every line executed in a file of
 as ``path:line`` or ``path:first-last``.  Executable lines are those the
 compiled module's code objects list in ``co_lines``.
 
-It cannot see forked or spawned worker processes: a line that only a
-``--jobs N`` worker runs is printed as unrun.  Tracing makes the suite
+It cannot see forked or spawned processes: a line that only a
+``--jobs N`` worker or the child that ``fetch.open_archive`` forks to
+inflate an archive runs is printed as unrun.  Tracing makes the suite
 several times slower, so deselect acceptance criterion 5, whose 1 GB
 streaming bound would run far past its time limit:
 

@@ -480,11 +480,16 @@ class TestConvertLocal:
         assert list(tmp_path.iterdir()) == [archive]
 
     def test_failed_input_adds_no_rows_under_append(self, data_dir, tmp_path, capsys):
-        source = tmp_path / "mixed.xml"
-        # a grant of this era, then one of the XML2 era
-        source.write_bytes(
-            (data_dir / "era_xml4.xml").read_bytes() + (data_dir / "era_xml2.xml").read_bytes()
-        )
+        source = tmp_path / "mixed.zip"
+        # a grant, then a member holding another that fails its CRC check
+        grant = (data_dir / "era_xml4.xml").read_bytes()
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as stored:
+            stored.writestr("1.xml", grant)
+            stored.writestr("2.xml", grant.replace(b"07641234", b"07649999"))
+        payload = bytearray(buffer.getvalue())
+        payload[payload.index(b"07649999")] ^= 0x01
+        source.write_bytes(bytes(payload))
         out_path = tmp_path / "out.csv"
         out_path.write_bytes((data_dir / "golden_two_patents.csv").read_bytes())
         code, _, err = run_cli(
@@ -493,7 +498,7 @@ class TestConvertLocal:
             capsys,
         )
         assert code == 1
-        assert "<PATDOC>" in err
+        assert "Bad CRC-32" in err and str(source) in err
         assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
 
     def test_xml_read_as_aps_exits_1(self, data_dir, capsys):

@@ -308,6 +308,29 @@ class TestOpenArchive:
         with open_archive(entry) as stream:
             assert stream.read() == b"0123456789"
 
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-line"])
+    def test_bad_crc_reads_the_same_either_way(self, tmp_path, ahead):
+        path = tmp_path / "week.zip"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+            archive.writestr("a.txt", b"0123456789" * 20000)
+            archive.writestr("b.txt", b"second")
+        payload = bytearray(path.read_bytes())
+        payload[100000] ^= 0x01
+        path.write_bytes(bytes(payload))
+        with open_archive(path, ahead) as stream:
+            assert stream.read(7) == b"0123456"
+            with pytest.raises(IntegrityError) as caught:
+                stream.read()
+        assert str(caught.value) == "%s: Bad CRC-32 for file 'a.txt'" % path
+
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-line"])
+    def test_closed_inside_a_member(self, tmp_path, ahead):
+        entry = self._entry(tmp_path, {"a.txt": b"0123456789" * 20000, "b.txt": b"second"})
+        stream = open_archive(entry, ahead)
+        assert stream.read(7) == b"0123456"
+        stream.close()
+        assert stream.closed
+
     def test_corrupted_archive_is_integrity_error(self, tmp_path):
         entry = self._entry(tmp_path, {"a.txt": b"payload"})
         data = bytearray((tmp_path / "pftaps19760106_wk01.zip").read_bytes())

@@ -14,6 +14,7 @@ import threading
 import warnings
 import weakref
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -437,8 +438,8 @@ class TestGetBulkPatentData:
         transport = FakeTransport(
             {
                 _week_url(good): make_zip({"ipg.xml": xml4}),
-                # a grant of this era first, then one of the XML2 era
-                _week_url(mixed): make_zip({"ipg.xml": xml4 + xml2}),
+                # a grant of the XML2 era first, which decides the week's era
+                _week_url(mixed): make_zip({"ipg.xml": xml2 + xml4}),
             }
         )
         out = io.StringIO()
@@ -447,6 +448,17 @@ class TestGetBulkPatentData:
         assert out.getvalue().count("\n") == 1
         assert [week for week, _ in summary.weeks_failed] == [mixed]
         assert "<PATDOC>" in summary.weeks_failed[0][1]
+
+    def test_later_foreign_document_is_a_warning_not_a_failed_week(self, data_dir, tmp_path):
+        week = WeekSpec(2010, 1)
+        xml4 = (data_dir / "era_xml4.xml").read_bytes()
+        xml2 = (data_dir / "era_xml2.xml").read_bytes()
+        transport = FakeTransport({_week_url(week): make_zip({"ipg.xml": xml4 + xml2})})
+        out = io.StringIO()
+        summary = get_bulk_patent_data([week], JsonlSink(out), _config(tmp_path, transport))
+        assert (summary.records_written, summary.warnings_total) == (1, 1)
+        assert summary.weeks_failed == []
+        assert json.loads(out.getvalue())["wku"] == "07641234"
 
 
 # the threads alive at each os.fork() of this process
@@ -645,6 +657,106 @@ def dying_parse(stream, format, encoding):
 pipeline.parse_archive_stream = dying_parse
 sys.exit(cli.run(sys.argv[1:]))
 """
+
+
+def _children():
+    """The PIDs of this process's children not yet reaped."""
+    tasks = Path("/proc/self/task").iterdir()
+    return [pid for task in tasks for pid in (task / "children").read_text().split()]
+
+
+def _aps_zip(path, text, copies=300, method=zipfile.ZIP_DEFLATED):
+    """A weekly archive of ``copies`` of ``text``, many times the size of
+    a pipe's buffer; returns its path."""
+    with zipfile.ZipFile(path, "w", method) as archive:
+        archive.writestr("week.txt", (text * copies).encode("latin-1"))
+    return path
+
+
+class TestInflateAhead:
+    """A forked child inflates each archive ahead of the parse; every way
+    a stream can end reaps it and leaves no spool file."""
+
+    def _closed_after_one_read(self, path):
+        with fetchmod.open_archive(path) as stream:
+            assert len(stream.read(10)) == 10
+
+    def _parse_raises(self, path):
+        with pytest.raises(UnicodeDecodeError):
+            pipeline.spool_file(path, SourceFormat.APS, "utf-8", CsvSink(io.StringIO()))
+
+    def _interrupted(self, path):
+        class Interrupted(CsvSink):
+            def write(self, record):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.spool_file(path, SourceFormat.APS, "latin-1", Interrupted(io.StringIO()))
+
+    def _bad_crc(self, path):
+        with pytest.raises(fetchmod.IntegrityError) as caught:
+            pipeline.spool_file(path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()))
+        assert str(caught.value).startswith("%s: Bad CRC-32 for file 'week.txt'" % path)
+
+    @pytest.mark.parametrize("end", ["closed_after_one_read", "parse_raises", "interrupted",
+                                     "bad_crc"])
+    def test_no_child_left_behind(self, aps_fixture_text, tmp_path, spool_dir, end):
+        path = tmp_path / "week.zip"
+        if end == "parse_raises":  # a byte that is not UTF-8, well inside the member
+            _aps_zip(path, aps_fixture_text * 10 + "PATN\nTTL  \xc9\n" + aps_fixture_text * 300, 1)
+        elif end == "bad_crc":
+            _aps_zip(path, aps_fixture_text, method=zipfile.ZIP_STORED)
+            payload = bytearray(path.read_bytes())
+            payload[payload.index(b"WKU", len(payload) // 2)] ^= 0x20  # "W" -> "w"
+            path.write_bytes(bytes(payload))
+        else:
+            _aps_zip(path, aps_fixture_text)
+        FORK_THREADS.clear()
+        getattr(self, "_" + end)(path)
+        assert FORK_THREADS == [1]
+        assert _children() == []
+        assert list(spool_dir.iterdir()) == []
+
+    def test_a_second_thread_inflates_in_line(self, aps_fixture_text, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        path = _aps_zip(tmp_path / "week.zip", aps_fixture_text)
+
+        def convert():
+            out = io.StringIO()
+            convert_files([path], SourceFormat.APS, CsvSink(out), PipelineConfig(jobs=1))
+            return out.getvalue()
+
+        FORK_THREADS.clear()
+        alone = convert()
+        assert FORK_THREADS == [1]
+        FORK_THREADS.clear()
+        with ThreadPoolExecutor(1) as pool:
+            beside = pool.submit(convert).result(timeout=60)
+        assert FORK_THREADS == []
+        assert beside == alone and len(list(read_csv(io.StringIO(alone)))) == 600
+
+    @pytest.mark.parametrize(
+        "jobs, files, cpus, ahead",
+        [(1, 2, 1, False), (1, 2, 2, True), (2, 3, 2, False), (2, 3, 4, True), (3, 1, 2, True)],
+    )
+    def test_ahead_while_the_workers_leave_a_cpu_idle(
+        self, aps_fixture_text, tmp_path, monkeypatch, jobs, files, cpus, ahead
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = tmp_path / "opens.log"
+        open_archive = fetchmod.open_archive
+
+        def logged_open(path, ahead):
+            with open(log, "a") as handle:  # forked workers inherit this patch
+                handle.write("%s\n" % ahead)
+            return open_archive(path, ahead)
+
+        monkeypatch.setattr(fetchmod, "open_archive", logged_open)
+        path = _aps_zip(tmp_path / "week.zip", aps_fixture_text, copies=2)
+        out = io.StringIO()
+        convert_files([path] * files, SourceFormat.APS, CsvSink(out), PipelineConfig(jobs=jobs))
+        assert log.read_text().split() == [str(ahead)] * files
+        assert len(list(read_csv(io.StringIO(out.getvalue())))) == 4 * files
 
 
 class TestExceptionsCrossProcesses:

@@ -403,6 +403,27 @@ class TestWeeklyParser:
         assert report.records_emitted + report.records_skipped == report.slices_seen == 3
         assert report.warnings_total == 1
 
+    @pytest.mark.parametrize("first", ["foreign", "malformed"])
+    def test_era_decided_by_the_first_document(self, data_dir, first):
+        # a foreign root before any record of the era fails the whole stream
+        xml4, xml2 = ((data_dir / name).read_bytes() for name in ("era_xml4.xml", "era_xml2.xml"))
+        lead = xml2 if first == "foreign" else xml4[:-40] + b"\n"
+        parser = XmlWeeklyParser(SourceFormat.XML4)
+        with pytest.raises(WrongFileTypeError, match="root element <PATDOC> is not the xml4 root"):
+            list(parser.parse(io.BytesIO(lead + xml2 + xml4)))
+
+    def test_later_foreign_document_is_a_skipped_record(self, data_dir):
+        xml4, xml2 = ((data_dir / name).read_bytes() for name in ("era_xml4.xml", "era_xml2.xml"))
+        later = xml4.replace(b"07641234", b"07641235")
+        parser = XmlWeeklyParser(SourceFormat.XML4)
+        records = list(parser.parse(io.BytesIO(xml4 + xml2 + later)))
+        report = parser.report
+        assert [record.wku for record in records] == ["07641234", "07641235"]
+        assert (report.records_skipped, report.warnings_total) == (1, 1)
+        [(position, message)] = report.warnings
+        assert position == 1 and "<PATDOC>" in message
+        assert report.records_emitted + report.records_skipped == report.slices_seen == 3
+
     def test_determinism(self, data_dir):
         data = (data_dir / "era_xml4.xml").read_bytes() * 3
         first = list(XmlWeeklyParser(SourceFormat.XML4).parse(io.BytesIO(data)))
