@@ -321,7 +321,7 @@ class _ConcatenatedMembers(io.RawIOBase):
                     self._current = self._archive.open(self._members[self._index])
                     self._index += 1
                 chunk = self._current.read(len(buffer))
-            except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:
                 raise IntegrityError("%s: %s" % (self._archive.filename, exc)) from exc
             if chunk:
                 buffer[: len(chunk)] = chunk
@@ -338,9 +338,9 @@ class _ConcatenatedMembers(io.RawIOBase):
 
 class _Inflated(io.FileIO):
     """A pipe that a forked child fills with ``members`` ahead of the reads.
-    A failing child sends its error's text down a second pipe and exits 1;
-    EOF then raises IntegrityError with that text.  ``close`` closes the
-    pipe first, so the child's next write fails, then reaps the child."""
+    A failing child sends its error's text, naming the file, down a second
+    pipe and exits 1, and EOF raises IntegrityError with that text.  ``close``
+    closes the pipe first, so the child's next write fails, then reaps it."""
 
     read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, to see EOF
 
@@ -354,7 +354,9 @@ class _Inflated(io.FileIO):
                     shutil.copyfileobj(members, sink, _CHUNK_SIZE)
                 os._exit(0)
             except BaseException as exc:  # 4 KiB fits the empty pipe: no wait
-                os.write(err, (str(exc) or type(exc).__name__).encode()[:4096])
+                named = isinstance(exc, IntegrityError)
+                text = str(exc) if named else "%s: %s" % (members._archive.filename, exc)
+                os.write(err, text.encode()[:4096])
             finally:
                 os._exit(1)
         os.close(out)
@@ -381,11 +383,11 @@ class _Inflated(io.FileIO):
         return 0
 
 
-def open_archive(path: Union[str, os.PathLike[str]], ahead: bool = True) -> io.BufferedReader:
+def open_archive(path: Union[str, os.PathLike[str]], ahead: bool = False) -> io.BufferedReader:
     """Stream the zip's data members at ``path``, in member order, without
     materializing the decompressed file; with ``ahead``, in a forked child
-    while the caller parses.  A process with other threads passes False:
-    a fork would copy locks they hold."""
+    while the caller parses, which only a process without other threads
+    may ask for: a fork would copy locks they hold."""
     path = os.fspath(path)
     try:
         archive = zipfile.ZipFile(path)

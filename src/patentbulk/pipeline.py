@@ -339,7 +339,7 @@ def spool_file(
     encoding: str,
     sink: Sink,
     spool_dir: Optional[str] = None,
-    ahead: bool = True,
+    ahead: bool = False,
 ) -> Spooled:
     """Open, size and parse one weekly file, a ``.zip`` archive (the suffix
     in any case; ``ahead`` as in ``fetch.open_archive``) or a plain one,
@@ -376,9 +376,8 @@ def _set_worker_sink(sink: Sink) -> None:
     _worker_sink = sink
 
 
-def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str,
-                     ahead: bool) -> Spooled:
-    return spool_file(path, format, encoding, _worker_sink, spool_dir, ahead)
+def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> Spooled:
+    return spool_file(path, format, encoding, _worker_sink, spool_dir)
 
 
 @contextmanager
@@ -388,18 +387,18 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
     in a worker process, which gets ``sink`` through the fork.  Once a
     worker has died and broken the pool, the ``files`` not yet handed to
     it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread.  A forked child inflates each
-    archive ahead of its parse while the workers leave a CPU idle and this
-    process has no other thread, whose locks the fork would copy."""
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(max(1, config.jobs), files, cpus)
-    ahead = workers < cpus and threading.active_count() == 1
+    copy a lock held by another thread.  With one job on two or more CPUs,
+    a forked child inflates each archive ahead of its parse, unless this
+    process has another thread, whose locks the fork would copy."""
     if config.jobs <= 1:
+        ahead = (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+                 and threading.active_count() == 1)
         yield lambda path, format: spool_file(path, format, config.encoding, sink, ahead=ahead)
         return
     import multiprocessing
     from concurrent.futures import process
 
+    workers = min(config.jobs, files, len(os.sched_getaffinity(0)))
     fork = multiprocessing.get_context("fork")
     with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
         workers, fork, initializer=_set_worker_sink, initargs=(sink,)
@@ -408,10 +407,9 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
 
         def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
             try:
-                args = (path, format, config.encoding, spool_dir, ahead)
-                future = pool.submit(_spool_in_worker, *args)
+                future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
             except process.BrokenProcessPool:
-                return spool_file(path, format, config.encoding, sink, spool_dir, ahead=False)
+                return spool_file(path, format, config.encoding, sink, spool_dir)
             return future.result()
 
         yield spool

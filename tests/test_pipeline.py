@@ -678,12 +678,12 @@ class TestInflateAhead:
     a stream can end reaps it and leaves no spool file."""
 
     def _closed_after_one_read(self, path):
-        with fetchmod.open_archive(path) as stream:
+        with fetchmod.open_archive(path, ahead=True) as stream:
             assert len(stream.read(10)) == 10
 
     def _parse_raises(self, path):
         with pytest.raises(UnicodeDecodeError):
-            pipeline.spool_file(path, SourceFormat.APS, "utf-8", CsvSink(io.StringIO()))
+            pipeline.spool_file(path, SourceFormat.APS, "utf-8", CsvSink(io.StringIO()), ahead=True)
 
     def _interrupted(self, path):
         class Interrupted(CsvSink):
@@ -691,11 +691,15 @@ class TestInflateAhead:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            pipeline.spool_file(path, SourceFormat.APS, "latin-1", Interrupted(io.StringIO()))
+            pipeline.spool_file(
+                path, SourceFormat.APS, "latin-1", Interrupted(io.StringIO()), ahead=True
+            )
 
     def _bad_crc(self, path):
         with pytest.raises(fetchmod.IntegrityError) as caught:
-            pipeline.spool_file(path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()))
+            pipeline.spool_file(
+                path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()), ahead=True
+            )
         assert str(caught.value).startswith("%s: Bad CRC-32 for file 'week.txt'" % path)
 
     @pytest.mark.parametrize("end", ["closed_after_one_read", "parse_raises", "interrupted",
@@ -737,12 +741,15 @@ class TestInflateAhead:
 
     @pytest.mark.parametrize(
         "jobs, files, cpus, ahead",
-        [(1, 2, 1, False), (1, 2, 2, True), (2, 3, 2, False), (2, 3, 4, True), (3, 1, 2, True)],
+        [(1, 2, 1, False), (1, 2, 2, True), (1, 1, None, False), (2, 3, 4, False)],
     )
-    def test_ahead_while_the_workers_leave_a_cpu_idle(
+    def test_ahead_only_at_one_job_with_a_cpu_idle(
         self, aps_fixture_text, tmp_path, monkeypatch, jobs, files, cpus, ahead
     ):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if cpus is None:  # a platform without CPU affinity
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         log = tmp_path / "opens.log"
         open_archive = fetchmod.open_archive
 
@@ -757,6 +764,34 @@ class TestInflateAhead:
         convert_files([path] * files, SourceFormat.APS, CsvSink(out), PipelineConfig(jobs=jobs))
         assert log.read_text().split() == [str(ahead)] * files
         assert len(list(read_csv(io.StringIO(out.getvalue())))) == 4 * files
+
+    @pytest.mark.parametrize("failure", ["unknown_method", "failed_read"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-line", "ahead"])
+    def test_error_names_the_file_either_way(
+        self, aps_fixture_text, tmp_path, monkeypatch, spool_dir, cpus, failure
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = _aps_zip(tmp_path / "week.zip", aps_fixture_text, 1, zipfile.ZIP_STORED)
+        if failure == "unknown_method":
+            payload = bytearray(path.read_bytes())
+            for header, offset in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+                at = payload.index(header) + offset
+                payload[at : at + 2] = (99).to_bytes(2, "little")
+            path.write_bytes(bytes(payload))
+            text = "That compression method is not supported"
+        else:
+            def failed_read(self, buffer):
+                raise OSError("read failed")
+
+            monkeypatch.setattr(fetchmod._ConcatenatedMembers, "readinto", failed_read)
+            text = "read failed"
+        FORK_THREADS.clear()
+        with pytest.raises((fetchmod.IntegrityError, OSError)) as caught:
+            convert_files([path], SourceFormat.APS, CsvSink(io.StringIO()), PipelineConfig(jobs=1))
+        assert str(caught.value) == "%s: %s" % (path, text)
+        assert len(FORK_THREADS) == cpus - 1
+        assert _children() == []
+        assert list(spool_dir.iterdir()) == []
 
 
 class TestExceptionsCrossProcesses:
