@@ -14,6 +14,10 @@ data errors and are excluded from the quartiles but reported in a
 data-quality column rather than silently dropped.  Each group keeps one
 count per distinct lag day and its quartiles are read from those counts,
 so memory holds groups × distinct lag days, whatever the input's size.
+
+Each analysis reads its table from one tally of its input, a tuple of
+Counters or of defaultdicts of Counters, so that the tallies of two
+halves of the input merge by ``update`` (``pipeline.read_grants(split=True)``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import datetime as dt
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
 
@@ -78,16 +83,26 @@ def week_of_issue_date(d: dt.date) -> tuple[int, int]:
     return d.year, (d - first_grant_tuesday(d.year)).days // 7 + 1
 
 
+def _tallied(records: Iterable[Patent], count: Callable[[Iterable[Patent]], tuple]) -> tuple:
+    """``count(records)``, or ``records.tally(count)`` if it has one."""
+    return records.tally(count) if hasattr(records, "tally") else count(records)
+
+
+def _weeks(records: Iterable[Patent]) -> tuple[Counter]:
+    # only each distinct issue date is put in its week, not each record
+    counts: Counter = Counter()
+    for day, n in Counter(record.issue_date for record in records).items():
+        counts[week_of_issue_date(day)] += n
+    return (counts,)
+
+
 def weekly_counts(records: Iterable[Patent]) -> list[WeeklyCount]:
     """Exact group-and-count per week, sorted by (year, week).
 
     The week is derived from the issue date, which is the grant Tuesday
     the weekly file is named after.
     """
-    # only each distinct issue date is put in its week, not each record
-    counts: Counter = Counter()
-    for day, n in Counter(record.issue_date for record in records).items():
-        counts[week_of_issue_date(day)] += n
+    (counts,) = _tallied(records, _weeks)
     return [WeeklyCount(year, week, n) for (year, week), n in sorted(counts.items())]
 
 
@@ -98,15 +113,17 @@ def _ranked(counts: Counter, k: int) -> list[tuple[Hashable, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
+def _subclasses(records: Iterable[Patent]) -> tuple[Counter]:
+    return (Counter(chain.from_iterable(record.subclass_keys for record in records)),)
+
+
 def top_ipc_subclasses(records: Iterable[Patent], k: int = 10) -> list[ClassCount]:
     """Top-k subclasses by record count, descending, ties lexicographic.
 
     A record counts once per distinct subclass it carries: one patent
     classified C07D and C07C increments both.
     """
-    counts: Counter = Counter()
-    for record in records:
-        counts.update(record.subclass_keys)
+    (counts,) = _tallied(records, _subclasses)
     return [ClassCount(key, n) for key, n in _ranked(counts, k)]
 
 
@@ -131,8 +148,7 @@ def tukey_five_number(values: Iterable[int]) -> tuple[float, float, float, float
 
 
 def _group_lags(
-    records: Iterable[Patent],
-    keys_of: Callable[[Patent], Sequence[Hashable]],
+    keys_of: Callable[[Patent], Sequence[Hashable]], records: Iterable[Patent]
 ) -> tuple[Counter, dict[Hashable, Counter], Counter]:
     """Records, counts of each non-negative lag day, and negative lags per
     key, in one pass; memory grows with keys × distinct lags, not records."""
@@ -172,7 +188,7 @@ def lag_stats_by(
         k = key(record)
         return () if k is None else (k,)
 
-    _, lags, negatives = _group_lags(records, keys_of)
+    _, lags, negatives = _tallied(records, partial(_group_lags, keys_of))
     return [_lag_stats(k, lags[k], negatives[k]) for k in sorted(lags)]
 
 
@@ -186,7 +202,8 @@ def lag_stats_by_class(records: Iterable[Patent], top: int = 10) -> list[LagStat
     Subclasses rank as in :func:`top_ipc_subclasses`; a record in several
     top classes contributes its lag to each of them.
     """
-    per_class, lags, negatives = _group_lags(records, attrgetter("subclass_keys"))
+    by_class = partial(_group_lags, attrgetter("subclass_keys"))
+    per_class, lags, negatives = _tallied(records, by_class)
     ranked = _ranked(per_class, top)
     return [_lag_stats(k, lags[k], negatives[k]) for k, _ in ranked if k in lags]
 

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import time
 import zipfile
 import zlib
@@ -336,32 +337,32 @@ class _ConcatenatedMembers(io.RawIOBase):
         super().close()
 
 
-class _Inflated(io.FileIO):
-    """A pipe that a forked child fills with ``members`` ahead of the reads.
-    A failing child sends its error's text, naming the file, down a second
-    pipe and exits 1, and EOF raises IntegrityError with that text.  ``close``
-    closes the pipe first, so the child's next write fails, then reaps it."""
+class ForkedPipe(io.FileIO):
+    """A pipe that a forked child fills by ``fill(out)``, ``out`` the pipe's
+    binary write end, ahead of the reads.  A failing child sends its
+    error's text, prefixed with ``name`` unless it is an IntegrityError's,
+    down a second pipe and exits 1, and EOF raises IntegrityError with
+    that text.  ``close`` closes the pipe and kills a child still running,
+    then reaps it."""
 
     read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, to see EOF
 
-    def __init__(self, members: _ConcatenatedMembers) -> None:
+    def __init__(self, fill: Callable[[BinaryIO], object], name: str) -> None:
         (pipe, out), (self._errors, err), self._pid = os.pipe(), os.pipe(), 0
         self._pid = os.fork()
         if not self._pid:
             try:
                 os.close(pipe)
                 with open(out, "wb") as sink:
-                    shutil.copyfileobj(members, sink, _CHUNK_SIZE)
+                    fill(sink)
                 os._exit(0)
             except BaseException as exc:  # 4 KiB fits the empty pipe: no wait
-                named = isinstance(exc, IntegrityError)
-                text = str(exc) if named else "%s: %s" % (members._archive.filename, exc)
+                text = str(exc) if isinstance(exc, IntegrityError) else "%s: %s" % (name, exc)
                 os.write(err, text.encode()[:4096])
             finally:
                 os._exit(1)
         os.close(out)
         os.close(err)
-        members.close()  # the child has the archive now
         super().__init__(pipe, "rb")
 
     def readinto(self, buffer) -> int:
@@ -369,6 +370,8 @@ class _Inflated(io.FileIO):
 
     def close(self) -> None:
         super().close()
+        if self._pid:
+            os.kill(self._pid, signal.SIGKILL)
         self._reap(raising=False)
 
     def _reap(self, raising: bool) -> int:
@@ -399,7 +402,10 @@ def open_archive(path: Union[str, os.PathLike[str]], ahead: bool = False) -> io.
             archive.close()
             raise IntegrityError("%s: member %r is encrypted" % (path, info.filename))
     stream = _ConcatenatedMembers(archive, members)
-    return io.BufferedReader(_Inflated(stream) if ahead else stream, buffer_size=_CHUNK_SIZE)
+    if ahead:
+        with stream:  # the child has the archive now
+            piped = ForkedPipe(lambda out: shutil.copyfileobj(stream, out, _CHUNK_SIZE), path)
+    return io.BufferedReader(piped if ahead else stream, buffer_size=_CHUNK_SIZE)
 
 
 def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:

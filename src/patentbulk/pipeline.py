@@ -10,14 +10,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import marshal
 import os
 import shutil
 import tempfile
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
@@ -191,22 +193,45 @@ class JsonlSink(Sink):
 SINKS = {"csv": CsvSink, "jsonl": JsonlSink}  # each output format's sink, by name
 
 
+class _Head(io.FileIO):
+    """The file at ``path`` up to offset ``end``."""
+
+    read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto
+
+    def __init__(self, path: Union[str, Path], end: int) -> None:
+        super().__init__(path)
+        self.end = end
+
+    def readinto(self, buffer) -> int:
+        return super().readinto(memoryview(buffer)[: max(self.end - self.tell(), 0)])
+
+
 def _read_rows(
-    source: Union[str, Path, TextIO], decode: Callable[[list[str]], T], jsonl: bool = False
+    source: Union[str, Path, TextIO], decode: Callable[[list[str]], T], jsonl: bool = False,
+    start: int = 0, end: Optional[int] = None,
 ) -> Iterator[T]:
     """``decode`` of each row of pipeline output, read from a path or an
     open file: a CSV row, once the header is checked, or the row that
     :func:`model.row_from_dict` makes of a non-blank JSONL line after
-    checking it.  A row that fails raises naming its line."""
-    with nullcontext(source) if hasattr(source, "read") else open(
-        source, encoding="utf-8", newline=""
-    ) as handle:
+    checking it.  A row that fails raises naming its line.  ``start`` and
+    ``end``, offsets just past line ends in the file at ``source``, read
+    only the lines between them: the CSV header is checked only from 0,
+    and a CSV read that stops at ``end`` fails if it ends in a quoted cell."""
+    if hasattr(source, "read"):
+        opened = nullcontext(source)
+    elif end is None:
+        opened = open(source, encoding="utf-8", newline="")
+    else:
+        opened = io.TextIOWrapper(io.BufferedReader(_Head(source, end)), "utf-8", newline="")
+    with opened as handle:
+        if start:
+            handle.seek(start)
         try:
             if jsonl:
                 rows = ((number, line) for number, line in enumerate(handle, 1) if line.strip())
             else:
-                reader = csv.reader(handle)
-                header = next(reader, None)
+                reader = csv.reader(handle, strict=end is not None)
+                header = None if start else next(reader, None)
                 if header is not None and tuple(header) != CSV_COLUMNS:
                     raise ValueError("unexpected CSV header: %r" % (header,))
                 rows = ((reader.line_num, row) for row in reader)
@@ -231,9 +256,83 @@ def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     return _read_rows(source, record_from_row, jsonl=True)
 
 
-def read_grants(source: Union[str, Path, TextIO], jsonl: bool = False) -> Iterator[Grant]:
+def _cpu_idle() -> bool:
+    """Whether a forked child would have a CPU of its own: two or more
+    CPUs, and no other thread in this process, whose locks a fork would copy."""
+    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1)
+
+
+def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
+    """The offset just past the first ``\\n`` at or after the middle of
+    the regular file at ``path`` with, in CSV, an even count of ``"``
+    before it; None if it has no such line end."""
+    with open(path, "rb", buffering=0) as handle:
+        middle, quotes, at = os.fstat(handle.fileno()).st_size // 2, 0, 0
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            start = min(max(middle - at, 0), len(block))
+            quotes += block.count(b'"', 0, start)
+            while (end := block.find(b"\n", start)) >= 0:
+                quotes += block.count(b'"', start, end)
+                if jsonl or quotes % 2 == 0:
+                    return at + end + 1
+                start = end + 1
+            quotes += block.count(b'"', start)
+            at += len(block)
+    return None
+
+
+@dataclass
+class _Halves:
+    """The grants of the regular file at ``path``, read in one process when
+    iterated.  ``tally(count)``, with a CPU idle and a :func:`_seam`, counts
+    the rows before the seam here and the rest in a forked child, which
+    sends its counts back 512 at a time to be merged by ``update``.  If either
+    half fails, or the seam is not the end of a CSV record, the child is
+    killed and the whole file is counted here, as in one process."""
+
+    path: Union[str, Path]
+    jsonl: bool
+
+    def __iter__(self) -> Iterator[Grant]:
+        return _read_rows(self.path, grant_from_row, self.jsonl)
+
+    def tally(self, count: Callable[[Iterable[Grant]], tuple]) -> tuple:
+        # count returns a tuple of Counters or of defaultdicts of Counters
+        seam = _seam(self.path, self.jsonl) if _cpu_idle() else None
+        rows = partial(_read_rows, self.path, grant_from_row, self.jsonl)
+
+        def send(out: IO[bytes]) -> None:
+            for index, part in enumerate(count(rows(seam))):
+                # a defaultdict's Counter per group, or a Counter of its own
+                groups = part.items() if isinstance(part, defaultdict) else [(None, part)]
+                for key, counts in groups:
+                    items = iter(counts.items())
+                    while piece := dict(islice(items, 512)):
+                        data = marshal.dumps((index, key, piece))
+                        out.write(len(data).to_bytes(4, "little") + data)
+
+        if seam is not None:  # a failed half or fork ends the with: count it all here
+            with suppress(Exception), io.BufferedReader(
+                fetchmod.ForkedPipe(send, str(self.path))
+            ) as child:
+                tally = count(rows(end=seam))
+                for size in iter(lambda: int.from_bytes(child.read(4), "little"), 0):
+                    index, key, counts = marshal.loads(child.read(size))
+                    (tally[index] if key is None else tally[index][key]).update(counts)
+                return tally
+        return count(self)
+
+
+def read_grants(
+    source: Union[str, Path, TextIO], jsonl: bool = False, split: bool = False
+) -> Iterable[Grant]:
     """The issue date, application date and IPC subclass keys of each row
-    of pipeline CSV or JSONL output; the other six cells are not decoded."""
+    of pipeline CSV or JSONL output; the other six cells are not decoded.
+    With ``split``, the analyses may tally a regular file in two processes
+    (:class:`_Halves`)."""
+    if split and not hasattr(source, "read") and os.path.isfile(source):
+        return _Halves(source, jsonl)
     return _read_rows(source, grant_from_row, jsonl)
 
 
@@ -387,12 +486,10 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
     in a worker process, which gets ``sink`` through the fork.  Once a
     worker has died and broken the pool, the ``files`` not yet handed to
     it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread.  With one job on two or more CPUs,
-    a forked child inflates each archive ahead of its parse, unless this
-    process has another thread, whose locks the fork would copy."""
+    copy a lock held by another thread.  With one job and a CPU idle
+    (:func:`_cpu_idle`), a forked child inflates each archive ahead of its parse."""
     if config.jobs <= 1:
-        ahead = (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-                 and threading.active_count() == 1)
+        ahead = _cpu_idle()
         yield lambda path, format: spool_file(path, format, config.encoding, sink, ahead=ahead)
         return
     import multiprocessing

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 import zipfile
 from pathlib import Path
 
@@ -17,6 +18,10 @@ from patentbulk.model import IpcCode, build_record
 
 DATA_DIR = Path(__file__).parent / "data"
 STREAM_CHILD = Path(__file__).parent / "stream_child.py"
+
+# the threads alive at each os.fork() of this process
+FORK_THREADS = []
+os.register_at_fork(before=lambda: FORK_THREADS.append(threading.active_count()))
 
 
 @pytest.fixture

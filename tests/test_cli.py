@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import random
 import re
 import tempfile
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FakeTransport, make_zip, random_record, random_records, run_python, sink_to_file
+from conftest import FORK_THREADS, FakeTransport, make_zip, random_record, random_records, run_python, sink_to_file
 from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import WeekSpec
@@ -954,15 +955,18 @@ class TestStats:
         assert not table.exists()
 
     @pytest.mark.parametrize("analysis", ["weekly", "classes", "lag-by-class", "lag-by-year"])
-    def test_stats_streams_its_input(self, analysis, tmp_path, capsys):
+    def test_stats_streams_its_input(self, analysis, tmp_path, capsys, monkeypatch):
         # 20k records take about 18 MB once listed; streamed, every
-        # analysis peaks under 1 MB
+        # analysis peaks under 1 MB, also with the read split in two and
+        # the child's tally merged here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         count_total = {
             "weekly": 20_000, "classes": 16_854, "lag-by-class": 14_012, "lag-by-year": 16_651,
         }
         path = tmp_path / "big.csv"
         rng = random.Random(7)
         sink_to_file(path, CsvSink, (random_record(rng) for _ in range(20_000)))
+        FORK_THREADS.clear()
         tracemalloc.start()
         try:
             code, out, _ = run_cli(["stats", analysis, "--input", str(path)], capsys)
@@ -970,6 +974,7 @@ class TestStats:
         finally:
             tracemalloc.stop()
         assert code == 0
+        assert FORK_THREADS == [1]
         counts = [int(row["count"]) for row in csv.DictReader(io.StringIO(out))]
         assert sum(counts) == count_total[analysis]
         assert peak < 4_000_000

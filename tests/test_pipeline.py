@@ -9,8 +9,11 @@ import lzma
 import os
 import pickle
 import re
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import warnings
 import weakref
 import zipfile
@@ -19,9 +22,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
+    FORK_THREADS,
     FakeTransport,
     make_zip,
     parse_aps,
@@ -30,7 +34,7 @@ from conftest import (
     run_python,
     sink_to_file,
 )
-from patentbulk import fetch as fetchmod, model, pipeline
+from patentbulk import analytics, cli, fetch as fetchmod, model, pipeline
 from patentbulk.fetch import fetch, resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import (
@@ -461,11 +465,6 @@ class TestGetBulkPatentData:
         assert json.loads(out.getvalue())["wku"] == "07641234"
 
 
-# the threads alive at each os.fork() of this process
-FORK_THREADS = []
-os.register_at_fork(before=lambda: FORK_THREADS.append(threading.active_count()))
-
-
 def _served_weeks(aps_fixture_text, weeks):
     """A transport serving each of ``weeks`` as a zip of the fixture's
     two patents, renumbered per week so that no WKU repeats."""
@@ -792,6 +791,264 @@ class TestInflateAhead:
         assert len(FORK_THREADS) == cpus - 1
         assert _children() == []
         assert list(spool_dir.iterdir()) == []
+
+
+# the four stats analyses as the CLI runs them at --top 20: (analysis, table writer)
+STATS_ANALYSES = [
+    (analytics.weekly_counts, analytics.weekly_table),
+    (lambda records: analytics.top_ipc_subclasses(records, 20), analytics.classes_table),
+    (lambda records: analytics.lag_stats_by_class(records, 20), analytics.lag_table),
+    (analytics.lag_stats_by_year, analytics.lag_table),
+]
+# application date, issue date and IPC codes of the rows stats_inputs draws;
+# every sixth application date is after its issue date
+STATS_ROWS = [
+    {"app_date": None if n % 5 == 4 else str(issue - dt.timedelta(days=400 * (n % 6) - 200)),
+     "issue_date": str(issue), "ipc_codes": ["A01B 1/00", "C07D 295/12", "H04L 9/32"][: n % 4]}
+    for n, issue in ((n, dt.date(1976, 1, 6) + dt.timedelta(weeks=37 * n)) for n in range(30))
+]
+# claims with the characters a CSV cell quotes: `"`, `,` and line breaks
+STATS_CLAIMS = st.sampled_from(["", "1. a", 'a "b", c', "1. a,\n2. b", "x\r\ny", "a\rb", '"', ",,"])
+
+
+def _stats_tables(path, jsonl, split, analyses=STATS_ANALYSES):
+    """The tables of ``analyses`` of the grants at ``path``, each an
+    error's text instead if its read fails."""
+    tables = []
+    for analyse, write_table in analyses:
+        out = io.StringIO()
+        try:
+            write_table(analyse(pipeline.read_grants(path, jsonl, split)), out)
+        except ValueError as exc:
+            out.write("error: %s" % exc)
+        tables.append(out.getvalue())
+    return tables
+
+
+def _stats_cell(text):
+    return '"%s"' % text.replace('"', '""') if any(c in text for c in '",\n\r') else text
+
+
+@st.composite
+def stats_inputs(draw):
+    """(bytes, jsonl) of a CSV or JSONL file for ``stats``: rows of
+    ``STATS_ROWS`` with drawn claims, ended by ``\\n``, ``\\r\\n`` or ``\\r``.
+    Drawn too: a large claims cell (``"``, ``,`` and line breaks) that may
+    hold the middle, a stray ``"`` in the unquoted title of the first row,
+    a bad row first and/or last, and a last row with no line end whose
+    long claims hold the middle; or an empty or header-only file."""
+    jsonl, end = draw(st.booleans()), draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    rows = [dict(row, wku="w%d" % n, claims=claims) for n, (row, claims) in enumerate(
+        draw(st.lists(st.tuples(st.sampled_from(STATS_ROWS), STATS_CLAIMS), max_size=10))
+    )]
+    if rows and draw(st.booleans()):
+        big = rows[draw(st.integers(0, len(rows) - 1))]
+        big["claims"] = (big["claims"] + '1. "a",\n\r\n2. b,\r') * 40
+    bad = {"wku": "bad", "issue_date": "1976-13-06"}
+    where = draw(st.sampled_from([(), (0,), (len(rows),), (0, len(rows))]))
+    for at in reversed(where):
+        rows.insert(at, bad)
+    open_end = draw(st.booleans())
+    if open_end:
+        rows.append({"wku": "open", "issue_date": "1976-01-06", "claims": "x" * 2000})
+    if jsonl:
+        lines = [json.dumps(row) for row in rows]
+    elif rows or draw(st.booleans()):
+        stray = draw(st.booleans())
+        lines = [",".join(pipeline.CSV_COLUMNS)] + [",".join([
+            row["wku"], 'Wid"get' if stray and number == 0 else "t",
+            row.get("app_date") or "", row["issue_date"], "", "",
+            "; ".join(row.get("ipc_codes", [])), "", _stats_cell(row.get("claims", "")),
+        ]) for number, row in enumerate(rows)]
+    else:
+        lines = []
+    text = "".join(line + end for line in lines)
+    if open_end:
+        text = text[: -len(end)]
+    return text.encode(), jsonl
+
+
+class TestStatsSplit:
+    """``stats`` tallies each half of a regular file in its own process when
+    a CPU is idle, and its tables and errors are those of one process."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture
+    def records_csv(self, tmp_path):
+        path = tmp_path / "in.csv"
+        sink_to_file(path, CsvSink, random_records(300, seed=11))
+        return path
+
+    def _reads(self, monkeypatch):
+        """The (start, end) of each read of this process from now on."""
+        reads, read_rows = [], pipeline._read_rows
+
+        def logged(source, decode, jsonl=False, start=0, end=None):
+            reads.append((start, end))
+            return read_rows(source, decode, jsonl, start, end)
+
+        monkeypatch.setattr(pipeline, "_read_rows", logged)
+        return reads
+
+    @pytest.mark.parametrize("jsonl", [False, True])
+    def test_the_seam_ends_the_first_record_past_the_middle(self, tmp_path, jsonl):
+        # rows whose quoted claims hold a line end: in CSV a seam there would
+        # cut a cell; the file spans several of the scan's 64 KiB reads
+        claims = '1. a "b",\n2. c'
+        if jsonl:
+            row = json.dumps({"wku": "1", "issue_date": "1976-01-06", "claims": claims}) + "\n"
+            header = ""
+        else:
+            row = '1,t,,1976-01-06,,,,,"%s"\n' % claims.replace('"', '""')
+            header = ",".join(pipeline.CSV_COLUMNS) + "\n"
+        path = tmp_path / "in"
+        path.write_text(header + row * 5000)
+        middle = path.stat().st_size // 2
+        ends = [len(header) + len(row) * n for n in range(1, 5001)]
+        assert pipeline._seam(path, jsonl) == min(end for end in ends if end > middle)
+        path.write_text(header + row[:-1] * 5000)  # no record ends after the middle
+        assert pipeline._seam(path, jsonl) is None
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=stats_inputs(), analysis=st.sampled_from(STATS_ANALYSES))
+    def test_split_read_equals_one_process(self, drawn, analysis, tmp_path, two_cpus):
+        # one analysis per example: each split forks, 2-5 ms on a 2-CPU KVM guest
+        data, jsonl = drawn
+        path = tmp_path / "in"
+        path.write_bytes(data)
+        FORK_THREADS.clear()
+        one_process = _stats_tables(path, jsonl, False, [analysis])
+        assert FORK_THREADS == []
+        assert _stats_tables(path, jsonl, True, [analysis]) == one_process
+        assert len(FORK_THREADS) == (pipeline._seam(path, jsonl) is not None)
+        assert _children() == []
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_a_clean_seam_reads_each_half_once(self, format, tmp_path, two_cpus, monkeypatch):
+        path = tmp_path / ("in." + format)
+        sink_to_file(path, CsvSink if format == "csv" else JsonlSink, random_records(300, seed=11))
+        one_process = _stats_tables(path, format == "jsonl", split=False)
+        seam = pipeline._seam(path, format == "jsonl")
+        assert path.stat().st_size // 2 <= seam < path.stat().st_size
+        reads = self._reads(monkeypatch)
+        FORK_THREADS.clear()
+        assert _stats_tables(path, format == "jsonl", split=True) == one_process
+        assert (FORK_THREADS, reads) == ([1] * 4, [(0, seam)] * 4)  # the parent reads its half
+
+    def test_a_seam_inside_a_cell_reads_the_file_again(self, tmp_path, two_cpus, monkeypatch):
+        # the stray quote before the middle puts the seam on the first line
+        # end inside the last row's quoted claims, whose other lines read
+        # as two rows from there: only the parent's strict read can tell
+        path = tmp_path / "in.csv"
+        rows = ["%d,t,,1976-01-%02d,,,A01B 1/00,," % (n, n % 28 + 1) for n in range(60)]
+        rows[0] = rows[0].replace(",t,", ',Wid"get,')
+        rows.append('61,t,,1976-01-06,,,,,"x\n62,t,,1976-01-13,,,,,\n63,t,,1976-01-13,,,,,y"')
+        path.write_text("\n".join([",".join(pipeline.CSV_COLUMNS)] + rows) + "\n")
+        assert pipeline._seam(path, False) == path.read_bytes().index(b'"x\n') + 3
+        one_process = _stats_tables(path, False, split=False)
+        reads = self._reads(monkeypatch)
+        FORK_THREADS.clear()
+        assert _stats_tables(path, False, split=True) == one_process
+        assert len(FORK_THREADS) == 4
+        assert reads == [(0, pipeline._seam(path, False)), (0, None)] * 4
+        assert "error" not in "".join(one_process)
+
+    @pytest.mark.parametrize("cpus, thread, forks", [(1, False, 0), (2, False, 1),
+                                                     (None, False, 0), (2, True, 0)])
+    def test_split_only_with_a_cpu_idle(
+        self, records_csv, capsys, monkeypatch, cpus, thread, forks
+    ):
+        if cpus is None:  # a platform without CPU affinity
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        expected = io.StringIO()
+        analytics.weekly_table(analytics.weekly_counts(read_csv(records_csv)), expected)
+        done = threading.Event()
+        beside = threading.Thread(target=done.wait)
+        if thread:
+            beside.start()
+        FORK_THREADS.clear()
+        try:
+            assert cli.run(["stats", "weekly", "--input", str(records_csv)]) == 0
+        finally:
+            done.set()
+            if thread:
+                beside.join()
+        assert len(FORK_THREADS) == forks
+        assert capsys.readouterr().out == expected.getvalue()
+
+    @pytest.mark.parametrize("end", ["success", "bad_first", "bad_second", "wrong_header",
+                                     "interrupt"])
+    def test_no_child_or_descriptor_left(
+        self, records_csv, tmp_path, capsys, monkeypatch, two_cpus, end
+    ):
+        text = records_csv.read_text(encoding="utf-8")
+        if end == "bad_first":
+            text = text.replace("\n", "\n9,t,,1976-13-06,,,,,\n", 1)
+        elif end == "bad_second":
+            text += "9,t,,1976-13-06,,,,,\n"
+        elif end == "wrong_header":
+            text = text.replace("wku,", "id,", 1)
+        elif end == "interrupt":
+            command = os.getpid()
+
+            def interrupted(row):
+                if os.getpid() == command:
+                    raise KeyboardInterrupt
+                time.sleep(60)  # a child still reading is killed, not waited for
+                os._exit(1)
+
+            monkeypatch.setattr(pipeline, "grant_from_row", interrupted)
+        records_csv.write_text(text, encoding="utf-8")
+        table = tmp_path / "table.csv"
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        FORK_THREADS.clear()
+        argv = ["stats", "lag-by-class", "--input", str(records_csv), "--output", str(table)]
+        started = time.monotonic()
+        if end == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                cli.run(argv)
+        else:
+            assert cli.run(argv) == (0 if end == "success" else 1)
+        assert time.monotonic() - started < 30
+        assert FORK_THREADS == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+        assert table.exists() == (end == "success")
+        err = capsys.readouterr().err
+        if end.startswith("bad"):  # the line of one process's read
+            bad_line = text.splitlines().index("9,t,,1976-13-06,,,,,") + 1
+            assert "error: line %d: " % bad_line in err
+        if end == "wrong_header":
+            assert "error: unexpected CSV header: ['id', " in err
+
+    def test_a_fifo_is_read_in_one_process(self, records_csv, tmp_path, capsys, two_cpus):
+        expected = io.StringIO()
+        analytics.lag_table(analytics.lag_stats_by_year(read_csv(records_csv)), expected)
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(records_csv), str(fifo)])
+        try:
+            FORK_THREADS.clear()
+            code = cli.run(["stats", "lag-by-year", "--input", str(fifo), "--quiet"])
+        finally:
+            writer.wait(timeout=60)
+        assert (code, writer.returncode) == (0, 0)
+        assert threading.active_count() == 1 and FORK_THREADS == []
+        assert capsys.readouterr().out == expected.getvalue()
+
+    def test_library_calls_read_in_one_process(self, records_csv, two_cpus):
+        FORK_THREADS.clear()
+        tables = _stats_tables(records_csv, False, split=False)
+        assert FORK_THREADS == []
+        assert tables[0].startswith("year,week,count\n") and tables[0].count("\n") > 10
 
 
 class TestExceptionsCrossProcesses:
