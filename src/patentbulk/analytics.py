@@ -16,8 +16,9 @@ count per distinct lag day and its quartiles are read from those counts,
 so memory holds groups × distinct lag days, whatever the input's size.
 
 Each analysis reads its table from one tally of its input, a tuple of
-Counters or of defaultdicts of Counters, so that the tallies of two
-halves of the input merge by ``update`` (``pipeline.read_grants(split=True)``).
+Counters or of defaultdicts of Counters, so that the tally of one half
+of the input can be sent as :func:`_pieces` and merged into the other's
+(``pipeline._Halves``).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .model import Grant, PatentRecord, first_grant_tuesday
 
@@ -86,6 +87,23 @@ def week_of_issue_date(d: dt.date) -> tuple[int, int]:
 def _tallied(records: Iterable[Patent], count: Callable[[Iterable[Patent]], tuple]) -> tuple:
     """``count(records)``, or ``records.tally(count)`` if it has one."""
     return records.tally(count) if hasattr(records, "tally") else count(records)
+
+
+def _pieces(tally: tuple, size: int = 512) -> Iterator[tuple[int, Optional[Hashable], dict]]:
+    """``tally`` as (part, group, counts) of at most ``size`` counts each,
+    group None in a part that is a Counter (no group key is None), for
+    :func:`_merge`."""
+    for index, part in enumerate(tally):
+        for key, counts in part.items() if isinstance(part, defaultdict) else [(None, part)]:
+            items = iter(counts.items())
+            while piece := dict(islice(items, size)):
+                yield index, key, piece
+
+
+def _merge(tally: tuple, piece: tuple[int, Optional[Hashable], dict]) -> None:
+    """Add one of the :func:`_pieces` of another tally to ``tally``."""
+    index, key, counts = piece
+    (tally[index] if key is None else tally[index][key]).update(counts)
 
 
 def _weeks(records: Iterable[Patent]) -> tuple[Counter]:

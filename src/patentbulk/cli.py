@@ -247,7 +247,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         format = "jsonl" if args.input.endswith((".jsonl", ".ndjson")) else "csv"
     # both formats decode only the three fields the analyses read
     # a regular file may be tallied in two processes, each reading a half
-    records = pipeline.read_grants(args.input, jsonl=format == "jsonl", split=True)
+    records = pipeline.read_grants(args.input, jsonl=format == "jsonl")
 
     # the table is computed before --output is opened, so an unreadable
     # input leaves no output file behind

@@ -15,7 +15,7 @@ import os
 import shutil
 import tempfile
 import threading
-from collections import defaultdict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field as dataclass_field
@@ -24,7 +24,7 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
-from . import aps, fetch as fetchmod, xmlgrants
+from . import analytics, aps, fetch as fetchmod, xmlgrants
 from .model import (
     CSV_COLUMNS,
     Grant,
@@ -266,16 +266,16 @@ def _cpu_idle() -> bool:
 def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
     """The offset just past the first ``\\n`` at or after the middle of
     the regular file at ``path`` with, in CSV, an even count of ``"``
-    before it; None if it has no such line end."""
+    before it; None if it has no such line end before its last byte."""
     with open(path, "rb", buffering=0) as handle:
-        middle, quotes, at = os.fstat(handle.fileno()).st_size // 2, 0, 0
+        size, quotes, at = os.fstat(handle.fileno()).st_size, 0, 0
         for block in iter(lambda: handle.read(1 << 16), b""):
-            start = min(max(middle - at, 0), len(block))
+            start = min(max(size // 2 - at, 0), len(block))
             quotes += block.count(b'"', 0, start)
             while (end := block.find(b"\n", start)) >= 0:
                 quotes += block.count(b'"', start, end)
                 if jsonl or quotes % 2 == 0:
-                    return at + end + 1
+                    return at + end + 1 if at + end + 1 < size else None
                 start = end + 1
             quotes += block.count(b'"', start)
             at += len(block)
@@ -298,40 +298,31 @@ class _Halves:
         return _read_rows(self.path, grant_from_row, self.jsonl)
 
     def tally(self, count: Callable[[Iterable[Grant]], tuple]) -> tuple:
-        # count returns a tuple of Counters or of defaultdicts of Counters
         seam = _seam(self.path, self.jsonl) if _cpu_idle() else None
         rows = partial(_read_rows, self.path, grant_from_row, self.jsonl)
 
         def send(out: IO[bytes]) -> None:
-            for index, part in enumerate(count(rows(seam))):
-                # a defaultdict's Counter per group, or a Counter of its own
-                groups = part.items() if isinstance(part, defaultdict) else [(None, part)]
-                for key, counts in groups:
-                    items = iter(counts.items())
-                    while piece := dict(islice(items, 512)):
-                        data = marshal.dumps((index, key, piece))
-                        out.write(len(data).to_bytes(4, "little") + data)
+            for piece in analytics._pieces(count(rows(seam))):
+                data = marshal.dumps(piece)
+                out.write(len(data).to_bytes(4, "little") + data)
 
-        if seam is not None:  # a failed half or fork ends the with: count it all here
-            with suppress(Exception), io.BufferedReader(
+        # a bad row, a failed child or fork ends the with: count it all here
+        if seam is not None:
+            with suppress(ValueError, fetchmod.IntegrityError, OSError), io.BufferedReader(
                 fetchmod.ForkedPipe(send, str(self.path))
             ) as child:
                 tally = count(rows(end=seam))
                 for size in iter(lambda: int.from_bytes(child.read(4), "little"), 0):
-                    index, key, counts = marshal.loads(child.read(size))
-                    (tally[index] if key is None else tally[index][key]).update(counts)
+                    analytics._merge(tally, marshal.loads(child.read(size)))
                 return tally
         return count(self)
 
 
-def read_grants(
-    source: Union[str, Path, TextIO], jsonl: bool = False, split: bool = False
-) -> Iterable[Grant]:
+def read_grants(source: Union[str, Path, TextIO], jsonl: bool = False) -> Iterable[Grant]:
     """The issue date, application date and IPC subclass keys of each row
     of pipeline CSV or JSONL output; the other six cells are not decoded.
-    With ``split``, the analyses may tally a regular file in two processes
-    (:class:`_Halves`)."""
-    if split and not hasattr(source, "read") and os.path.isfile(source):
+    The analyses may tally a regular file in two processes (:class:`_Halves`)."""
+    if not hasattr(source, "read") and os.path.isfile(source):
         return _Halves(source, jsonl)
     return _read_rows(source, grant_from_row, jsonl)
 

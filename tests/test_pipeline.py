@@ -811,14 +811,16 @@ STATS_ROWS = [
 STATS_CLAIMS = st.sampled_from(["", "1. a", 'a "b", c', "1. a,\n2. b", "x\r\ny", "a\rb", '"', ",,"])
 
 
-def _stats_tables(path, jsonl, split, analyses=STATS_ANALYSES):
+def _stats_tables(path, jsonl, one_process=False, analyses=STATS_ANALYSES):
     """The tables of ``analyses`` of the grants at ``path``, each an
-    error's text instead if its read fails."""
+    error's text instead if its read fails; with ``one_process``, read
+    as an iterator, which has no ``tally`` to split."""
     tables = []
     for analyse, write_table in analyses:
         out = io.StringIO()
+        grants = pipeline.read_grants(path, jsonl)
         try:
-            write_table(analyse(pipeline.read_grants(path, jsonl, split)), out)
+            write_table(analyse(iter(grants) if one_process else grants), out)
         except ValueError as exc:
             out.write("error: %s" % exc)
         tables.append(out.getvalue())
@@ -911,6 +913,8 @@ class TestStatsSplit:
         assert pipeline._seam(path, jsonl) == min(end for end in ends if end > middle)
         path.write_text(header + row[:-1] * 5000)  # no record ends after the middle
         assert pipeline._seam(path, jsonl) is None
+        path.write_text("1\n" + "2" * 10 + "\n")  # the only one ends the file
+        assert pipeline._seam(path, jsonl) is None
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -921,9 +925,9 @@ class TestStatsSplit:
         path = tmp_path / "in"
         path.write_bytes(data)
         FORK_THREADS.clear()
-        one_process = _stats_tables(path, jsonl, False, [analysis])
+        one_process = _stats_tables(path, jsonl, True, [analysis])
         assert FORK_THREADS == []
-        assert _stats_tables(path, jsonl, True, [analysis]) == one_process
+        assert _stats_tables(path, jsonl, False, [analysis]) == one_process
         assert len(FORK_THREADS) == (pipeline._seam(path, jsonl) is not None)
         assert _children() == []
 
@@ -931,12 +935,12 @@ class TestStatsSplit:
     def test_a_clean_seam_reads_each_half_once(self, format, tmp_path, two_cpus, monkeypatch):
         path = tmp_path / ("in." + format)
         sink_to_file(path, CsvSink if format == "csv" else JsonlSink, random_records(300, seed=11))
-        one_process = _stats_tables(path, format == "jsonl", split=False)
+        one_process = _stats_tables(path, format == "jsonl", one_process=True)
         seam = pipeline._seam(path, format == "jsonl")
         assert path.stat().st_size // 2 <= seam < path.stat().st_size
         reads = self._reads(monkeypatch)
         FORK_THREADS.clear()
-        assert _stats_tables(path, format == "jsonl", split=True) == one_process
+        assert _stats_tables(path, format == "jsonl") == one_process
         assert (FORK_THREADS, reads) == ([1] * 4, [(0, seam)] * 4)  # the parent reads its half
 
     def test_a_seam_inside_a_cell_reads_the_file_again(self, tmp_path, two_cpus, monkeypatch):
@@ -949,13 +953,25 @@ class TestStatsSplit:
         rows.append('61,t,,1976-01-06,,,,,"x\n62,t,,1976-01-13,,,,,\n63,t,,1976-01-13,,,,,y"')
         path.write_text("\n".join([",".join(pipeline.CSV_COLUMNS)] + rows) + "\n")
         assert pipeline._seam(path, False) == path.read_bytes().index(b'"x\n') + 3
-        one_process = _stats_tables(path, False, split=False)
+        one_process = _stats_tables(path, False, one_process=True)
         reads = self._reads(monkeypatch)
         FORK_THREADS.clear()
-        assert _stats_tables(path, False, split=True) == one_process
+        assert _stats_tables(path, False) == one_process
         assert len(FORK_THREADS) == 4
         assert reads == [(0, pipeline._seam(path, False)), (0, None)] * 4
         assert "error" not in "".join(one_process)
+
+    def test_a_failing_merge_is_raised_not_read_again(self, records_csv, two_cpus, monkeypatch):
+        # only a bad row, a failed child or a failed fork reads the file again
+        def broken(tally, piece):
+            raise TypeError("merge")
+
+        monkeypatch.setattr(analytics, "_merge", broken)
+        reads = self._reads(monkeypatch)
+        with pytest.raises(TypeError, match="merge"):
+            analytics.weekly_counts(pipeline.read_grants(records_csv))
+        assert reads == [(0, pipeline._seam(records_csv, False))]
+        assert _children() == []
 
     @pytest.mark.parametrize("cpus, thread, forks", [(1, False, 0), (2, False, 1),
                                                      (None, False, 0), (2, True, 0)])
@@ -1045,10 +1061,15 @@ class TestStatsSplit:
         assert capsys.readouterr().out == expected.getvalue()
 
     def test_library_calls_read_in_one_process(self, records_csv, two_cpus):
+        # read_csv, the exported reader, has no tally: the analyses count here
         FORK_THREADS.clear()
-        tables = _stats_tables(records_csv, False, split=False)
+        tables = []
+        for analyse, write_table in STATS_ANALYSES:
+            out = io.StringIO()
+            write_table(analyse(read_csv(records_csv)), out)
+            tables.append(out.getvalue())
         assert FORK_THREADS == []
-        assert tables[0].startswith("year,week,count\n") and tables[0].count("\n") > 10
+        assert tables == _stats_tables(records_csv, False, one_process=True)
 
 
 class TestExceptionsCrossProcesses:
