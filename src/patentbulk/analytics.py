@@ -35,6 +35,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, T
 from .model import Grant, PatentRecord, first_grant_tuesday
 
 QUARTILE_RULE = "median-of-halves (Tukey hinges)"
+_PIECE_SIZE = 512  # counts in each of the :func:`_pieces` of a tally
 
 # What the analyses read: issue_date, app_date and subclass_keys.
 Patent = Union[PatentRecord, Grant]
@@ -89,14 +90,14 @@ def _tallied(records: Iterable[Patent], count: Callable[[Iterable[Patent]], tupl
     return records.tally(count) if hasattr(records, "tally") else count(records)
 
 
-def _pieces(tally: tuple, size: int = 512) -> Iterator[tuple[int, Optional[Hashable], dict]]:
-    """``tally`` as (part, group, counts) of at most ``size`` counts each,
-    group None in a part that is a Counter (no group key is None), for
+def _pieces(tally: tuple) -> Iterator[tuple[int, Optional[Hashable], dict]]:
+    """``tally`` as (part, group, counts) of at most ``_PIECE_SIZE`` counts
+    each, group None in a part that is a Counter (no group key is None), for
     :func:`_merge`."""
     for index, part in enumerate(tally):
         for key, counts in part.items() if isinstance(part, defaultdict) else [(None, part)]:
             items = iter(counts.items())
-            while piece := dict(islice(items, size)):
+            while piece := dict(islice(items, _PIECE_SIZE)):
                 yield index, key, piece
 
 

@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import signal
 import time
 import zipfile
@@ -184,7 +183,7 @@ def _load_entry(final: Path) -> Optional[CacheEntry]:
             content_digest=data["content_digest"],
             retrieved_at=data["retrieved_at"],
         )
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, TypeError):  # not an object, or a null size
         return None
     if final.stat().st_size != entry.byte_size:
         return None
@@ -386,26 +385,20 @@ class ForkedPipe(io.FileIO):
         return 0
 
 
-def open_archive(path: Union[str, os.PathLike[str]], ahead: bool = False) -> io.BufferedReader:
-    """Stream the zip's data members at ``path``, in member order, without
-    materializing the decompressed file; with ``ahead``, in a forked child
-    while the caller parses, which only a process without other threads
-    may ask for: a fork would copy locks they hold."""
+def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
+    """Stream the zip's data members at ``path``, in member order, in this
+    process, without materializing the decompressed file."""
     path = os.fspath(path)
     try:
         archive = zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, OSError) as exc:
+    except zipfile.BadZipFile as exc:
         raise IntegrityError("%s: %s" % (path, exc)) from exc
     members = [info for info in archive.infolist() if not info.is_dir()]
     for info in members:
         if info.flag_bits & 0x1:
             archive.close()
             raise IntegrityError("%s: member %r is encrypted" % (path, info.filename))
-    stream = _ConcatenatedMembers(archive, members)
-    if ahead:
-        with stream:  # the child has the archive now
-            piped = ForkedPipe(lambda out: shutil.copyfileobj(stream, out, _CHUNK_SIZE), path)
-    return io.BufferedReader(piped if ahead else stream, buffer_size=_CHUNK_SIZE)
+    return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=_CHUNK_SIZE)
 
 
 def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:

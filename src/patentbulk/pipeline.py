@@ -256,11 +256,17 @@ def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     return _read_rows(source, record_from_row, jsonl=True)
 
 
+def _cpus() -> Optional[int]:
+    """How many CPUs this process may run on; None without ``os.sched_getaffinity``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+
+
 def _cpu_idle() -> bool:
     """Whether a forked child would have a CPU of its own: two or more
-    CPUs, and no other thread in this process, whose locks a fork would copy."""
-    return (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-            and threading.active_count() == 1)
+    :func:`_cpus` (not None: the forks are measured on Linux alone), no
+    other thread in this process, whose locks a fork would copy, and not a
+    pool worker, whose CPU the pool counts already (``_worker_sink`` set)."""
+    return (_cpus() or 0) > 1 and threading.active_count() == 1 and _worker_sink is None
 
 
 def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
@@ -287,7 +293,7 @@ class _Halves:
     """The grants of the regular file at ``path``, read in one process when
     iterated.  ``tally(count)``, with a CPU idle and a :func:`_seam`, counts
     the rows before the seam here and the rest in a forked child, which
-    sends its counts back 512 at a time to be merged by ``update``.  If either
+    sends its counts back in :func:`analytics._pieces` to be merged.  If either
     half fails, or the seam is not the end of a CSV record, the child is
     killed and the whole file is counted here, as in one process."""
 
@@ -424,25 +430,21 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
 
 
 def spool_file(
-    path: Union[str, Path],
-    format: SourceFormat,
-    encoding: str,
-    sink: Sink,
+    path: Union[str, Path], format: SourceFormat, encoding: str, sink: Sink,
     spool_dir: Optional[str] = None,
-    ahead: bool = False,
 ) -> Spooled:
     """Open, size and parse one weekly file, a ``.zip`` archive (the suffix
-    in any case; ``ahead`` as in ``fetch.open_archive``) or a plain one,
-    writing each record as it is parsed, in ``sink``'s format but not to
-    its output, to a new temp file in ``spool_dir`` (default ``TMPDIR``).
-    Returns the :data:`Spooled` result for :meth:`RunSummary.append`.  A
-    file that fails to open or parse removes the temp file and raises."""
+    in any case), read by :func:`_inflated`, or a plain one, writing each
+    record as it is parsed, in ``sink``'s format but not to its output, to
+    a new temp file in ``spool_dir`` (default ``TMPDIR``).  Returns the
+    :data:`Spooled` result for :meth:`RunSummary.append`.  A file that
+    fails to open or parse removes the temp file and raises."""
     path = Path(path)
     zipped = path.suffix.lower() == ".zip"
     handle, name = tempfile.mkstemp(dir=spool_dir)
     try:
         with open(handle, "w", encoding="utf-8", newline="") as spool, (
-            fetchmod.open_archive(path, ahead) if zipped else open(path, "rb")
+            _inflated(path) if zipped else open(path, "rb")
         ) as stream:
             compressed = path.stat().st_size
             decompressed = fetchmod.archive_sizes(path)[1] if zipped else compressed
@@ -461,6 +463,16 @@ def spool_file(
 _worker_sink: Optional[Sink] = None  # the run's sink, set only in workers by the pool's initializer
 
 
+def _inflated(path: Path) -> IO[bytes]:
+    """``fetch.open_archive(path)``; while :func:`_cpu_idle`, a pipe that a
+    forked child fills from it, 64 KiB at a time, ahead of the parse."""
+    if _cpu_idle():
+        with fetchmod.open_archive(path) as stream:  # the child has the archive now
+            piped = fetchmod.ForkedPipe(partial(shutil.copyfileobj, stream), str(path))
+        return io.BufferedReader(piped, buffer_size=1 << 16)
+    return fetchmod.open_archive(path)
+
+
 def _set_worker_sink(sink: Sink) -> None:
     global _worker_sink
     _worker_sink = sink
@@ -477,16 +489,15 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
     in a worker process, which gets ``sink`` through the fork.  Once a
     worker has died and broken the pool, the ``files`` not yet handed to
     it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread.  With one job and a CPU idle
-    (:func:`_cpu_idle`), a forked child inflates each archive ahead of its parse."""
+    copy a lock held by another thread.  The pool has at most one worker
+    per CPU (:func:`_cpus`, or ``os.cpu_count()`` where that is None)."""
     if config.jobs <= 1:
-        ahead = _cpu_idle()
-        yield lambda path, format: spool_file(path, format, config.encoding, sink, ahead=ahead)
+        yield lambda path, format: spool_file(path, format, config.encoding, sink)
         return
     import multiprocessing
     from concurrent.futures import process
 
-    workers = min(config.jobs, files, len(os.sched_getaffinity(0)))
+    workers = min(config.jobs, files, _cpus() or os.cpu_count() or 1)
     fork = multiprocessing.get_context("fork")
     with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
         workers, fork, initializer=_set_worker_sink, initargs=(sink,)

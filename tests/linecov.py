@@ -7,12 +7,16 @@ and ``threading.settrace``, records every line executed in a file of
 as ``path:line`` or ``path:first-last``.  Executable lines are those the
 compiled module's code objects list in ``co_lines``.
 
-It cannot see forked or spawned processes: a line that only a
-``--jobs N`` worker, the child that ``fetch.open_archive`` forks to
-inflate an archive, or the child that ``stats`` forks to tally the
-second half of its input runs is printed as unrun.  Tracing makes the suite
-several times slower, so deselect acceptance criterion 5, whose 1 GB
-streaming bound would run far past its time limit:
+A forked child keeps the trace of the thread that forked it, and its
+lines are kept too: ``os._exit`` is wrapped so that a child writes the
+lines it ran to a file in a temp directory first, and the files are
+merged at the end.  So the lines that only a ``--jobs N`` worker, the
+child that ``spool_file`` forks to inflate an archive, or the child that
+``stats`` forks to tally the second half of its input runs count as run.
+A child killed by a signal, or a new interpreter (``subprocess``), is
+not seen.  Tracing makes the suite several times slower, so deselect
+acceptance criterion 5, whose 1 GB streaming bound would run far past
+its time limit:
 
     python tests/linecov.py -q -p no:cacheprovider \\
         --deselect tests/test_acceptance.py::test_criterion_5_streaming_bound
@@ -22,7 +26,10 @@ The arguments are pytest's; the exit status is pytest's.
 
 from __future__ import annotations
 
+import marshal
+import os
 import sys
+import tempfile
 import threading
 import types
 from pathlib import Path
@@ -59,6 +66,20 @@ def spans(lines: list[int]) -> list[str]:
 def main(argv: list[str]) -> int:
     prefix = str(SRC) + "/"
     ran: set[tuple[str, int]] = set()
+    parent, exit_now = os.getpid(), os._exit
+    children = tempfile.TemporaryDirectory()
+
+    def exit_child(status: int) -> None:
+        """``os._exit``, after a forked child has saved the lines it ran; a
+        child killed while it saves them leaves only a ``.tmp`` file."""
+        try:
+            if os.getpid() != parent:
+                saved = os.path.join(children.name, str(os.getpid()))
+                with open(saved + ".tmp", "wb") as out:
+                    marshal.dump(list(ran), out)
+                os.rename(saved + ".tmp", saved)
+        finally:
+            exit_now(status)
 
     def on_line(frame, event, arg):
         if event == "line":
@@ -68,6 +89,7 @@ def main(argv: list[str]) -> int:
     def on_call(frame, event, arg):
         return on_line if frame.f_code.co_filename.startswith(prefix) else None
 
+    os._exit = exit_child
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
@@ -75,6 +97,13 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = exit_now
+    with children:
+        for name in os.listdir(children.name):
+            if name.endswith(".tmp"):
+                continue
+            with open(os.path.join(children.name, name), "rb") as saved:
+                ran.update(map(tuple, marshal.load(saved)))
     for path in sorted(SRC.glob("*.py")):
         unrun = sorted(executable_lines(path) - {n for f, n in ran if f == str(path)})
         if unrun:

@@ -517,9 +517,11 @@ class TestConvertLocal:
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes((data_dir / "aps_two_patents.txt").read_bytes().replace(b"T", b"\xc9"))
         missing = str(tmp_path / "missing.xml")
+        missing_zip = str(tmp_path / "nope" / "missing.zip")
         for inputs, era, shown in [
             ([xml4, xml2], "xml4", xml2),  # the wrong era
             ([xml4, missing], "xml4", missing),  # an OSError names it itself
+            ([missing_zip], "aps", missing_zip),  # also from opening an archive
             ([str(latin1)], "aps", str(latin1)),  # undecodable under --encoding
         ]:
             code, _, err = run_cli(

@@ -677,33 +677,30 @@ class TestInflateAhead:
     a stream can end reaps it and leaves no spool file."""
 
     def _closed_after_one_read(self, path):
-        with fetchmod.open_archive(path, ahead=True) as stream:
+        with pipeline._inflated(path) as stream:
             assert len(stream.read(10)) == 10
 
     def _parse_raises(self, path):
         with pytest.raises(UnicodeDecodeError):
-            pipeline.spool_file(path, SourceFormat.APS, "utf-8", CsvSink(io.StringIO()), ahead=True)
+            pipeline.spool_file(path, SourceFormat.APS, "utf-8", CsvSink(io.StringIO()))
 
-    def _interrupted(self, path):
+    def _interrupted(self, path):  # the stream is closed deep inside the member
         class Interrupted(CsvSink):
             def write(self, record):
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            pipeline.spool_file(
-                path, SourceFormat.APS, "latin-1", Interrupted(io.StringIO()), ahead=True
-            )
+            pipeline.spool_file(path, SourceFormat.APS, "latin-1", Interrupted(io.StringIO()))
 
     def _bad_crc(self, path):
         with pytest.raises(fetchmod.IntegrityError) as caught:
-            pipeline.spool_file(
-                path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()), ahead=True
-            )
+            pipeline.spool_file(path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()))
         assert str(caught.value).startswith("%s: Bad CRC-32 for file 'week.txt'" % path)
 
     @pytest.mark.parametrize("end", ["closed_after_one_read", "parse_raises", "interrupted",
                                      "bad_crc"])
-    def test_no_child_left_behind(self, aps_fixture_text, tmp_path, spool_dir, end):
+    def test_no_child_left_behind(self, aps_fixture_text, tmp_path, spool_dir, monkeypatch, end):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         path = tmp_path / "week.zip"
         if end == "parse_raises":  # a byte that is not UTF-8, well inside the member
             _aps_zip(path, aps_fixture_text * 10 + "PATN\nTTL  \xc9\n" + aps_fixture_text * 300, 1)
@@ -719,6 +716,22 @@ class TestInflateAhead:
         assert FORK_THREADS == [1]
         assert _children() == []
         assert list(spool_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-line", "ahead"])
+    def test_bad_crc_reads_the_same_either_way(
+        self, aps_fixture_text, tmp_path, monkeypatch, spool_dir, cpus
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = _aps_zip(tmp_path / "week.zip", aps_fixture_text, method=zipfile.ZIP_STORED)
+        payload = bytearray(path.read_bytes())
+        payload[payload.index(b"WKU", len(payload) // 2)] ^= 0x20  # "W" -> "w"
+        path.write_bytes(bytes(payload))
+        FORK_THREADS.clear()
+        with pytest.raises(fetchmod.IntegrityError) as caught:
+            pipeline.spool_file(path, SourceFormat.APS, "latin-1", CsvSink(io.StringIO()))
+        assert str(caught.value) == "%s: Bad CRC-32 for file 'week.txt'" % path
+        assert len(FORK_THREADS) == cpus - 1
+        assert _children() == []
 
     def test_a_second_thread_inflates_in_line(self, aps_fixture_text, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -740,7 +753,8 @@ class TestInflateAhead:
 
     @pytest.mark.parametrize(
         "jobs, files, cpus, ahead",
-        [(1, 2, 1, False), (1, 2, 2, True), (1, 1, None, False), (2, 3, 4, False)],
+        [(1, 2, 1, False), (1, 2, 2, True), (1, 1, None, False), (2, 3, 4, False),
+         (2, 3, None, False)],
     )
     def test_ahead_only_at_one_job_with_a_cpu_idle(
         self, aps_fixture_text, tmp_path, monkeypatch, jobs, files, cpus, ahead
@@ -749,19 +763,20 @@ class TestInflateAhead:
             monkeypatch.delattr(os, "sched_getaffinity")
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        log = tmp_path / "opens.log"
-        open_archive = fetchmod.open_archive
+        log = tmp_path / "children.log"
+        log.touch()
 
-        def logged_open(path, ahead):
-            with open(log, "a") as handle:  # forked workers inherit this patch
-                handle.write("%s\n" % ahead)
-            return open_archive(path, ahead)
+        class LoggedPipe(fetchmod.ForkedPipe):  # forked workers inherit this patch
+            def __init__(self, fill, name):
+                with open(log, "a") as handle:
+                    handle.write("%d\n" % os.getpid())
+                super().__init__(fill, name)
 
-        monkeypatch.setattr(fetchmod, "open_archive", logged_open)
+        monkeypatch.setattr(fetchmod, "ForkedPipe", LoggedPipe)
         path = _aps_zip(tmp_path / "week.zip", aps_fixture_text, copies=2)
         out = io.StringIO()
         convert_files([path] * files, SourceFormat.APS, CsvSink(out), PipelineConfig(jobs=jobs))
-        assert log.read_text().split() == [str(ahead)] * files
+        assert log.read_text().split() == [str(os.getpid())] * (files if ahead else 0)
         assert len(list(read_csv(io.StringIO(out.getvalue())))) == 4 * files
 
     @pytest.mark.parametrize("failure", ["unknown_method", "failed_read"])
