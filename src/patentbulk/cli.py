@@ -54,6 +54,15 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(0, "non-negative", text)
 
 
+def _text_encoding(text: str) -> str:
+    """argparse type of ``--encoding``: the name of a text encoding."""
+    try:
+        "".encode(text)
+    except LookupError as exc:  # unknown, or not a text encoding (rot13)
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
     """Parse ``A-B[,C...]`` into a sorted list of ints, bounds inclusive."""
     values: set[int] = set()
@@ -121,7 +130,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
         "--append", action="store_true", help="append to output, suppressing the header"
     )
     parser.add_argument(
-        "--encoding", default=aps.DEFAULT_ENCODING, help="text encoding for fixed-tag era files"
+        "--encoding", type=_text_encoding, default=aps.DEFAULT_ENCODING,
+        help="text encoding for fixed-tag era files",
     )
     parser.add_argument("--summary-json", metavar="PATH",
                         help="also write the run summary as JSON ('-' for stdout)")

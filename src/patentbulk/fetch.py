@@ -154,10 +154,16 @@ def published(path: Union[str, os.PathLike[str]], mode: str, **open_args) -> Ite
     the temp file ``PATH.<pid>.tmp`` (a stale one of that name can only be
     left by a dead process, and is truncated).  When the block exits
     cleanly the temp file replaces ``path``; when it raises the temp file
-    is removed.  So ``path`` ends up whole or untouched."""
+    is removed.  So ``path`` ends up whole or untouched.  An OSError from
+    opening the temp file names ``path``."""
     temp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
     try:
-        with open(temp, mode, **open_args) as out:
+        out = open(temp, mode, **open_args)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+    try:
+        with out:
             yield out
         os.replace(temp, path)
     except BaseException:

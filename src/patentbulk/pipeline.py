@@ -16,7 +16,7 @@ import shutil
 import tempfile
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
@@ -56,6 +56,20 @@ class RunError(Exception):
         self.failures = failures
 
 
+# the counts of a run: each one's --summary-json key and its summary table label
+_COUNTS = (
+    ("weeks_requested", "weeks requested"),
+    ("weeks_fetched", "weeks fetched"),
+    ("weeks_failed", "weeks failed"),
+    ("records_written", "records written"),
+    ("warnings_total", "warnings"),
+    ("duplicate_wkus", "duplicate WKUs"),
+    ("output_bytes", "output bytes"),
+    ("input_bytes_compressed", "input bytes (compressed)"),
+    ("input_bytes_decompressed", "input bytes (decompressed)"),
+)
+
+
 @dataclass
 class RunSummary:
     """Outcome of one collection run, printable and JSON-serializable."""
@@ -92,34 +106,15 @@ class RunSummary:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "weeks_requested": self.weeks_requested,
-            "weeks_fetched": self.weeks_fetched,
-            "weeks_failed": [
-                {"year": w.year, "week": w.week, "reason": reason}
-                for w, reason in self.weeks_failed
-            ],
-            "records_written": self.records_written,
-            "warnings_total": self.warnings_total,
-            "duplicate_wkus": self.duplicate_wkus,
-            "output_bytes": self.output_bytes,
-            "input_bytes_compressed": self.input_bytes_compressed,
-            "input_bytes_decompressed": self.input_bytes_decompressed,
-            "size_reduction_ratio": self.size_reduction_ratio(),
-        }
+        counts = {key: getattr(self, key) for key, _ in _COUNTS}
+        counts["weeks_failed"] = [
+            {"year": w.year, "week": w.week, "reason": reason} for w, reason in self.weeks_failed
+        ]
+        return {**counts, "size_reduction_ratio": self.size_reduction_ratio()}
 
     def format_table(self) -> str:
-        rows = [
-            ("weeks requested", str(self.weeks_requested)),
-            ("weeks fetched", str(self.weeks_fetched)),
-            ("weeks failed", str(len(self.weeks_failed))),
-            ("records written", str(self.records_written)),
-            ("warnings", str(self.warnings_total)),
-            ("duplicate WKUs", str(self.duplicate_wkus)),
-            ("output bytes", str(self.output_bytes)),
-            ("input bytes (compressed)", str(self.input_bytes_compressed)),
-            ("input bytes (decompressed)", str(self.input_bytes_decompressed)),
-        ]
+        counts = {**self.to_dict(), "weeks_failed": len(self.weeks_failed)}
+        rows = [(label, str(counts[key])) for key, label in _COUNTS]
         ratio = self.size_reduction_ratio()
         if ratio is not None:
             rows.append(("output/input size ratio", "%.3f" % ratio))
@@ -371,12 +366,6 @@ def _parse_text(parser: aps.ApsParser, stream: IO[bytes], encoding: str) -> Iter
             text.detach()
 
 
-def _reason(error: BaseException) -> str:
-    """A week's failure reason: the error's text, or its class name when
-    it has none (``MemoryError()``)."""
-    return str(error) or type(error).__name__
-
-
 def _fetch_week(
     week: WeekSpec, config: PipelineConfig
 ) -> tuple[fetchmod.FetchPlan, fetchmod.CacheEntry]:
@@ -389,37 +378,27 @@ def _fetch_week(
     return plan, entry
 
 
-def _run_now(step: Callable[..., object], week: WeekSpec, config: PipelineConfig) -> Future:
-    """``step(week, config)`` run on the calling thread, as a finished future."""
-    future: Future = Future()
-    try:
-        future.set_result(step(week, config))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
 def _ordered_weeks(
     weeks: list[T], config: PipelineConfig, step: Callable[..., object]
-) -> Iterator[tuple[T, Future]]:
+) -> Iterator[tuple[T, Callable[[], object]]]:
     """Run ``step(week, config)`` for each of ``weeks``, weeks or local
-    paths; yield ``(week, future)`` in the order given, the future holding
-    the step's result or what it raised.
+    paths; yield ``(week, result)`` in the order given, ``result()``
+    returning the step's result or raising what it raised.
 
     At most ``max(1, config.jobs)`` weeks are submitted and not yet
     consumed: the next week is submitted only after the caller has taken
     the oldest, so fetched weeks cannot pile up behind a slow one.  With
-    one job each step runs on the calling thread, where an interrupt
-    stops it at once.
+    one job each step runs on the calling thread when its ``result()`` is
+    called, where an interrupt stops it at once.
     """
     jobs = max(1, config.jobs)
     todo = iter(weeks)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        submit = pool.submit if jobs > 1 else _run_now
-        pending = deque((week, submit(step, week, config)) for week in islice(todo, jobs))
+        start = partial if jobs == 1 else lambda *call: pool.submit(*call).result
+        pending = deque((week, start(step, week, config)) for week in islice(todo, jobs))
         while pending:
             yield pending.popleft()
-            pending.extend((week, submit(step, week, config)) for week in islice(todo, 1))
+            pending.extend((week, start(step, week, config)) for week in islice(todo, 1))
 
 
 def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
@@ -519,18 +498,18 @@ def _run(
 ) -> RunSummary:
     """Run ``step`` over ``weeks`` with :func:`_ordered_weeks` and pass each
     result, in week order, to ``take(summary, result)``.  A week whose step
-    or ``take`` raises fails alone, but OutputError ends the run; if every
-    week fails, RunError is raised."""
+    raises fails alone; whatever ``take`` raises ends the run, since part
+    of the week may have reached the output.  If every week fails,
+    RunError is raised."""
     summary = RunSummary(weeks_requested=len(weeks))
     with closing(_ordered_weeks(weeks, config, step)) as results:
         for week, result in results:
             try:
-                take(summary, result.result())
-            except OutputError:
-                raise
-            except Exception as error:
-                summary.weeks_failed.append((week, _reason(error)))
+                outcome = result()
+            except Exception as error:  # its reason: its text, or its class name (MemoryError())
+                summary.weeks_failed.append((week, str(error) or type(error).__name__))
             else:
+                take(summary, outcome)
                 summary.weeks_fetched += 1
     if summary.weeks_fetched == 0:
         raise RunError(summary.weeks_failed)
@@ -551,9 +530,9 @@ def get_bulk_patent_data(
     runs in up to N worker processes, so the sink's ``write`` runs there
     and only its ``append`` here; they are forked when the run starts, so
     a caller whose own threads may then hold locks should use one job.  A
-    failing week adds no rows; it is recorded in the summary and does not
-    abort the run.  If every week fails a RunError is raised instead, and
-    a failed write to the sink's output raises OutputError at once.
+    week whose fetch or parse fails adds no rows and is recorded in the
+    summary; if every week fails a RunError is raised.  Any error while a
+    spool is appended ends the run at once, a failed write as OutputError.
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
@@ -588,7 +567,7 @@ def convert_files(
     ) as results:
         for path, result in results:
             try:
-                spooled = result.result()
+                spooled = result()
             except UnicodeDecodeError as error:  # its text is not made from its args
                 raise ValueError("%s: %s" % (path, error)) from error
             except Exception as error:

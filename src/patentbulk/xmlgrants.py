@@ -24,6 +24,7 @@ import re
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
 
@@ -83,18 +84,14 @@ class ElementMapping:
         self.fields = table["fields"]
 
 
-_MAPPING_CACHE: dict[SourceFormat, ElementMapping] = {}
-
-
+@cache
 def mapping_for(format: SourceFormat) -> ElementMapping:
-    """Load the era's mapping table; APS is not XML and is rejected."""
+    """Load the era's mapping table once; APS is not XML and is rejected."""
     if format is SourceFormat.APS:
         raise ValueError("APS is a fixed-tag text format, not XML")
-    if format not in _MAPPING_CACHE:
-        name = "%s.json" % format.value
-        text = resources.files("patentbulk").joinpath("mappings", name).read_text()
-        _MAPPING_CACHE[format] = ElementMapping(format, json.loads(text))
-    return _MAPPING_CACHE[format]
+    name = "%s.json" % format.value
+    text = resources.files("patentbulk").joinpath("mappings", name).read_text()
+    return ElementMapping(format, json.loads(text))
 
 
 _ENCODING_RE = re.compile(rb'<\?xml[^>]*encoding=["\']([A-Za-z0-9._-]+)["\']')

@@ -118,6 +118,30 @@ class TestPositiveCounts:
         assert fetched == []
 
 
+class TestEncodingChecked:
+    @pytest.mark.parametrize(
+        "value, reason", [("nope", "unknown encoding: nope"), ("rot13", "'rot13' is not a text encoding")]
+    )
+    def test_unusable_encoding_is_a_usage_error(self, value, reason, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(["convert", "--input", str(data_dir / "aps_two_patents.txt"),
+                     "--format-era", "aps", "--encoding", value,
+                     "--output", str(tmp_path / "out.csv")])
+        assert excinfo.value.code == 1
+        assert "argument --encoding: " + reason in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_encoding_checked_before_any_week_is_fetched(self, monkeypatch, tmp_path, capsys):
+        fetched = []
+        monkeypatch.setattr("patentbulk.fetch.fetch", lambda plan, *a, **kw: fetched.append(plan))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(["get", "--years", "1976", "--weeks", "1", "--encoding", "nope",
+                     "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 1
+        assert "argument --encoding: unknown encoding: nope" in capsys.readouterr().err
+        assert fetched == []
+
+
 # runs the commands given as JSON argv lists in one process, then prints
 # which of the modules that only worker runs need they imported
 IMPORTS_CHILD = """
@@ -453,6 +477,22 @@ class TestConvertLocal:
         assert err.startswith("error: ") and "can't encode" in err
         assert summary_path.read_text() == "an older summary\n"
         assert sorted(tmp_path.iterdir()) == [out_path, summary_path]
+
+    @pytest.mark.parametrize("case", ["convert --output", "--summary-json", "stats --output"])
+    def test_path_in_a_missing_directory_is_named(self, case, data_dir, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "out")
+        convert = ["convert", "--input", str(data_dir / "aps_two_patents.txt"),
+                   "--format-era", "aps", "--quiet"]
+        argv = {
+            "convert --output": convert + ["--output", missing],
+            "--summary-json": convert + ["--output", str(tmp_path / "out.csv"),
+                                         "--summary-json", missing],
+            "stats --output": ["stats", "weekly", "--input",
+                               str(data_dir / "golden_two_patents.csv"), "--output", missing],
+        }[case]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and missing in err and ".tmp" not in err, err
 
     def test_repeated_input_counts_duplicate_wkus(self, data_dir, tmp_path, capsys):
         fixture, summary_path = str(data_dir / "aps_two_patents.txt"), tmp_path / "summary.json"

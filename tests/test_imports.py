@@ -1,10 +1,12 @@
-"""Every imported name is used: a stdlib check over the project's Python files."""
+"""Every imported name is used, and every private top-level name of the
+package is read: stdlib checks over the project's Python files."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "perfbench")
+PACKAGE = ROOT / "src" / "patentbulk"
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -66,3 +68,68 @@ def test_unused_import_found(tmp_path):
     )
     unused = [item.rpartition(" ")[2] for item in unused_imports(module)]
     assert unused == ["os", "loads"]
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` of each name that starts with one ``_`` and that a
+    top-level ``def``, ``class`` or assignment of ``tree`` binds."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.extend(
+                (part.id, node.lineno) for target in targets for part in ast.walk(target)
+                if isinstance(part, ast.Name)
+            )
+    return [(name, line) for name, line in bound if name[:1] == "_" and name[:2] != "__"]
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """The names ``tree`` reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(paths: list[Path]) -> list[str]:
+    """``path:line name`` for each private top-level name of ``paths`` that
+    none of ``paths`` reads."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+    read = set().union(*map(_read_names, trees.values()))
+    return [
+        "%s:%d %s" % (path, line, name)
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_no_private_name_left_unread():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert sum(len(_private_definitions(ast.parse(path.read_text(encoding="utf-8")))) for path in paths) > 50
+    assert unread_private_names(paths) == []
+
+
+def test_unread_private_name_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT: int = 3\n"
+        "_a, _b = 1, 2\n"
+        "__all__ = []\n"
+        "def _helper():\n"
+        "    return _a\n"
+        "class _Left:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("from a import _helper\nimport a\nprint(a._LIMIT)\n")
+    unread = [item.rpartition(" ")[2] for item in unread_private_names(
+        [tmp_path / "a.py", tmp_path / "b.py"]
+    )]
+    assert unread == ["_b", "_Left"]

@@ -400,6 +400,25 @@ class TestGetBulkPatentData:
             get_bulk_patent_data(weeks, CsvSink(FullDisk()), _config(tmp_path, transport))
         assert len(transport.requests) == 1  # the run stopped at the first week
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_any_error_while_appending_ends_the_run(self, aps_fixture_text, tmp_path, jobs):
+        weeks = [WeekSpec(1976, 1), WeekSpec(1976, 2)]
+        appended = []
+
+        class FailingSink(CsvSink):
+            def append(self, name):  # part of the week reaches the output, then it fails
+                appended.append(name)
+                if len(appended) > 1:
+                    return super().append(name)
+                os.unlink(name)
+                self.out.write("a line of the week\n")
+                raise ValueError("appending failed")
+
+        config = _config(tmp_path, _served_weeks(aps_fixture_text, weeks), jobs=jobs)
+        with pytest.raises(ValueError, match="^appending failed$"):
+            get_bulk_patent_data(weeks, FailingSink(io.StringIO()), config)
+        assert len(appended) == 1  # the second week is not appended
+
     def test_duplicate_wkus_counted_not_dropped(self, aps_fixture_text, tmp_path):
         w1, w2 = WeekSpec(1976, 1), WeekSpec(1976, 2)
         payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
