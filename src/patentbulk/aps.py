@@ -51,6 +51,17 @@ CLAIMS_SECTIONS = frozenset({"CLMS", "DCLM"})
 
 DEFAULT_ENCODING = "latin-1"
 
+
+def text_encoding(name: str, error: type[Exception] = ValueError) -> str:
+    """``name``, if it names a text encoding; else ``error`` is raised with
+    the codec lookup's text (an unknown name, or a codec such as rot13)."""
+    try:
+        "".encode(name)
+    except LookupError as exc:
+        raise error(str(exc)) from None
+    return name
+
+
 # a line's field code as written, and its value
 _TAG = itemgetter(slice(0, 4))
 _VALUE = itemgetter(slice(5, None))

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
 from functools import partial
 from typing import Callable, ContextManager, Optional, Sequence, TextIO
@@ -52,15 +51,6 @@ def _positive_int(text: str) -> int:
 def _non_negative_int(text: str) -> int:
     """argparse type of ``--retries``: an integer of at least 0."""
     return _int_at_least(0, "non-negative", text)
-
-
-def _text_encoding(text: str) -> str:
-    """argparse type of ``--encoding``: the name of a text encoding."""
-    try:
-        "".encode(text)
-    except LookupError as exc:  # unknown, or not a text encoding (rot13)
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
@@ -130,7 +120,8 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
         "--append", action="store_true", help="append to output, suppressing the header"
     )
     parser.add_argument(
-        "--encoding", type=_text_encoding, default=aps.DEFAULT_ENCODING,
+        "--encoding", type=partial(aps.text_encoding, error=argparse.ArgumentTypeError),
+        default=aps.DEFAULT_ENCODING,
         help="text encoding for fixed-tag era files",
     )
     parser.add_argument("--summary-json", metavar="PATH",
@@ -245,6 +236,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         if not args.format_era:
             raise ValueError("--format-era is required with --input")
         format = SourceFormat(args.format_era)
+        for path in args.input:  # each opens before the sink writes a header to the output
+            open(path, "rb").close()
         return _convert(args, partial(pipeline.convert_files, args.input, format))
     if not args.years:
         raise ValueError("convert needs --input FILE or --years/--weeks of cached data")
@@ -305,7 +298,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_FATAL
     try:
         return _COMMANDS[args.command](args)
-    except (pipeline.RunError, fetchmod.IntegrityError, BrokenExecutor, ValueError, OSError) as exc:
+    except (pipeline.RunError, fetchmod.IntegrityError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FATAL
 

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import datetime as dt
 import fcntl
-import hashlib
 import io
 import json
 import os
 import signal
 import time
-import zipfile
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -28,6 +26,9 @@ from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterator, Optional, Protocol, Union
 
 from .model import SourceFormat, WeekSpec
+
+# hashlib (OpenSSL) and zipfile (bz2, lzma) are imported in the functions
+# that use them, as urllib is: `stats` and a plain-file `convert` use neither
 
 DEFAULT_BASE_URL = "https://bulkdata.uspto.gov/data/patent/grant/redbook/fulltext"
 
@@ -198,6 +199,7 @@ def _load_entry(final: Path) -> Optional[CacheEntry]:
 
 def verify_entry(entry: CacheEntry) -> bool:
     """Recompute the digest of the on-disk bytes; used by tests and repair."""
+    import hashlib
     digest = hashlib.sha256()
     with open(entry.cache_path, "rb") as handle:
         while True:
@@ -281,6 +283,8 @@ def _cache_archive(plan: FetchPlan, final: Path, chunks: Iterator[bytes]) -> Cac
     ``testzip``, then the sidecar that makes them a cache entry.  A
     TransportError mid-stream or an IntegrityError leaves ``final`` as it
     was."""
+    import hashlib
+    import zipfile
     digest = hashlib.sha256()
     with published(final, "wb") as out:
         for block in chunks:
@@ -319,6 +323,7 @@ class _ConcatenatedMembers(io.RawIOBase):
         return True
 
     def readinto(self, buffer) -> int:
+        import zipfile
         while True:
             try:
                 if self._current is None:
@@ -394,6 +399,7 @@ class ForkedPipe(io.FileIO):
 def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
     """Stream the zip's data members at ``path``, in member order, in this
     process, without materializing the decompressed file."""
+    import zipfile
     path = os.fspath(path)
     try:
         archive = zipfile.ZipFile(path)
@@ -410,6 +416,7 @@ def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
 def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:
     """(compressed, decompressed) byte sizes of the zip at ``path``: its
     file size and the sum of its data members' sizes from the directory."""
+    import zipfile
     with zipfile.ZipFile(path) as archive:
         decompressed = sum(i.file_size for i in archive.infolist() if not i.is_dir())
     return os.path.getsize(path), decompressed

@@ -13,10 +13,8 @@ import json
 import marshal
 import os
 import shutil
-import tempfile
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
@@ -24,7 +22,7 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
-from . import analytics, aps, fetch as fetchmod, xmlgrants
+from . import analytics, aps, fetch as fetchmod
 from .model import (
     CSV_COLUMNS,
     Grant,
@@ -38,6 +36,10 @@ from .model import (
     record_to_row,
     row_from_dict,
 )
+
+# tempfile, xmlgrants and the thread and process pools are imported in the
+# functions that use them: `stats` uses none of them, an APS `convert` no
+# xmlgrants, and a run of one job no pool
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
@@ -338,6 +340,9 @@ class PipelineConfig:
     retries: int = 3
     progress: Optional[Callable[[str], None]] = None
 
+    def __post_init__(self) -> None:
+        aps.text_encoding(self.encoding)  # a bad name fails here, before any fetch or open
+
 
 def _emit_progress(config: PipelineConfig, message: str) -> None:
     if config.progress is not None:
@@ -351,6 +356,7 @@ def parse_archive_stream(
     if format is SourceFormat.APS:
         parser = aps.ApsParser()
         return _parse_text(parser, stream, encoding), parser.report
+    from . import xmlgrants
     parser = xmlgrants.XmlWeeklyParser(format)
     return parser.parse(stream), parser.report
 
@@ -388,12 +394,14 @@ def _ordered_weeks(
     At most ``max(1, config.jobs)`` weeks are submitted and not yet
     consumed: the next week is submitted only after the caller has taken
     the oldest, so fetched weeks cannot pile up behind a slow one.  With
-    one job each step runs on the calling thread when its ``result()`` is
-    called, where an interrupt stops it at once.
+    one job there is no pool: each step runs on the calling thread when
+    its ``result()`` is called, where an interrupt stops it at once.
     """
-    jobs = max(1, config.jobs)
-    todo = iter(weeks)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    jobs, todo, pool = max(1, config.jobs), iter(weeks), nullcontext()
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=jobs)
+    with pool:
         start = partial if jobs == 1 else lambda *call: pool.submit(*call).result
         pending = deque((week, start(step, week, config)) for week in islice(todo, jobs))
         while pending:
@@ -418,6 +426,7 @@ def spool_file(
     a new temp file in ``spool_dir`` (default ``TMPDIR``).  Returns the
     :data:`Spooled` result for :meth:`RunSummary.append`.  A file that
     fails to open or parse removes the temp file and raises."""
+    import tempfile
     path = Path(path)
     zipped = path.suffix.lower() == ".zip"
     handle, name = tempfile.mkstemp(dir=spool_dir)
@@ -468,29 +477,34 @@ def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callabl
     in a worker process, which gets ``sink`` through the fork.  Once a
     worker has died and broken the pool, the ``files`` not yet handed to
     it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread.  The pool has at most one worker
+    copy a lock held by another thread.  A broken pool that ends the run
+    raises ChildProcessError, an OSError.  The pool has at most one worker
     per CPU (:func:`_cpus`, or ``os.cpu_count()`` where that is None)."""
     if config.jobs <= 1:
         yield lambda path, format: spool_file(path, format, config.encoding, sink)
         return
     import multiprocessing
+    import tempfile
     from concurrent.futures import process
 
     workers = min(config.jobs, files, _cpus() or os.cpu_count() or 1)
     fork = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
-        workers, fork, initializer=_set_worker_sink, initargs=(sink,)
-    ) as pool:
-        pool.submit(int).result()  # forks every worker now, before the run starts a thread
+    try:
+        with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
+            workers, fork, initializer=_set_worker_sink, initargs=(sink,)
+        ) as pool:
+            pool.submit(int).result()  # forks every worker now, before the run starts a thread
 
-        def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
-            try:
-                future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
-            except process.BrokenProcessPool:
-                return spool_file(path, format, config.encoding, sink, spool_dir)
-            return future.result()
+            def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
+                try:
+                    future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
+                except process.BrokenProcessPool:
+                    return spool_file(path, format, config.encoding, sink, spool_dir)
+                return future.result()
 
-        yield spool
+            yield spool
+    except process.BrokenProcessPool as exc:  # a RuntimeError; cli.run reports OSErrors
+        raise ChildProcessError(str(exc)) from exc
 
 
 def _run(

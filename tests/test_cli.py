@@ -574,6 +574,35 @@ class TestConvertLocal:
             assert err.startswith("error: ") and err.count(shown) == 1, err
             assert [path for path in inputs if path in err] == [shown]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_input_writes_nothing_to_standard_output(self, jobs, data_dir, tmp_path, capsys):
+        # every input opens before the sink writes its header
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--input", missing,
+             "--format-era", "aps", "--jobs", jobs, "--output", "-"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count(missing) == 1, err
+
+    def test_dead_worker_is_an_error_naming_the_file(self, monkeypatch, data_dir, tmp_path, capsys):
+        parent, spool_file = os.getpid(), pipeline.spool_file
+
+        def die_in_worker(*args):
+            return os._exit(1) if os.getpid() != parent else spool_file(*args)
+
+        monkeypatch.setattr(pipeline, "spool_file", die_in_worker)
+        fixture = str(data_dir / "aps_two_patents.txt")
+        code, out, err = run_cli(
+            ["convert", "--input", fixture, "--format-era", "aps", "--jobs", "2", "--quiet",
+             "--output", str(tmp_path / "out.csv")],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: %s: " % fixture) and "terminated abruptly" in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_requires_era(self, data_dir, capsys):
         code, _, err = run_cli(
             ["convert", "--input", str(data_dir / "aps_two_patents.txt"), "--quiet"], capsys

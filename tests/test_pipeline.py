@@ -239,6 +239,21 @@ class TestGetBulkPatentData:
         assert "404" in summary.weeks_failed[0][1]
         assert summary.records_written == 2
 
+    @pytest.mark.parametrize(
+        "name, reason", [("nope", "unknown encoding: nope"), ("rot13", "'rot13' is not a text encoding")]
+    )
+    def test_encoding_checked_before_any_download(self, name, reason, aps_fixture_text, tmp_path):
+        weeks = [WeekSpec(1976, week) for week in (1, 2, 3)]
+        archive = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
+        transport = FakeTransport({_week_url(week): archive for week in weeks})
+        with pytest.raises(ValueError, match=reason):
+            get_bulk_patent_data(weeks, CsvSink(io.StringIO()),
+                                 _config(tmp_path, transport, encoding=name))
+        assert transport.requests == []
+        with pytest.raises(ValueError, match=reason):  # before a missing file is opened
+            convert_files([tmp_path / "missing.txt"], SourceFormat.APS, CsvSink(io.StringIO()),
+                          PipelineConfig(encoding=name))
+
     def test_all_weeks_failed_is_run_error(self, tmp_path):
         with pytest.raises(RunError):
             get_bulk_patent_data(
