@@ -18,48 +18,9 @@ _HOMES = {
     " split_concatenated_documents",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApsParser",
-    "CacheEntry",
-    "ClassCount",
-    "CsvSink",
-    "FetchPlan",
-    "IpcCode",
-    "JsonlSink",
-    "LagStats",
-    "ParseReport",
-    "PatentRecord",
-    "PipelineConfig",
-    "RunSummary",
-    "SourceFormat",
-    "WeekSpec",
-    "WeeklyCount",
-    "XmlDocSlice",
-    "XmlWeeklyParser",
-    "build_record",
-    "convert_files",
-    "get_bulk_patent_data",
-    "ipc_parse",
-    "join_multivalue",
-    "lag_days",
-    "lag_stats_by",
-    "lag_stats_by_class",
-    "lag_stats_by_year",
-    "mapping_for",
-    "open_archive",
-    "parse_grant_xml",
-    "read_csv",
-    "read_jsonl",
-    "resolve_plan",
-    "sanitize_field",
-    "split_concatenated_documents",
-    "split_multivalue",
-    "top_ipc_subclasses",
-    "weekly_counts",
-]
 
 
 def __getattr__(name: str):

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
 from . import analytics, aps, fetch as fetchmod, pipeline
-from .model import SourceFormat, WeekSpec, tuesdays_in_year
+from .model import FIRST_YEAR, SourceFormat, WeekSpec, tuesdays_in_year
 
 ENV_BASE_URL = "PATENTBULK_BASE_URL"
 ENV_CACHE_DIR = "PATENTBULK_CACHE_DIR"
@@ -77,7 +77,7 @@ def parse_range(text: str, lo: int, hi: int, what: str) -> list[int]:
 
 
 def _resolve_weeks(args: argparse.Namespace) -> list[WeekSpec]:
-    years = parse_range(args.years, 1976, 9999, "year")
+    years = parse_range(args.years, FIRST_YEAR, 9999, "year")
     if args.weeks is None:
         # every grant week of each selected year (52 or 53 Tuesdays)
         return [
@@ -90,7 +90,7 @@ def _resolve_weeks(args: argparse.Namespace) -> list[WeekSpec]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir",
-        default=os.environ.get(ENV_CACHE_DIR, "patentbulk-cache"),
+        default=os.environ.get(ENV_CACHE_DIR, pipeline.PipelineConfig.cache_dir),
         help="download cache directory (env %s)" % ENV_CACHE_DIR,
     )
     parser.add_argument(
@@ -98,8 +98,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=os.environ.get(ENV_BASE_URL, fetchmod.DEFAULT_BASE_URL),
         help="bulk data base URL (env %s)" % ENV_BASE_URL,
     )
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="weekly files fetched and parsed at once")
+    parser.add_argument("--jobs", type=_positive_int, default=pipeline.PipelineConfig.jobs,
+                        metavar="N", help="weekly files fetched and parsed at once")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
@@ -109,7 +109,8 @@ def _add_week_selection(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--weeks", default=None, help="week range, e.g. 1-8 (default: every grant week)"
     )
-    parser.add_argument("--retries", type=_non_negative_int, default=3, metavar="N",
+    parser.add_argument("--retries", type=_non_negative_int, metavar="N",
+                        default=pipeline.PipelineConfig.retries,
                         help="download attempts per week (0: cache only)")
 
 
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert = sub.add_parser("convert", help="convert cached weeks or local files to CSV/JSONL")
     p_convert.add_argument("--input", action="append", metavar="FILE",
                            help="local weekly file (.txt/.xml, or .zip archive); repeatable")
-    p_convert.add_argument("--format-era", choices=("aps", "xml2", "xml4"),
+    p_convert.add_argument("--format-era", choices=[era.value for era in SourceFormat],
                            help="era of --input files")
     p_convert.add_argument("--years", help="year range of cached weeks to convert")
     p_convert.add_argument("--weeks", default=None, help="week range of cached weeks")
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="summary analyses over converted output")
     p_stats.add_argument("analysis", choices=("weekly", "classes", "lag-by-class", "lag-by-year"))
     p_stats.add_argument("--input", required=True, help="pipeline CSV/JSONL output to analyze")
-    p_stats.add_argument("--input-format", choices=("csv", "jsonl"),
+    p_stats.add_argument("--input-format", choices=tuple(pipeline.SINKS),
                          help="override input format sniffing by extension")
     p_stats.add_argument("--top", type=_positive_int, default=10, metavar="K",
                          help="number of subclasses for class tables (default 10)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterator, Optional, Protocol, Union
 
-from .model import SourceFormat, WeekSpec
+from .model import READ_SIZE, SourceFormat, WeekSpec
 
 # hashlib (OpenSSL) and zipfile (bz2, lzma) are imported in the functions
 # that use them, as urllib is: `stats` and a plain-file `convert` use neither
@@ -40,7 +40,6 @@ DEFAULT_NAME_TEMPLATES = {
     SourceFormat.XML4: "{year}/ipg{issue:%y%m%d}.zip",
 }
 
-_CHUNK_SIZE = 1 << 16
 # seconds a connection may stay silent before the attempt counts as failed
 _TIMEOUT_S = 60.0
 # first retry waits this long, each later one twice the one before
@@ -122,7 +121,7 @@ class UrllibTransport:
         def chunks() -> Iterator[bytes]:
             try:
                 while True:
-                    block = response.read(_CHUNK_SIZE)
+                    block = response.read(READ_SIZE)
                     if not block:
                         return
                     yield block
@@ -203,7 +202,7 @@ def verify_entry(entry: CacheEntry) -> bool:
     digest = hashlib.sha256()
     with open(entry.cache_path, "rb") as handle:
         while True:
-            block = handle.read(_CHUNK_SIZE)
+            block = handle.read(READ_SIZE)
             if not block:
                 break
             digest.update(block)
@@ -353,13 +352,18 @@ class ForkedPipe(io.FileIO):
     error's text, prefixed with ``name`` unless it is an IntegrityError's,
     down a second pipe and exits 1, and EOF raises IntegrityError with
     that text.  ``close`` closes the pipe and kills a child still running,
-    then reaps it."""
+    then reaps it.  A fork that fails closes both pipes and raises."""
 
     read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, to see EOF
 
     def __init__(self, fill: Callable[[BinaryIO], object], name: str) -> None:
         (pipe, out), (self._errors, err), self._pid = os.pipe(), os.pipe(), 0
-        self._pid = os.fork()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (pipe, out, self._errors, err):
+                os.close(fd)
+            raise
         if not self._pid:
             try:
                 os.close(pipe)
@@ -410,7 +414,7 @@ def open_archive(path: Union[str, os.PathLike[str]]) -> io.BufferedReader:
         if info.flag_bits & 0x1:
             archive.close()
             raise IntegrityError("%s: member %r is encrypted" % (path, info.filename))
-    return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=_CHUNK_SIZE)
+    return io.BufferedReader(_ConcatenatedMembers(archive, members), buffer_size=READ_SIZE)
 
 
 def archive_sizes(path: Union[str, os.PathLike[str]]) -> tuple[int, int]:

@@ -107,6 +107,9 @@ def format_date(d: dt.date) -> str:
     return d.isoformat()
 
 
+FIRST_YEAR = 1976  # the first year of bulk grant data
+
+
 def first_grant_tuesday(year: int) -> dt.date:
     """First Tuesday of the year (USPTO issues grants on Tuesdays)."""
     jan1 = dt.date(year, 1, 1)
@@ -129,8 +132,8 @@ class WeekSpec:
     week: int
 
     def __post_init__(self) -> None:
-        if self.year < 1976:
-            raise ValueError("bulk grant data starts in 1976, got year %d" % self.year)
+        if self.year < FIRST_YEAR:
+            raise ValueError("bulk grant data starts in %d, got year %d" % (FIRST_YEAR, self.year))
         if not 1 <= self.week <= 53:
             raise ValueError("week must be in 1..53, got %d" % self.week)
 
@@ -148,7 +151,7 @@ class WeekSpec:
         return "%dwk%02d" % (self.year, self.week)
 
 
-READ_SIZE = 64 * 1024
+READ_SIZE = 64 * 1024  # the block in which every stream of the package is read and buffered
 
 
 def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iterator[AnyStr]:
@@ -245,8 +248,8 @@ class SourceFormat(Enum):
 
     @classmethod
     def for_year(cls, year: int) -> "SourceFormat":
-        if year < 1976:
-            raise ValueError("no bulk grant data before 1976")
+        if year < FIRST_YEAR:
+            raise ValueError("no bulk grant data before %d" % FIRST_YEAR)
         if year <= 2001:
             return cls.APS
         if year <= 2004:

@@ -28,6 +28,7 @@ from .model import (
     Grant,
     ParseReport,
     PatentRecord,
+    READ_SIZE,
     SourceFormat,
     WeekSpec,
     grant_from_row,
@@ -272,7 +273,7 @@ def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
     before it; None if it has no such line end before its last byte."""
     with open(path, "rb", buffering=0) as handle:
         size, quotes, at = os.fstat(handle.fileno()).st_size, 0, 0
-        for block in iter(lambda: handle.read(1 << 16), b""):
+        for block in iter(lambda: handle.read(READ_SIZE), b""):
             start = min(max(size // 2 - at, 0), len(block))
             quotes += block.count(b'"', 0, start)
             while (end := block.find(b"\n", start)) >= 0:
@@ -453,12 +454,17 @@ _worker_sink: Optional[Sink] = None  # the run's sink, set only in workers by th
 
 def _inflated(path: Path) -> IO[bytes]:
     """``fetch.open_archive(path)``; while :func:`_cpu_idle`, a pipe that a
-    forked child fills from it, 64 KiB at a time, ahead of the parse."""
-    if _cpu_idle():
-        with fetchmod.open_archive(path) as stream:  # the child has the archive now
-            piped = fetchmod.ForkedPipe(partial(shutil.copyfileobj, stream), str(path))
-        return io.BufferedReader(piped, buffer_size=1 << 16)
-    return fetchmod.open_archive(path)
+    forked child fills from it, 64 KiB at a time, ahead of the parse.  If
+    the fork fails, the archive is inflated in this process."""
+    stream = fetchmod.open_archive(path)
+    if not _cpu_idle():
+        return stream
+    try:
+        piped = fetchmod.ForkedPipe(partial(shutil.copyfileobj, stream), str(path))
+    except OSError:  # no child: the parse reads the archive here
+        return stream
+    stream.close()  # the child has the archive now
+    return io.BufferedReader(piped, buffer_size=READ_SIZE)
 
 
 def _set_worker_sink(sink: Sink) -> None:

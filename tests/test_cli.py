@@ -15,7 +15,7 @@ import pytest
 from conftest import FORK_THREADS, FakeTransport, make_zip, random_record, random_records, run_python, sink_to_file
 from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
-from patentbulk.model import WeekSpec
+from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import CsvSink, JsonlSink, read_csv, read_jsonl
 
 
@@ -90,6 +90,19 @@ class TestExitContract:
         )
         assert code == 1
         assert "error" in err
+
+
+def test_defaults_and_eras_come_from_the_library(monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CACHE_DIR, raising=False)
+    args, config = cli.build_parser().parse_args(["get", "--years", "1976"]), pipeline.PipelineConfig()
+    assert (args.jobs, args.retries, args.cache_dir) == (config.jobs, config.retries, config.cache_dir)
+    for era in SourceFormat:
+        argv = ["convert", "--input", "x", "--format-era", era.value]
+        assert cli.build_parser().parse_args(argv).format_era == era.value
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run(["convert", "--input", "x", "--format-era", "xml3"])
+    assert excinfo.value.code == 1
+    assert "argument --format-era: invalid choice: 'xml3'" in capsys.readouterr().err
 
 
 class TestPositiveCounts:

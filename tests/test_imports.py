@@ -10,13 +10,14 @@ PACKAGE = ROOT / "src" / "patentbulk"
 
 
 def _used_names(tree: ast.AST) -> set[str]:
-    """The names ``tree`` reads or binds, those listed in ``__all__`` and
-    those read by string annotations."""
+    """The names ``tree`` reads or binds, those listed in a literal
+    ``__all__`` (a computed one names nothing statically) and those read
+    by string annotations."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
@@ -63,6 +64,7 @@ def test_unused_import_found(tmp_path):
         "from typing import List as L  # noqa\n"
         "from json import dumps, loads\n"
         "__all__ = ['dumps']\n"
+        "__all__ = sorted(__all__)\n"
         "def f(x: 'IO[str]') -> None:\n"
         "    sys.exit()\n"
     )

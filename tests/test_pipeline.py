@@ -1,6 +1,7 @@
 import bz2
 import csv
 import datetime as dt
+import errno
 import gc
 import gzip
 import io
@@ -1119,6 +1120,32 @@ class TestStatsSplit:
             tables.append(out.getvalue())
         assert FORK_THREADS == []
         assert tables == _stats_tables(records_csv, False, one_process=True)
+
+
+@pytest.mark.parametrize("site", ["inflate", "stats"])
+def test_a_failed_fork_leaves_the_work_here(aps_fixture_text, tmp_path, monkeypatch, site):
+    # os.fork fails as under a process limit: the archive is inflated, and
+    # the file tallied, in this process, and no pipe is left open
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    archive = _aps_zip(tmp_path / "week.zip", aps_fixture_text, copies=50)
+    records = tmp_path / "records.csv"
+    convert = ["convert", "--input", str(archive), "--format-era", "aps",
+               "--output", str(records), "--quiet"]
+    if site == "stats":
+        assert cli.run(convert) == 0
+        one_process = _stats_tables(records, False, one_process=True)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    descriptors = sorted(os.listdir("/proc/self/fd"))
+    if site == "inflate":
+        assert cli.run(convert) == 0
+    else:
+        assert _stats_tables(records, False) == one_process
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
+    assert len(list(read_csv(records))) == 100
 
 
 class TestExceptionsCrossProcesses:
