@@ -129,6 +129,16 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
                         help="also write the run summary as JSON ('-' for stdout)")
 
 
+# each stats analysis by name: its tally of the grant rows at --top k, looked up
+# in analytics at each call (where a tracer may wrap it), and its table writer
+_ANALYSES = {
+    "weekly": (lambda rows, k: analytics.weekly_counts(rows), analytics.weekly_table),
+    "classes": (lambda rows, k: analytics.top_ipc_subclasses(rows, k), analytics.classes_table),
+    "lag-by-class": (lambda rows, k: analytics.lag_stats_by_class(rows, k), analytics.lag_table),
+    "lag-by-year": (lambda rows, k: analytics.lag_stats_by_year(rows), analytics.lag_table),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="patentbulk",
@@ -159,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_get)
 
     p_stats = sub.add_parser("stats", help="summary analyses over converted output")
-    p_stats.add_argument("analysis", choices=("weekly", "classes", "lag-by-class", "lag-by-year"))
+    p_stats.add_argument("analysis", choices=tuple(_ANALYSES))
     p_stats.add_argument("--input", required=True, help="pipeline CSV/JSONL output to analyze")
     p_stats.add_argument("--input-format", choices=tuple(pipeline.SINKS),
                          help="override input format sniffing by extension")
@@ -255,31 +265,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     # the table is computed before --output is opened, so an unreadable
     # input leaves no output file behind
-    notes: list[str] = []
-    if args.analysis == "weekly":
-        write_table = analytics.weekly_table
-        stats = analytics.weekly_counts(records)
-    elif args.analysis == "classes":
-        write_table = analytics.classes_table
-        stats = analytics.top_ipc_subclasses(records, args.top)
-    else:
-        write_table = analytics.lag_table
-        notes.append("quartiles: %s" % analytics.QUARTILE_RULE)
-        if args.analysis == "lag-by-class":
-            stats = analytics.lag_stats_by_class(records, args.top)
-        else:
-            stats = analytics.lag_stats_by_year(records)
-            delta = analytics.median_lag_delta(stats)
-            if delta is not None:
-                notes.append(
-                    "median lag delta %d vs %d: %+g days" % (delta[1], delta[0], delta[2])
-                )
-
+    analyse, write_table = _ANALYSES[args.analysis]
+    stats = analyse(records, args.top)
     with _open_output(args.output) as out:
         write_table(stats, out)
-    if not args.quiet:
-        for note in notes:
-            print(note, file=sys.stderr)
+    if not args.quiet and write_table is analytics.lag_table:
+        print("quartiles: %s" % analytics.QUARTILE_RULE, file=sys.stderr)
+        delta = analytics.median_lag_delta(stats)  # None by class: its keys are not years
+        if delta is not None:
+            print("median lag delta %d vs %d: %+g days" % (delta[1], delta[0], delta[2]),
+                  file=sys.stderr)
     return EXIT_OK
 
 

@@ -350,14 +350,16 @@ class ForkedPipe(io.FileIO):
     """A pipe that a forked child fills by ``fill(out)``, ``out`` the pipe's
     binary write end, ahead of the reads.  A failing child sends its
     error's text, prefixed with ``name`` unless it is an IntegrityError's,
-    down a second pipe and exits 1, and EOF raises IntegrityError with
-    that text.  ``close`` closes the pipe and kills a child still running,
-    then reaps it.  A fork that fails closes both pipes and raises."""
+    down a second pipe and exits 1; EOF raises IntegrityError with that
+    text, or, from a child that sent none (killed, say), with ``name``
+    and its exit status or signal.  ``close`` closes the pipe and kills a
+    child still running, then reaps it.  A fork that fails closes both
+    pipes and raises."""
 
     read, readall = io.RawIOBase.read, io.RawIOBase.readall  # through readinto, to see EOF
 
     def __init__(self, fill: Callable[[BinaryIO], object], name: str) -> None:
-        (pipe, out), (self._errors, err), self._pid = os.pipe(), os.pipe(), 0
+        (pipe, out), (self._errors, err), self._pid, self._name = os.pipe(), os.pipe(), 0, name
         try:
             self._pid = os.fork()
         except OSError:
@@ -394,9 +396,10 @@ class ForkedPipe(io.FileIO):
         if self._pid:
             with open(self._errors, "rb") as sent:
                 text = sent.read().decode(errors="replace")
-            status, self._pid = os.waitpid(self._pid, 0)[1], 0
-            if status and raising:
-                raise IntegrityError(text)
+            code, self._pid = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1]), 0
+            if code and raising:
+                how = "exited %d" % code if code > 0 else "was killed by signal %d" % -code
+                raise IntegrityError(text or "%s: the child process %s" % (self._name, how))
         return 0
 
 

@@ -15,7 +15,7 @@ import os
 import shutil
 import threading
 from collections import deque
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing, nullcontext, suppress
 from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from itertools import islice
@@ -38,9 +38,8 @@ from .model import (
     row_from_dict,
 )
 
-# tempfile, xmlgrants and the thread and process pools are imported in the
-# functions that use them: `stats` uses none of them, an APS `convert` no
-# xmlgrants, and a run of one job no pool
+# tempfile, pickle and xmlgrants are imported where they are used: `stats`
+# uses none of them, an APS `convert` no xmlgrants, a run of one job no pickle
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
@@ -133,7 +132,7 @@ class Sink:
     """Writes records to ``out`` with ``write(record)``, one line each, in
     the format of a subclass, which sets ``header`` and defines ``write``.
     Runs write each source to a spool file with :func:`spool_file`, maybe
-    in a worker process, through a sink of the same class with no header,
+    in a forked child, through a sink of the same class with no header,
     and copy it to ``out`` with :meth:`append`; ``bytes_written`` counts
     the UTF-8 bytes of the header and of every spool appended, not those
     of a direct ``write``."""
@@ -254,17 +253,16 @@ def read_jsonl(source: Union[str, Path, TextIO]) -> Iterator[PatentRecord]:
     return _read_rows(source, record_from_row, jsonl=True)
 
 
-def _cpus() -> Optional[int]:
-    """How many CPUs this process may run on; None without ``os.sched_getaffinity``."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+_forked_child = False  # set in the child of each weekly file at ``jobs`` above 1
 
 
 def _cpu_idle() -> bool:
-    """Whether a forked child would have a CPU of its own: two or more
-    :func:`_cpus` (not None: the forks are measured on Linux alone), no
-    other thread in this process, whose locks a fork would copy, and not a
-    pool worker, whose CPU the pool counts already (``_worker_sink`` set)."""
-    return (_cpus() or 0) > 1 and threading.active_count() == 1 and _worker_sink is None
+    """Whether a forked child would have a CPU of its own: this process may
+    run on two or more CPUs (``os.sched_getaffinity``: the forks are
+    measured on Linux alone), runs no other thread, whose locks a fork
+    would copy, and is no weekly file's child, whose CPU ``jobs`` counts."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(cpus) > 1 and threading.active_count() == 1 and not _forked_child
 
 
 def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
@@ -385,6 +383,45 @@ def _fetch_week(
     return plan, entry
 
 
+class _Forked:
+    """``call()`` run in a forked child (:class:`fetch.ForkedPipe`) whose
+    temp files go in ``tempdir``, and which pickles back the call's result
+    or its exception; calling this returns the one or raises the other.
+    A child that dies first raises IntegrityError naming ``name``.
+    ``close`` kills and reaps a child whose result was not taken.  If the
+    fork fails, calling this makes the call here."""
+
+    def __init__(self, call: Callable[[], T], name: str, tempdir: str) -> None:
+        import pickle
+        import tempfile
+
+        def send(out: IO[bytes]) -> None:
+            global _forked_child
+            _forked_child, tempfile.tempdir = True, tempdir
+            try:
+                outcome = True, call()
+            except Exception as error:
+                outcome = False, error
+            pickle.dump(outcome, out)
+
+        self._call, self._loads, self._child = call, pickle.loads, None
+        with suppress(OSError):  # no child: the call is made here
+            self._child = fetchmod.ForkedPipe(send, name)
+
+    def __call__(self) -> T:
+        if self._child is None:
+            return self._call()
+        with self._child as child:
+            done, outcome = self._loads(child.readall())
+        if done:
+            return outcome
+        raise outcome
+
+    def close(self) -> None:
+        if self._child is not None:
+            self._child.close()
+
+
 def _ordered_weeks(
     weeks: list[T], config: PipelineConfig, step: Callable[..., object]
 ) -> Iterator[tuple[T, Callable[[], object]]]:
@@ -392,22 +429,34 @@ def _ordered_weeks(
     paths; yield ``(week, result)`` in the order given, ``result()``
     returning the step's result or raising what it raised.
 
-    At most ``max(1, config.jobs)`` weeks are submitted and not yet
-    consumed: the next week is submitted only after the caller has taken
-    the oldest, so fetched weeks cannot pile up behind a slow one.  With
-    one job there is no pool: each step runs on the calling thread when
-    its ``result()`` is called, where an interrupt stops it at once.
+    With one job each step runs here when its ``result()`` is called,
+    where an interrupt stops it at once.  With more, each runs in a forked
+    child of its own (:class:`_Forked`), ``config.jobs`` at most at once:
+    the next is forked only after the caller has taken the oldest, so
+    finished weeks cannot pile up behind a slow one.  The children make
+    their temp files in one directory, removed with the loop, which kills
+    and reaps the children not yet taken when it closes.
     """
-    jobs, todo, pool = max(1, config.jobs), iter(weeks), nullcontext()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=jobs)
-    with pool:
-        start = partial if jobs == 1 else lambda *call: pool.submit(*call).result
-        pending = deque((week, start(step, week, config)) for week in islice(todo, jobs))
-        while pending:
-            yield pending.popleft()
-            pending.extend((week, start(step, week, config)) for week in islice(todo, 1))
+    jobs, todo = max(1, config.jobs), iter(weeks)
+    if jobs == 1:
+        yield from ((week, partial(step, week, config)) for week in todo)
+        return
+    import tempfile
+
+    def start(week: T) -> tuple[T, _Forked]:
+        name = week.label() if isinstance(week, WeekSpec) else str(week)
+        return week, _Forked(partial(step, week, config), name, tempdir)
+
+    with tempfile.TemporaryDirectory() as tempdir:
+        pending = deque(map(start, islice(todo, jobs)))
+        try:
+            while pending:
+                yield pending[0]
+                pending.popleft()
+                pending.extend(map(start, islice(todo, 1)))
+        finally:
+            for _, child in pending:
+                child.close()
 
 
 def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
@@ -417,20 +466,17 @@ def _sorted_weeks(weeks: Iterable[WeekSpec]) -> list[WeekSpec]:
     return week_list
 
 
-def spool_file(
-    path: Union[str, Path], format: SourceFormat, encoding: str, sink: Sink,
-    spool_dir: Optional[str] = None,
-) -> Spooled:
+def spool_file(path: Union[str, Path], format: SourceFormat, encoding: str, sink: Sink) -> Spooled:
     """Open, size and parse one weekly file, a ``.zip`` archive (the suffix
     in any case), read by :func:`_inflated`, or a plain one, writing each
     record as it is parsed, in ``sink``'s format but not to its output, to
-    a new temp file in ``spool_dir`` (default ``TMPDIR``).  Returns the
+    a new temp file (``tempfile.mkstemp``).  Returns the
     :data:`Spooled` result for :meth:`RunSummary.append`.  A file that
     fails to open or parse removes the temp file and raises."""
     import tempfile
     path = Path(path)
     zipped = path.suffix.lower() == ".zip"
-    handle, name = tempfile.mkstemp(dir=spool_dir)
+    handle, name = tempfile.mkstemp()
     try:
         with open(handle, "w", encoding="utf-8", newline="") as spool, (
             _inflated(path) if zipped else open(path, "rb")
@@ -449,9 +495,6 @@ def spool_file(
     return name, wkus, (report.warnings_total, compressed, decompressed)
 
 
-_worker_sink: Optional[Sink] = None  # the run's sink, set only in workers by the pool's initializer
-
-
 def _inflated(path: Path) -> IO[bytes]:
     """``fetch.open_archive(path)``; while :func:`_cpu_idle`, a pipe that a
     forked child fills from it, 64 KiB at a time, ahead of the parse.  If
@@ -465,52 +508,6 @@ def _inflated(path: Path) -> IO[bytes]:
         return stream
     stream.close()  # the child has the archive now
     return io.BufferedReader(piped, buffer_size=READ_SIZE)
-
-
-def _set_worker_sink(sink: Sink) -> None:
-    global _worker_sink
-    _worker_sink = sink
-
-
-def _spool_in_worker(path: str, format: SourceFormat, encoding: str, spool_dir: str) -> Spooled:
-    return spool_file(path, format, encoding, _worker_sink, spool_dir)
-
-
-@contextmanager
-def _spooler(config: PipelineConfig, files: int, sink: Sink) -> Iterator[Callable[..., Spooled]]:
-    """Yield ``spool(path, format)``, the step every run takes per weekly
-    file: :func:`spool_file` with one job on the calling thread, with more
-    in a worker process, which gets ``sink`` through the fork.  Once a
-    worker has died and broken the pool, the ``files`` not yet handed to
-    it are spooled on their own threads; forking new workers then could
-    copy a lock held by another thread.  A broken pool that ends the run
-    raises ChildProcessError, an OSError.  The pool has at most one worker
-    per CPU (:func:`_cpus`, or ``os.cpu_count()`` where that is None)."""
-    if config.jobs <= 1:
-        yield lambda path, format: spool_file(path, format, config.encoding, sink)
-        return
-    import multiprocessing
-    import tempfile
-    from concurrent.futures import process
-
-    workers = min(config.jobs, files, _cpus() or os.cpu_count() or 1)
-    fork = multiprocessing.get_context("fork")
-    try:
-        with tempfile.TemporaryDirectory() as spool_dir, process.ProcessPoolExecutor(
-            workers, fork, initializer=_set_worker_sink, initargs=(sink,)
-        ) as pool:
-            pool.submit(int).result()  # forks every worker now, before the run starts a thread
-
-            def spool(path: Union[str, Path], format: SourceFormat) -> Spooled:
-                try:
-                    future = pool.submit(_spool_in_worker, path, format, config.encoding, spool_dir)
-                except process.BrokenProcessPool:
-                    return spool_file(path, format, config.encoding, sink, spool_dir)
-                return future.result()
-
-            yield spool
-    except process.BrokenProcessPool as exc:  # a RuntimeError; cli.run reports OSErrors
-        raise ChildProcessError(str(exc)) from exc
 
 
 def _run(
@@ -545,14 +542,16 @@ def get_bulk_patent_data(
 
     Weeks are fetched (cache-first) ``config.jobs`` at a time and reach
     the sink in ascending (year, week) order.  Each is parsed into a temp
-    file in ``TMPDIR`` by the spool step :func:`convert_files` shares, and
-    appended to the sink on the calling thread.  With ``jobs=N`` the parse
-    runs in up to N worker processes, so the sink's ``write`` runs there
-    and only its ``append`` here; they are forked when the run starts, so
-    a caller whose own threads may then hold locks should use one job.  A
-    week whose fetch or parse fails adds no rows and is recorded in the
-    summary; if every week fails a RunError is raised.  Any error while a
-    spool is appended ends the run at once, a failed write as OutputError.
+    file by the spool step :func:`convert_files` shares, and appended to
+    the sink in the calling process.  With ``jobs=N`` each week's fetch,
+    parse and spool run in a forked child of its own, N at a time, so
+    ``config.transport``, ``config.progress`` and the sink's ``write``
+    run there, and only its ``append`` and the summary here; a caller
+    whose threads may hold locks at a fork should use one job.  A week
+    whose fetch or parse fails, or whose child dies, adds no rows and is
+    recorded in the summary; if every week fails a RunError is raised.
+    Any error while a spool is appended ends the run at once, a failed
+    write as OutputError.
     """
     week_list = _sorted_weeks(weeks)
     config = config or PipelineConfig()
@@ -560,10 +559,9 @@ def get_bulk_patent_data(
     def step(week: WeekSpec, config: PipelineConfig) -> Spooled:
         plan, entry = _fetch_week(week, config)
         _emit_progress(config, "parsing %s" % week.label())
-        return spool(entry.cache_path, plan.format)
+        return spool_file(entry.cache_path, plan.format, config.encoding, sink)
 
-    with _spooler(config, len(week_list), sink) as spool:
-        return _run(week_list, config, step, lambda summary, spooled: summary.append(spooled, sink))
+    return _run(week_list, config, step, lambda summary, spooled: summary.append(spooled, sink))
 
 
 def convert_files(
@@ -575,16 +573,16 @@ def convert_files(
     """Parse local weekly files of one era, ``.zip`` archives or plain
     ones, into ``sink`` in the order given, with the spool step and jobs of
     :func:`get_bulk_patent_data`.  The first file that fails to open or
-    parse raises and ends the run, the error's text naming the file once;
-    the summary counts no weeks."""
+    parse, or whose child dies, raises and ends the run, the error's text
+    naming the file once; the summary counts no weeks."""
     path_list = list(paths)
     if not path_list:
         raise ValueError("paths must be non-empty")
     config = config or PipelineConfig()
     summary = RunSummary()
-    with _spooler(config, len(path_list), sink) as spool, closing(
-        _ordered_weeks(path_list, config, lambda path, _: spool(path, format))
-    ) as results:
+    with closing(_ordered_weeks(
+        path_list, config, lambda path, _: spool_file(path, format, config.encoding, sink)
+    )) as results:
         for path, result in results:
             try:
                 spooled = result()

@@ -10,7 +10,7 @@ compiled module's code objects list in ``co_lines``.
 A forked child keeps the trace of the thread that forked it, and its
 lines are kept too: ``os._exit`` is wrapped so that a child writes the
 lines it ran to a file in a temp directory first, and the files are
-merged at the end.  So the lines that only a ``--jobs N`` worker, the
+merged at the end.  So the lines that only a ``--jobs N`` child, the
 child that ``spool_file`` forks to inflate an archive, or the child that
 ``stats`` forks to tally the second half of its input runs count as run.
 A child killed by a signal, or a new interpreter (``subprocess``), is

@@ -1,8 +1,8 @@
 """Each command imports only what it runs: ``import patentbulk`` loads no
 submodule, ``stats`` loads no archive, hashing, XML, temp-file or pool
-code, and an APS ``convert`` no XML mapper.  Each check runs in a new
-interpreter started with ``-S``, so that no site hook has loaded a module
-first."""
+code, an APS ``convert`` no XML mapper, and no run a pool.  Each check
+runs in a new interpreter started with ``-S``, so that no site hook has
+loaded a module first."""
 
 import json
 from pathlib import Path
@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import patentbulk
-from conftest import make_zip, random_records, run_python, sink_to_file
+from conftest import FakeTransport, make_zip, random_records, run_python, sink_to_file
+from patentbulk.fetch import fetch, resolve_plan
+from patentbulk.model import WeekSpec
 from patentbulk.pipeline import CsvSink
 
 TRACING_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -58,6 +60,19 @@ def test_aps_convert_loads_no_xml_mapper(data_dir, tmp_path):
     assert "zipfile" in modules
     # one job: no thread or process pool either
     assert sorted(modules.intersection(HEAVY)) == ["tempfile", "zipfile"]
+
+
+def test_two_jobs_load_no_pool(data_dir, tmp_path):
+    # each weekly file runs in a forked child: no thread or process pool
+    plan, cache = resolve_plan(WeekSpec(1976, 1)), tmp_path / "cache"
+    week = make_zip({"w.txt": (data_dir / "aps_two_patents.txt").read_bytes()})
+    fetch(plan, str(cache), transport=FakeTransport({plan.url: week}))
+    out = tmp_path / "out.csv"
+    status, modules = loaded_after("convert", "--years", "1976", "--weeks", "1", "--jobs", "2",
+                                   "--cache-dir", str(cache), "--output", str(out), "--quiet")
+    assert status == 0
+    assert out.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+    assert sorted(modules.intersection({"concurrent.futures", "multiprocessing"})) == []
 
 
 def test_star_import_binds_every_public_name():

@@ -10,6 +10,7 @@ import lzma
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -297,14 +298,14 @@ class TestGetBulkPatentData:
         jobs = 2
         weeks = [WeekSpec(1976, w) for w in range(1, 7)]
         payload = make_zip({"w.txt": aps_fixture_text.encode("latin-1")})
-        overrun = threading.Event()
+        log = tmp_path / "requests.log"
+        log.touch()
 
         class CountingTransport(FakeTransport):
             def get(self, url):
-                response = super().get(url)
-                if len(self.requests) > jobs:
-                    overrun.set()
-                return response
+                with open(log, "a") as handle:  # the forked children request here too
+                    handle.write(url + "\n")
+                return super().get(url)
 
         transport = CountingTransport({_week_url(week): payload for week in weeks})
         served_at_first_write = []
@@ -313,8 +314,10 @@ class TestGetBulkPatentData:
             def append(self, name):
                 if not served_at_first_write:
                     # gives a loop that looks further ahead time to fetch more weeks
-                    overrun.wait(timeout=1.0)
-                    served_at_first_write.append(len(transport.requests))
+                    deadline = time.monotonic() + 1.0
+                    while len(log.read_text().split()) <= jobs and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    served_at_first_write.append(len(log.read_text().split()))
                 super().append(name)
 
         summary = get_bulk_patent_data(
@@ -322,6 +325,7 @@ class TestGetBulkPatentData:
         )
         assert served_at_first_write[0] <= jobs
         assert summary.records_written == 12
+        assert len(log.read_text().split()) == 6
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_at_most_two_records_alive_at_each_write(self, aps_fixture_text, tmp_path, jobs):
@@ -556,19 +560,32 @@ class TestWorkerProcesses:
         assert FORK_THREADS and set(FORK_THREADS) == {1}
 
     @pytest.mark.parametrize(
-        "jobs, weeks, cpus, workers", [(3, 6, 8, 3), (3, 2, 8, 2), (3, 6, 2, 2), (2, 6, 1, 1)]
+        "jobs, weeks, cpus, window", [(3, 6, 8, 3), (3, 2, 8, 2), (3, 6, 2, 3), (2, 6, 1, 2)]
     )
     def test_worker_count(
-        self, aps_fixture_text, tmp_path, monkeypatch, jobs, weeks, cpus, workers
+        self, aps_fixture_text, tmp_path, monkeypatch, jobs, weeks, cpus, window
     ):
+        # one child per week, ``window`` of them forked before the first
+        # append whatever the CPUs; at each append the week taken is
+        # reaped and the next not yet forked
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        alive = []
+
+        class CountingSink(CsvSink):
+            def append(self, name):
+                alive.append(len(_children()))
+                super().append(name)
+
         FORK_THREADS.clear()
         transport = _served_weeks(aps_fixture_text, self.WEEKS[:weeks])
         summary = get_bulk_patent_data(
-            self.WEEKS[:weeks], CsvSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
+            self.WEEKS[:weeks], CountingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
         )
         assert summary.records_written == 2 * weeks
-        assert len(FORK_THREADS) == workers
+        assert alive[0] == window - 1
+        assert alive == [min(taken + jobs, weeks) - taken - 1 for taken in range(weeks)]
+        assert FORK_THREADS == [1] * weeks
+        assert _children() == []
 
     def test_spools_bounded_by_jobs_and_removed(self, aps_fixture_text, tmp_path, spool_dir):
         transport = _served_weeks(aps_fixture_text, self.WEEKS)
@@ -634,8 +651,8 @@ class TestWorkerProcesses:
         assert list(spool.iterdir()) == []
 
     def test_dead_worker_costs_only_the_weeks_it_had(self, data_dir, tmp_path):
-        # week 2 kills its worker; week 4 is handed out only once week 2
-        # has failed, so it always finds the pool broken
+        # the 2005 week kills its child; the children of the other weeks,
+        # forked before and after it, are untouched
         weeks = [WeekSpec(year, 1) for year in (2004, 2005, 2006, 2007)]
         xml4 = (data_dir / "era_xml4.xml").read_bytes()
         transport = FakeTransport(
@@ -651,13 +668,13 @@ class TestWorkerProcesses:
         spool, out = tmp_path / "tmp", tmp_path / "out.csv"
         spool.mkdir()
         result = run_python(
-            "-c", DYING_WORKER, "convert", "--years", "2004-2007", "--weeks", "1", "--jobs", "2",
+            "-c", DYING_2005, "convert", "--years", "2004-2007", "--weeks", "1", "--jobs", "2",
             "--cache-dir", config.cache_dir, "--output", out, "--quiet",
             timeout=60, TMPDIR=str(spool),
         )
         assert result.returncode == 2, result.stderr
-        assert re.search(r"failed 2005wk01: \S", result.stderr), result.stderr
-        assert "00002007" in [record.wku for record in read_csv(out)]
+        assert re.fullmatch(r"failed 2005wk01: \S[^\n]*\n", result.stderr), result.stderr
+        assert [record.wku for record in read_csv(out)] == ["07641234", "00002006", "00002007"]
         assert list(spool.iterdir()) == []
 
     def test_worker_that_dies_ends_convert_input(self, data_dir, tmp_path):
@@ -689,6 +706,21 @@ def dying_parse(stream, format, encoding):
     return parse(stream, format, encoding)
 
 pipeline.parse_archive_stream = dying_parse
+sys.exit(cli.run(sys.argv[1:]))
+"""
+# runs the command line in a process whose spool of the 2005 week's
+# archive (ipg050104.zip) in a child process kills that child
+DYING_2005 = """
+import os, signal, sys
+from patentbulk import cli, pipeline
+command, spool_file = os.getpid(), pipeline.spool_file
+
+def dying_spool(path, *args):
+    if os.path.basename(path) == "ipg050104.zip" and os.getpid() != command:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return spool_file(path, *args)
+
+pipeline.spool_file = dying_spool
 sys.exit(cli.run(sys.argv[1:]))
 """
 
@@ -752,6 +784,28 @@ class TestInflateAhead:
         assert _children() == []
         assert list(spool_dir.iterdir()) == []
 
+    def test_a_killed_child_is_named_with_its_file_and_signal(
+        self, aps_fixture_text, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        init = fetchmod.ForkedPipe.__init__
+
+        def killed(self, fill, name):  # the child dies before it can send an error
+            init(self, fill, name)
+            os.kill(self._pid, signal.SIGKILL)
+
+        monkeypatch.setattr(fetchmod.ForkedPipe, "__init__", killed)
+        path = _aps_zip(tmp_path / "week.zip", aps_fixture_text)
+        text = "%s: the child process was killed by signal %d" % (path, signal.SIGKILL)
+        with pytest.raises(fetchmod.IntegrityError) as caught:
+            convert_files([path], SourceFormat.APS, CsvSink(io.StringIO()), PipelineConfig(jobs=1))
+        assert str(caught.value) == text
+        out = tmp_path / "out.csv"
+        assert cli.run(["convert", "--input", str(path), "--format-era", "aps", "--quiet",
+                        "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % text
+        assert not out.exists() and _children() == []
+
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-line", "ahead"])
     def test_bad_crc_reads_the_same_either_way(
         self, aps_fixture_text, tmp_path, monkeypatch, spool_dir, cpus
@@ -811,7 +865,9 @@ class TestInflateAhead:
         path = _aps_zip(tmp_path / "week.zip", aps_fixture_text, copies=2)
         out = io.StringIO()
         convert_files([path] * files, SourceFormat.APS, CsvSink(out), PipelineConfig(jobs=jobs))
-        assert log.read_text().split() == [str(os.getpid())] * (files if ahead else 0)
+        # at more than one job, a child per file, each of which inflates in line
+        forks = files if ahead or jobs > 1 else 0
+        assert log.read_text().split() == [str(os.getpid())] * forks
         assert len(list(read_csv(io.StringIO(out.getvalue())))) == 4 * files
 
     @pytest.mark.parametrize("failure", ["unknown_method", "failed_read"])
@@ -1146,6 +1202,30 @@ def test_a_failed_fork_leaves_the_work_here(aps_fixture_text, tmp_path, monkeypa
         assert _stats_tables(records, False) == one_process
     assert sorted(os.listdir("/proc/self/fd")) == descriptors
     assert len(list(read_csv(records))) == 100
+
+
+def test_a_failed_fork_at_two_jobs_runs_each_step_here(aps_fixture_text, tmp_path, monkeypatch):
+    # os.fork fails as under a process limit: each week's or file's step
+    # runs in this process, in order, and no pipe is left open
+    paths, weeks = _local_weeks(tmp_path), [WeekSpec(1976, w) for w in range(1, 4)]
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    runs = {}
+    for jobs in (1, 2):
+        if jobs == 2:
+            monkeypatch.setattr(os, "fork", no_fork)
+            descriptors = sorted(os.listdir("/proc/self/fd"))
+        transport = _served_weeks(aps_fixture_text, weeks)
+        local, cached = io.StringIO(), io.StringIO()
+        convert_files(paths, SourceFormat.APS, CsvSink(local), PipelineConfig(jobs=jobs))
+        summary = get_bulk_patent_data(
+            weeks, CsvSink(cached), _config(tmp_path / str(jobs), transport, jobs=jobs)
+        )
+        runs[jobs] = local.getvalue(), cached.getvalue(), summary.to_dict(), len(transport.requests)
+    assert runs[2] == runs[1] and runs[1][3] == 3  # the fake transport ran here
+    assert sorted(os.listdir("/proc/self/fd")) == descriptors
 
 
 class TestExceptionsCrossProcesses:
