@@ -11,14 +11,18 @@ Quartiles use the median-of-halves rule (Tukey hinges): with an odd
 number of values the median belongs to both halves.  Lag values are
 whole days between application and issue; negative lags indicate source
 data errors and are excluded from the quartiles but reported in a
-data-quality column rather than silently dropped.  Each group keeps one
-count per distinct lag day and its quartiles are read from those counts,
-so memory holds groups × distinct lag days, whatever the input's size.
+data-quality column rather than silently dropped.  Each group counts its
+lags below ``_DENSE_DAYS`` in an array indexed by the day, as long as its
+largest such lag, and each rarer lag day in a Counter; its quartiles are
+read from the running totals of those counts.  So memory holds one
+4-byte count per day up to each group's largest lag below
+``_DENSE_DAYS``, plus one entry per rarer lag day, whatever the input's
+size.
 
 Each analysis reads its table from one tally of its input, a tuple of
-Counters or of defaultdicts of Counters, so that the tally of one half
-of the input can be sent as :func:`_pieces` and merged into the other's
-(``pipeline._Halves``).
+Counters or of defaultdicts of Counters or of arrays, so that the tally
+of one half of the input can be sent as :func:`_pieces` and merged into
+the other's (``pipeline._Halves``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ from .model import Grant, PatentRecord, first_grant_tuesday
 
 QUARTILE_RULE = "median-of-halves (Tukey hinges)"
 _PIECE_SIZE = 512  # counts in each of the :func:`_pieces` of a tally
+# lags below this many days are counted in an array per group, the rest
+# by day: 2**14 days, 44.9 years, is longer than real pendencies, so a
+# corrupt date's lag costs one entry, not an array as long as the lag
+_DENSE_DAYS = 2**14
 
 # What the analyses read: issue_date, app_date and subclass_keys.
 Patent = Union[PatentRecord, Grant]
@@ -90,21 +98,33 @@ def _tallied(records: Iterable[Patent], count: Callable[[Iterable[Patent]], tupl
     return records.tally(count) if hasattr(records, "tally") else count(records)
 
 
-def _pieces(tally: tuple) -> Iterator[tuple[int, Optional[Hashable], dict]]:
+def _pieces(tally: tuple) -> Iterator[tuple[int, Optional[Hashable], Union[dict, tuple]]]:
     """``tally`` as (part, group, counts) of at most ``_PIECE_SIZE`` counts
-    each, group None in a part that is a Counter (no group key is None), for
-    :func:`_merge`."""
+    each, group None in a part that is a Counter (no group key is None),
+    counts a dict of a Counter's items or (start, list) of an array's
+    counts from ``start``, for :func:`_merge`."""
     for index, part in enumerate(tally):
         for key, counts in part.items() if isinstance(part, defaultdict) else [(None, part)]:
-            items = iter(counts.items())
-            while piece := dict(islice(items, _PIECE_SIZE)):
-                yield index, key, piece
+            if isinstance(counts, Counter):
+                items = iter(counts.items())
+                while piece := dict(islice(items, _PIECE_SIZE)):
+                    yield index, key, piece
+            else:  # an array of lag-day counts
+                for start in range(0, len(counts), _PIECE_SIZE):
+                    yield index, key, (start, counts[start : start + _PIECE_SIZE].tolist())
 
 
-def _merge(tally: tuple, piece: tuple[int, Optional[Hashable], dict]) -> None:
+def _merge(tally: tuple, piece: tuple[int, Optional[Hashable], Union[dict, tuple]]) -> None:
     """Add one of the :func:`_pieces` of another tally to ``tally``."""
     index, key, counts = piece
-    (tally[index] if key is None else tally[index][key]).update(counts)
+    part = tally[index] if key is None else tally[index][key]
+    if isinstance(counts, dict):
+        part.update(counts)
+        return
+    start, added = counts
+    part.extend([0] * (start + len(added) - len(part)))
+    for day, n in enumerate(added, start):
+        part[day] += n
 
 
 def _weeks(records: Iterable[Patent]) -> tuple[Counter]:
@@ -146,34 +166,44 @@ def top_ipc_subclasses(records: Iterable[Patent], k: int = 10) -> list[ClassCoun
     return [ClassCount(key, n) for key, n in _ranked(counts, k)]
 
 
-def _five_number(counts: Counter) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max) of the values ``counts`` tallies, each
-    read at its rank in the running totals of the sorted distinct values."""
-    values = sorted(counts)
-    totals = list(accumulate(counts[v] for v in values))
+def _five_number(dense: Sequence[int], rare: Counter) -> tuple[float, float, float, float, float]:
+    """(min, q1, median, q3, max) of the values tallied as ``dense[v]``
+    counts of each v below ``len(dense)`` and ``rare`` counts of values
+    above them, each read at its rank in the running totals of the counts
+    in value order: in ``dense`` the index of a total is its value."""
+    values = sorted(rare)
+    totals = list(accumulate(chain(dense, (rare[v] for v in values))))
     n = totals[-1]
 
+    def at(rank: int) -> int:
+        index = bisect_right(totals, rank)
+        return index if index < len(dense) else values[index - len(dense)]
+
     def median(lo: int, hi: int) -> float:  # of the values at ranks lo..hi-1
-        ranks = ((lo + hi - 1) // 2, (lo + hi) // 2)
-        return sum(values[bisect_right(totals, rank)] for rank in ranks) / 2
+        return (at((lo + hi - 1) // 2) + at((lo + hi) // 2)) / 2
 
     lower, upper = median(0, (n + 1) // 2), median(n // 2, n)
-    return float(values[0]), lower, median(0, n), upper, float(values[-1])
+    return float(at(0)), lower, median(0, n), upper, float(at(n - 1))
 
 
 def tukey_five_number(values: Iterable[int]) -> tuple[float, float, float, float, float]:
     """(min, q1, median, q3, max) with hinges from median-of-halves."""
-    return _five_number(Counter(values))
+    return _five_number((), Counter(values))
 
 
 def _group_lags(
     keys_of: Callable[[Patent], Sequence[Hashable]], records: Iterable[Patent]
-) -> tuple[Counter, dict[Hashable, Counter], Counter]:
-    """Records, counts of each non-negative lag day, and negative lags per
-    key, in one pass; memory grows with keys × distinct lags, not records."""
+) -> tuple[Counter, dict[Hashable, Sequence[int]], Counter, dict[Hashable, Counter]]:
+    """Records per key, counts of each lag day below ``_DENSE_DAYS`` in an
+    array indexed by the day, negative lags, and counts of each rarer lag
+    day, per key, in one pass; memory grows with keys × lag days, not
+    records."""
+    from array import array  # here, so that only the lag analyses load it
+
     records_per_key: Counter = Counter()
-    lags: dict[Hashable, Counter] = defaultdict(Counter)
+    dense: dict[Hashable, Sequence[int]] = defaultdict(partial(array, "I"))
     negatives: Counter = Counter()
+    rare: dict[Hashable, Counter] = defaultdict(Counter)
     for record in records:
         keys = keys_of(record)
         records_per_key.update(keys)
@@ -183,13 +213,26 @@ def _group_lags(
         for key in keys:
             if lag < 0:
                 negatives[key] += 1
+            elif lag < _DENSE_DAYS:
+                counts = dense[key]
+                if lag >= len(counts):
+                    counts.extend([0] * (lag + 1 - len(counts)))
+                counts[lag] += 1
             else:
-                lags[key][lag] += 1
-    return records_per_key, lags, negatives
+                rare[key][lag] += 1
+    return records_per_key, dense, negatives, rare
 
 
-def _lag_stats(key: Hashable, lags: Counter, negatives: int) -> LagStats:
-    return LagStats(key, lags.total(), *_five_number(lags), negatives)
+def _lag_groups(tally: tuple) -> set[Hashable]:
+    """The keys of a :func:`_group_lags` tally with a non-negative lag."""
+    return tally[1].keys() | tally[3].keys()
+
+
+def _lag_stats(tally: tuple, key: Hashable) -> LagStats:
+    """The :class:`LagStats` of group ``key`` of a :func:`_group_lags` tally."""
+    _, dense, negatives, rare = tally
+    lags, rarer = dense.get(key, ()), rare.get(key, Counter())
+    return LagStats(key, sum(lags) + rarer.total(), *_five_number(lags, rarer), negatives[key])
 
 
 def lag_stats_by(
@@ -207,8 +250,8 @@ def lag_stats_by(
         k = key(record)
         return () if k is None else (k,)
 
-    _, lags, negatives = _tallied(records, partial(_group_lags, keys_of))
-    return [_lag_stats(k, lags[k], negatives[k]) for k in sorted(lags)]
+    tally = _tallied(records, partial(_group_lags, keys_of))
+    return [_lag_stats(tally, k) for k in sorted(_lag_groups(tally))]
 
 
 def lag_stats_by_year(records: Iterable[Patent]) -> list[LagStats]:
@@ -222,9 +265,9 @@ def lag_stats_by_class(records: Iterable[Patent], top: int = 10) -> list[LagStat
     top classes contributes its lag to each of them.
     """
     by_class = partial(_group_lags, attrgetter("subclass_keys"))
-    per_class, lags, negatives = _tallied(records, by_class)
-    ranked = _ranked(per_class, top)
-    return [_lag_stats(k, lags[k], negatives[k]) for k, _ in ranked if k in lags]
+    tally = _tallied(records, by_class)
+    groups = _lag_groups(tally)
+    return [_lag_stats(tally, k) for k, _ in _ranked(tally[0], top) if k in groups]
 
 
 def median_lag_delta(stats: Sequence[LagStats]) -> Optional[tuple[int, int, float]]:

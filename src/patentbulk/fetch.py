@@ -130,7 +130,10 @@ class UrllibTransport:
             finally:
                 response.close()
 
-        return TransportResponse(response.status, chunks())
+        # a response that opened with no status, as from urllib's file:
+        # handler, is a success
+        status = 200 if response.status is None else response.status
+        return TransportResponse(status, chunks())
 
 
 def resolve_plan(week: WeekSpec, base_url: str = DEFAULT_BASE_URL) -> FetchPlan:

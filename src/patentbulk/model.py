@@ -587,9 +587,3 @@ def row_from_dict(data: object) -> list[str]:
             raise ValueError("%s must be a string, not %s" % (name, type(value).__name__))
         row.append(value or "")
     return row
-
-
-def record_from_dict(data: object) -> PatentRecord:
-    """Rebuild a record from a JSON value checked by :func:`row_from_dict`,
-    through :func:`record_from_row`; exact inverse of record_to_dict."""
-    return record_from_row(row_from_dict(data))

@@ -289,9 +289,11 @@ class _Halves:
     """The grants of the regular file at ``path``, read in one process when
     iterated.  ``tally(count)``, with a CPU idle and a :func:`_seam`, counts
     the rows before the seam here and the rest in a forked child, which
-    sends its counts back in :func:`analytics._pieces` to be merged.  If either
-    half fails, or the seam is not the end of a CSV record, the child is
-    killed and the whole file is counted here, as in one process."""
+    sends its counts back in :func:`analytics._pieces` to be merged: at most
+    ``analytics._PIECE_SIZE`` counts each, a Counter's items or a slice of a
+    group's array of lag-day counts.  If either half fails, or the seam is
+    not the end of a CSV record, the child is killed and the whole file is
+    counted here, as in one process."""
 
     path: Union[str, Path]
     jsonl: bool

@@ -5,9 +5,11 @@ import tracemalloc
 from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from conftest import random_records
+from patentbulk import analytics
 from patentbulk.analytics import (
     ClassCount,
     LagStats,
@@ -35,6 +37,36 @@ def record(issue, app=None, subclasses=(), wku="000000001"):
         app_date=app,
         ipc_codes=[ipc_parse(s) for s in subclasses],
     )
+
+
+DENSE = analytics._DENSE_DAYS
+# lags counted in a group's array, either side of its bound, by day up to
+# an application date of 0001-01-01, and negative
+LAGS = {
+    "dense": st.integers(0, 3000),
+    "bound": st.integers(DENSE - 2, DENSE + 1),
+    "rare": st.integers(DENSE, 720_000),
+    "negative": st.integers(-400, -1),
+}
+
+
+@st.composite
+def lag_records(draw):
+    """Records of one to four issue years, each year drawing its lags from
+    some of ``LAGS``, so that a year may hold only lags counted by day;
+    each record is in its year's own subclass and maybe shared ones."""
+    records = []
+    for year in range(1976, 1976 + draw(st.integers(1, 4))):
+        issue = dt.date(year, 1, 6)
+        kinds = draw(st.lists(st.sampled_from(sorted(LAGS)), min_size=1, unique=True))
+        lags = st.one_of(*(LAGS[kind] for kind in kinds))
+        for lag in draw(st.lists(st.none() | lags, min_size=1, max_size=12)):
+            shared = draw(st.lists(st.sampled_from(["A01B 1/00", "H04L 9/32"]), unique=True))
+            records.append(record(
+                issue, None if lag is None else issue - dt.timedelta(days=lag),
+                ["G%02dB 1/00" % (year - 1970)] + shared,
+            ))
+    return draw(st.permutations(records))
 
 
 class TestLagDays:
@@ -123,6 +155,12 @@ class TestQuartiles:
             values = [rng.randrange(0, 2000) for _ in range(rng.randrange(1, 40))]
             assert tukey_five_number(values) == oracle.oracle_five_number(values)
 
+    def test_negative_values_match_oracle(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            values = [rng.randrange(-2000, 2 * DENSE) for _ in range(rng.randrange(1, 40))]
+            assert tukey_five_number(values) == oracle.oracle_five_number(values)
+
 
 class TestLagStats:
     def test_by_year_groups_and_orders(self):
@@ -181,6 +219,24 @@ class TestLagStats:
         assert stats == LagStats(2001, 150_000, *oracle.oracle_five_number(lags))
         assert peak < 1.5 * 2**20
 
+    def test_a_corrupt_date_adds_one_count_not_an_array_as_long_as_its_lag(self):
+        # an application date of 0001-01-01: 730,843 days, counted by day
+        issue = dt.date(2001, 12, 25)
+        pool = [Grant(issue, issue - dt.timedelta(days=lag), ()) for lag in range(2901)]
+        corrupt = Grant(issue, dt.date(1, 1, 1), ())
+        peaks = []
+        for grants in (pool, pool + [corrupt]):
+            tracemalloc.start()
+            try:
+                (stats,) = lag_stats_by_year(grants)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        lags = list(range(2901)) + [(issue - corrupt.app_date).days]
+        assert lags[-1] > 730_000
+        assert stats == LagStats(2001, 2902, *oracle.oracle_five_number(lags))
+        assert peaks[1] - peaks[0] < 64 * 1024
+
     def test_median_lag_delta(self):
         stats = [
             LagStats(1976, 3, 1.0, 1.0, 100.0, 2.0, 2.0),
@@ -213,6 +269,16 @@ class TestOracleEquivalence:
             (s.group_key, s.count, s.min, s.q1, s.median, s.q3, s.max, s.negative_lags)
             for s in lag_stats_by_class(records, 10)
         ] == oracle.oracle_lag_stats_by_class(records, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=lag_records())
+    def test_lags_either_side_of_the_array_bound_match_brute_force(self, records):
+        rows = lambda stats: [
+            (s.group_key, s.count, s.min, s.q1, s.median, s.q3, s.max, s.negative_lags)
+            for s in stats
+        ]
+        assert rows(lag_stats_by_year(records)) == oracle.oracle_lag_stats_by_year(records)
+        assert rows(lag_stats_by_class(records, 4)) == oracle.oracle_lag_stats_by_class(records, 4)
 
     def test_permutation_invariance(self):
         records = random_records(150, seed=33)

@@ -715,6 +715,28 @@ class TestGetAndFetch:
         assert served_week.requests == []
         assert not cache.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_run_whose_weeks_all_fail_writes_nothing_to_standard_output(
+        self, monkeypatch, jobs, tmp_path, capsys
+    ):
+        _PatchedTransport(monkeypatch, {})  # every week is missing
+        for command in ("get", "convert"):
+            code, out, err = run_cli(
+                [command, "--years", "1976", "--weeks", "1-2", "--jobs", jobs,
+                 "--cache-dir", str(tmp_path / command), "--quiet"],
+                capsys,
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: all requested weeks failed")
+
+    def test_a_week_of_no_records_still_writes_the_header(self, monkeypatch, tmp_path, capsys):
+        _PatchedTransport(monkeypatch, {resolve_plan(WeekSpec(1976, 1)).url: make_zip({"w.txt": b""})})
+        code, out, _ = run_cli(
+            ["get", "--years", "1976", "--weeks", "1-2", "--cache-dir", str(tmp_path), "--quiet"],
+            capsys,
+        )
+        assert (code, out) == (2, CsvSink.header)
+
     def test_fetch_all_weeks_missing_exits_1(self, monkeypatch, tmp_path, capsys):
         _PatchedTransport(monkeypatch, {})
         code, _, _ = run_cli(

@@ -87,6 +87,20 @@ class TestFetch:
         assert again == entry
         assert len(fake_transport.requests) == 1  # idempotent: one network call
 
+    def test_a_file_url_is_read_by_the_default_transport(self, tmp_path, aps_fixture_text):
+        # urllib's file handler opens with no HTTP status: that is a success
+        served = tmp_path / "served"
+        plan = resolve_plan(WeekSpec(1976, 1), served.as_uri())
+        payload = make_zip({"w1.txt": aps_fixture_text.encode("latin-1")})
+        (served / "1976").mkdir(parents=True)
+        (served / "1976" / plan.cache_path).write_bytes(payload)
+        entry = fetch(plan, tmp_path / "cache", retries=1)
+        assert Path(entry.cache_path).read_bytes() == payload
+        assert entry.source_url == plan.url and verify_entry(entry)
+        missing = resolve_plan(WeekSpec(1976, 2), served.as_uri())
+        with pytest.raises(FetchError, match="giving up after 1 attempts: <urlopen error"):
+            fetch(missing, tmp_path / "cache", retries=1)
+
     def test_entry_cached_while_waiting_for_the_lock_is_not_downloaded(self, tmp_path, monkeypatch):
         # another fetch of the week holds the entry's lock and caches it
         # meanwhile; a thread waits on the lock as a second process would,

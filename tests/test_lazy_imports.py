@@ -91,6 +91,14 @@ def test_star_import_binds_every_public_name():
     assert set(patentbulk.__all__) | {"aps", "fetch", "pipeline", "xmlgrants"} <= set(listed)
 
 
+def test_dir_lists_every_public_name_and_submodule():
+    listed = dir(patentbulk)
+    assert listed == sorted(set(listed))
+    submodules = {"analytics", "aps", "fetch", "model", "pipeline", "xmlgrants"}
+    assert set(patentbulk.__all__) | submodules <= set(listed)
+    assert all(hasattr(patentbulk, name) for name in listed)
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         patentbulk.nope

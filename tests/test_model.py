@@ -22,10 +22,10 @@ from patentbulk.model import (
     ipc_subclass_key,
     join_multivalue,
     parse_date,
-    record_from_dict,
     record_from_row,
     record_to_dict,
     record_to_row,
+    row_from_dict,
     sanitize_field,
     split_multivalue,
     tuesdays_in_year,
@@ -398,7 +398,7 @@ class TestPatentRecord:
         record = self._minimal(
             inventors=["Doe; John"], claims="a\nb", ipc_codes=[ipc_parse("A01B 1/00")]
         )
-        assert record_from_dict(record_to_dict(record)) == record
+        assert record_from_row(row_from_dict(record_to_dict(record))) == record
 
 
 class TestParseReport:

@@ -907,11 +907,23 @@ STATS_ANALYSES = [
     (analytics.lag_stats_by_year, analytics.lag_table),
 ]
 # application date, issue date and IPC codes of the rows stats_inputs draws;
-# every sixth application date is after its issue date
+# every sixth application date is after its issue date, and the last four
+# lags, in years no other row has, are either side of the bound of a
+# group's array of lag-day counts or from 0001-01-01
 STATS_ROWS = [
     {"app_date": None if n % 5 == 4 else str(issue - dt.timedelta(days=400 * (n % 6) - 200)),
      "issue_date": str(issue), "ipc_codes": ["A01B 1/00", "C07D 295/12", "H04L 9/32"][: n % 4]}
     for n, issue in ((n, dt.date(1976, 1, 6) + dt.timedelta(weeks=37 * n)) for n in range(30))
+] + [
+    {"app_date": str(app), "issue_date": str(issue), "ipc_codes": ipc_codes}
+    for issue, app, ipc_codes in (
+        (dt.date(2010, 1, 5), dt.date(2010, 1, 5) - dt.timedelta(days=analytics._DENSE_DAYS - 1),
+         ["A01B 1/00", "G06F 3/00"]),
+        (dt.date(2010, 1, 5), dt.date(2010, 1, 5) - dt.timedelta(days=analytics._DENSE_DAYS),
+         ["G06F 3/00"]),
+        (dt.date(2011, 1, 4), dt.date(1, 1, 1), ["G06F 3/00"]),
+        (dt.date(2012, 1, 3), dt.date(1, 1, 1), ["H04L 9/32"]),
+    )
 ]
 # claims with the characters a CSV cell quotes: `"`, `,` and line breaks
 STATS_CLAIMS = st.sampled_from(["", "1. a", 'a "b", c', "1. a,\n2. b", "x\r\ny", "a\rb", '"', ",,"])
@@ -1035,6 +1047,31 @@ class TestStatsSplit:
         assert FORK_THREADS == []
         assert _stats_tables(path, jsonl, False, [analysis]) == one_process
         assert len(FORK_THREADS) == (pipeline._seam(path, jsonl) is not None)
+        assert _children() == []
+
+    def test_each_piece_holds_at_most_piece_size_counts(self, tmp_path, two_cpus, monkeypatch):
+        # 2,000 weeks, odd rows' lags over 3,000 days and even rows' each a
+        # day of its own above the array bound: in the child's half the
+        # weekly Counter, each lag array and A01B's rare lags fill pieces
+        path = tmp_path / "in.csv"
+        rows = [",".join(pipeline.CSV_COLUMNS)]
+        for n in range(4000):
+            issue = dt.date(1976, 1, 6) + dt.timedelta(weeks=n // 2)
+            lag = n % 3000 if n % 2 else analytics._DENSE_DAYS + n
+            rows.append("%d,t,%s,%s,,,A01B 1/00,," % (n, issue - dt.timedelta(days=lag), issue))
+        path.write_text("\n".join(rows) + "\n")
+        one_process = _stats_tables(path, False, one_process=True)
+        sizes, merge = [], analytics._merge
+
+        def logged(tally, piece):
+            counts = piece[2]
+            sizes.append((type(counts), len(counts if isinstance(counts, dict) else counts[1])))
+            merge(tally, piece)
+
+        monkeypatch.setattr(analytics, "_merge", logged)
+        assert _stats_tables(path, False) == one_process
+        assert max(size for _, size in sizes) == analytics._PIECE_SIZE
+        assert {kind for kind, size in sizes if size == analytics._PIECE_SIZE} == {dict, tuple}
         assert _children() == []
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
