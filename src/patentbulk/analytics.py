@@ -12,12 +12,15 @@ number of values the median belongs to both halves.  Lag values are
 whole days between application and issue; negative lags indicate source
 data errors and are excluded from the quartiles but reported in a
 data-quality column rather than silently dropped.  Each group counts its
-lags below ``_DENSE_DAYS`` in an array indexed by the day, as long as its
-largest such lag, and each rarer lag day in a Counter; its quartiles are
-read from the running totals of those counts.  So memory holds one
-4-byte count per day up to each group's largest lag below
-``_DENSE_DAYS``, plus one entry per rarer lag day, whatever the input's
-size.
+lag days in a Counter, about 64 bytes an entry.  Once the Counter holds
+32 days or more, and its days below ``_DENSE_DAYS`` fill more than one
+day in ``_DENSITY`` of a span after the end of the group's array (empty
+at first), their counts move to that array of 4-byte counts indexed by
+the day.  Its quartiles are read from the running totals of those
+counts.  So memory holds, per group, at most about 64 bytes per distinct
+lag day, and 4 bytes per day of the span its array covers once that is
+less, whatever the input's size; a corrupt date's lag of
+``_DENSE_DAYS`` or more stays one Counter entry.
 
 Each analysis reads its table from one tally of its input, a tuple of
 Counters or of defaultdicts of Counters or of arrays, so that the tally
@@ -40,10 +43,18 @@ from .model import Grant, PatentRecord, first_grant_tuesday
 
 QUARTILE_RULE = "median-of-halves (Tukey hinges)"
 _PIECE_SIZE = 512  # counts in each of the :func:`_pieces` of a tally
-# lags below this many days are counted in an array per group, the rest
+# lags below this many days may be counted in an array per group, the rest
 # by day: 2**14 days, 44.9 years, is longer than real pendencies, so a
 # corrupt date's lag costs one entry, not an array as long as the lag
 _DENSE_DAYS = 2**14
+# a group's days move from its Counter to its array once they fill more
+# than one day in this many: an array's 4 bytes a day against about 64 an
+# entry of a Counter keyed by lag days above 256
+_DENSITY = 16
+# the sizes of a group's Counter at which its days may move to its array:
+# the powers of two, so each day is looked at a few times, from 32, as a
+# smaller Counter costs at most 2 KB
+_DENSIFY_AT = frozenset(2**n for n in range(5, 64))
 
 # What the analyses read: issue_date, app_date and subclass_keys.
 Patent = Union[PatentRecord, Grant]
@@ -171,8 +182,10 @@ def _five_number(dense: Sequence[int], rare: Counter) -> tuple[float, float, flo
     counts of each v below ``len(dense)`` and ``rare`` counts of values
     above them, each read at its rank in the running totals of the counts
     in value order: in ``dense`` the index of a total is its value."""
+    from array import array  # 8 bytes a total, not a Python int's 36
+
     values = sorted(rare)
-    totals = list(accumulate(chain(dense, (rare[v] for v in values))))
+    totals = array("Q", accumulate(chain(dense, (rare[v] for v in values))))
     n = totals[-1]
 
     def at(rank: int) -> int:
@@ -191,19 +204,44 @@ def tukey_five_number(values: Iterable[int]) -> tuple[float, float, float, float
     return _five_number((), Counter(values))
 
 
+def _densify(
+    dense: dict[Hashable, Sequence[int]], days: dict[Hashable, Counter], key: Hashable
+) -> None:
+    """Move the counts of group ``key``'s lag days from its Counter to the
+    end of its array, up to the largest day below ``_DENSE_DAYS`` such that
+    the days moved fill more than one in ``_DENSITY`` of the days the array
+    grows by; the Counter keeps the days after it."""
+    later = days[key]
+    start = len(dense.get(key, ()))
+    low = sorted(day for day in later if day < _DENSE_DAYS)
+    filled = (day + 1 for n, day in enumerate(low, 1) if _DENSITY * n > day + 1 - start)
+    end = max(filled, default=0)
+    if not end:
+        return
+    counts = dense[key]
+    counts.extend([0] * (end - start))
+    for day in low[: bisect_right(low, end - 1)]:
+        counts[day] = later.pop(day)
+    if later:
+        days[key] = Counter(later)  # a dict sized for the days left
+    else:
+        del days[key]
+
+
 def _group_lags(
     keys_of: Callable[[Patent], Sequence[Hashable]], records: Iterable[Patent]
 ) -> tuple[Counter, dict[Hashable, Sequence[int]], Counter, dict[Hashable, Counter]]:
-    """Records per key, counts of each lag day below ``_DENSE_DAYS`` in an
-    array indexed by the day, negative lags, and counts of each rarer lag
-    day, per key, in one pass; memory grows with keys × lag days, not
-    records."""
+    """Records per key, counts of lag days in an array indexed by the day,
+    negative lags, and counts of the lag days after each key's array, per
+    key, in one pass; a Counter is passed to :func:`_densify` each time its
+    number of days reaches a size in ``_DENSIFY_AT``.  Memory grows with
+    keys × lag days, not records."""
     from array import array  # here, so that only the lag analyses load it
 
     records_per_key: Counter = Counter()
     dense: dict[Hashable, Sequence[int]] = defaultdict(partial(array, "I"))
     negatives: Counter = Counter()
-    rare: dict[Hashable, Counter] = defaultdict(Counter)
+    days: dict[Hashable, Counter] = defaultdict(Counter)
     for record in records:
         keys = keys_of(record)
         records_per_key.update(keys)
@@ -213,26 +251,31 @@ def _group_lags(
         for key in keys:
             if lag < 0:
                 negatives[key] += 1
-            elif lag < _DENSE_DAYS:
-                counts = dense[key]
-                if lag >= len(counts):
-                    counts.extend([0] * (lag + 1 - len(counts)))
+            elif lag < len(counts := dense.get(key, ())):
                 counts[lag] += 1
             else:
-                rare[key][lag] += 1
-    return records_per_key, dense, negatives, rare
+                counts = days[key]
+                counts[lag] += 1
+                if len(counts) in _DENSIFY_AT and counts[lag] == 1:
+                    _densify(dense, days, key)
+    return records_per_key, dense, negatives, days
 
 
-def _lag_groups(tally: tuple) -> set[Hashable]:
-    """The keys of a :func:`_group_lags` tally with a non-negative lag."""
-    return tally[1].keys() | tally[3].keys()
-
-
-def _lag_stats(tally: tuple, key: Hashable) -> LagStats:
-    """The :class:`LagStats` of group ``key`` of a :func:`_group_lags` tally."""
-    _, dense, negatives, rare = tally
-    lags, rarer = dense.get(key, ()), rare.get(key, Counter())
-    return LagStats(key, sum(lags) + rarer.total(), *_five_number(lags, rarer), negatives[key])
+def _lag_stats(tally: tuple, keys: Iterable[Hashable]) -> list[LagStats]:
+    """The :class:`LagStats` of each of ``keys`` that has a non-negative
+    lag in a :func:`_group_lags` tally."""
+    _, dense, negatives, days = tally
+    stats = []
+    for key in keys:
+        if key not in dense and key not in days:
+            continue
+        lags, later = dense.get(key, ()), days.get(key, Counter())
+        # the halves of a split may have counted a day in an array and a Counter
+        for day in [day for day in later if day < len(lags)]:
+            lags[day] += later.pop(day)
+        count = sum(lags) + later.total()
+        stats.append(LagStats(key, count, *_five_number(lags, later), negatives[key]))
+    return stats
 
 
 def lag_stats_by(
@@ -251,7 +294,7 @@ def lag_stats_by(
         return () if k is None else (k,)
 
     tally = _tallied(records, partial(_group_lags, keys_of))
-    return [_lag_stats(tally, k) for k in sorted(_lag_groups(tally))]
+    return _lag_stats(tally, sorted(tally[0]))
 
 
 def lag_stats_by_year(records: Iterable[Patent]) -> list[LagStats]:
@@ -266,8 +309,7 @@ def lag_stats_by_class(records: Iterable[Patent], top: int = 10) -> list[LagStat
     """
     by_class = partial(_group_lags, attrgetter("subclass_keys"))
     tally = _tallied(records, by_class)
-    groups = _lag_groups(tally)
-    return [_lag_stats(tally, k) for k, _ in _ranked(tally[0], top) if k in groups]
+    return _lag_stats(tally, (k for k, _ in _ranked(tally[0], top)))
 
 
 def median_lag_delta(stats: Sequence[LagStats]) -> Optional[tuple[int, int, float]]:

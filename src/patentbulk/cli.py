@@ -202,28 +202,6 @@ def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
     return opener(path, "a" if append else "w", encoding="utf-8", newline="")
 
 
-class _HeldHeader:
-    """``out`` with its first write, the header a sink writes when it is
-    made, held back until the next write, the first rows, or
-    :meth:`release` after a run that did not fail: so a run whose every
-    week fails writes no header alone."""
-
-    def __init__(self, out: TextIO) -> None:
-        self.out, self.held = out, None
-
-    def write(self, text: str) -> None:
-        if self.held is None:
-            self.held = text
-        else:
-            self.release()
-            self.out.write(text)
-
-    def release(self) -> None:
-        if self.held:
-            self.out.write(self.held)
-        self.held = ""
-
-
 def _list_failures(summary: pipeline.RunSummary) -> int:
     """Name each failed week once on stderr, ``--quiet`` or not; returns
     the exit status."""
@@ -251,9 +229,9 @@ def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) 
     """Run ``run(sink, config)`` into the output, then report its summary."""
     config = _pipeline_config(args, encoding=args.encoding)
     with _open_output(args.output, args.append) as out:
-        held = _HeldHeader(out)
-        summary = run(pipeline.SINKS[args.format](held, write_header=not args.append), config)
-        held.release()
+        sink = pipeline.SINKS[args.format](out, write_header=not args.append, hold_header=True)
+        summary = run(sink, config)
+        sink.write_header()  # a run of weeks with no records still writes it
     if args.summary_json:
         with _open_output(args.summary_json) as out:
             out.write(json.dumps(summary.to_dict(), indent=2) + "\n")

@@ -135,18 +135,29 @@ class Sink:
     in a forked child, through a sink of the same class with no header,
     and copy it to ``out`` with :meth:`append`; ``bytes_written`` counts
     the UTF-8 bytes of the header and of every spool appended, not those
-    of a direct ``write``."""
+    of a direct ``write``.  With ``hold_header`` the header waits for the
+    first :meth:`append` or for :meth:`write_header`, so a run that fails
+    before either writes nothing to ``out``."""
 
     header = ""  # the format's ASCII header, written first unless ``write_header`` is off
 
-    def __init__(self, out: TextIO, write_header: bool = True) -> None:
+    def __init__(self, out: TextIO, write_header: bool = True, hold_header: bool = False) -> None:
         self.out = out
-        header = self.header if write_header else ""
-        out.write(header)
-        self.bytes_written = len(header)
+        self.held = self.header if write_header else ""
+        self.bytes_written = len(self.held)
+        if not hold_header:
+            self.write_header()
+
+    def write_header(self) -> None:
+        """Write the header to ``out``, once."""
+        if self.held:
+            self.out.write(self.held)
+            self.held = ""
 
     def append(self, name: str) -> None:
-        """Copy the spool file ``name`` to ``out`` and delete it."""
+        """Copy the spool file ``name`` to ``out``, after the header if it
+        is held, and delete it."""
+        self.write_header()
         with open(name, encoding="utf-8", newline="") as spool:
             os.unlink(name)
             size = os.fstat(spool.fileno()).st_size

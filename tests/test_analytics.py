@@ -40,8 +40,8 @@ def record(issue, app=None, subclasses=(), wku="000000001"):
 
 
 DENSE = analytics._DENSE_DAYS
-# lags counted in a group's array, either side of its bound, by day up to
-# an application date of 0001-01-01, and negative
+# lags spread over real pendencies, either side of the bound of a group's
+# array, by day up to an application date of 0001-01-01, and negative
 LAGS = {
     "dense": st.integers(0, 3000),
     "bound": st.integers(DENSE - 2, DENSE + 1),
@@ -53,20 +53,43 @@ LAGS = {
 @st.composite
 def lag_records(draw):
     """Records of one to four issue years, each year drawing its lags from
-    some of ``LAGS``, so that a year may hold only lags counted by day;
-    each record is in its year's own subclass and maybe shared ones."""
+    some of ``LAGS``, so that a year may hold only lags counted by day,
+    and lags of a run of days from 0, which from 32 days on move to an
+    array; each record is in its year's own subclass and maybe shared ones."""
     records = []
     for year in range(1976, 1976 + draw(st.integers(1, 4))):
         issue = dt.date(year, 1, 6)
         kinds = draw(st.lists(st.sampled_from(sorted(LAGS)), min_size=1, unique=True))
         lags = st.one_of(*(LAGS[kind] for kind in kinds))
-        for lag in draw(st.lists(st.none() | lags, min_size=1, max_size=12)):
+        run = list(range(draw(st.sampled_from([0, 20, 40, 70, 130]))))
+        for lag in draw(st.lists(st.none() | lags, min_size=1, max_size=12)) + run:
             shared = draw(st.lists(st.sampled_from(["A01B 1/00", "H04L 9/32"]), unique=True))
             records.append(record(
                 issue, None if lag is None else issue - dt.timedelta(days=lag),
                 ["G%02dB 1/00" % (year - 1970)] + shared,
             ))
     return draw(st.permutations(records))
+
+
+class Halves(list):
+    """Records whose tally, as ``pipeline._Halves`` makes it, counts the
+    records before ``cut`` and after it apart and merges the second tally's
+    pieces into the first."""
+
+    def __init__(self, records, cut):
+        super().__init__(records)
+        self.cut = cut
+
+    def tally(self, count):
+        tally = count(self[: self.cut])
+        for piece in analytics._pieces(count(self[self.cut :])):
+            analytics._merge(tally, piece)
+        return tally
+
+
+def lag_rows(stats):
+    return [(s.group_key, s.count, s.min, s.q1, s.median, s.q3, s.max, s.negative_lags)
+            for s in stats]
 
 
 class TestLagDays:
@@ -237,6 +260,38 @@ class TestLagStats:
         assert stats == LagStats(2001, 2902, *oracle.oracle_five_number(lags))
         assert peaks[1] - peaks[0] < 64 * 1024
 
+    def test_sparse_groups_keep_counters_and_packed_ones_take_arrays(self):
+        """300 subclasses of 40 lags each spread over 16,000 days keep a
+        Counter of 40 days each, not an array of 64 KB each; one of 64
+        lags over its first 64 days takes an array of 64 counts."""
+        issue = dt.date(2001, 12, 25)
+        keys = ["H%02d%s" % (k // 26, chr(65 + k % 26)) for k in range(300)]
+        grants = [Grant(issue, issue - dt.timedelta(days=400 * n + 100 + k), (key,))
+                  for n in range(40) for k, key in enumerate(keys)]
+        grants += [Grant(issue, issue - dt.timedelta(days=n), ("A01B",)) for n in range(64)]
+        tracemalloc.start()
+        try:
+            _, dense, _, days = analytics._group_lags(lambda g: g.subclass_keys, grants)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(dense) == ["A01B"] and list(dense["A01B"]) == [1] * 64
+        assert "A01B" not in days and all(len(days[key]) == 40 for key in keys)
+        assert peak < 2 * 2**20
+
+    def test_an_array_grows_over_packed_days_past_its_end_up_to_its_bound(self):
+        issue = dt.date(2001, 12, 25)
+
+        def arrays_and_counters(lags):
+            grants = [Grant(issue, issue - dt.timedelta(days=lag), ("A01B",)) for lag in lags]
+            _, dense, _, days = analytics._group_lags(lambda g: g.subclass_keys, grants)
+            return len(dense["A01B"]), len(days.get("A01B", ()))
+
+        # 32 days filling 32 of the 468 days after the array's 64
+        assert arrays_and_counters([*range(64), *range(500, 532)]) == (532, 0)
+        assert arrays_and_counters([*range(64), *range(500, 532), *range(600, 631)]) == (532, 31)
+        assert arrays_and_counters(range(DENSE + 64)) == (DENSE, 64)
+
     def test_median_lag_delta(self):
         stats = [
             LagStats(1976, 3, 1.0, 1.0, 100.0, 2.0, 2.0),
@@ -273,12 +328,16 @@ class TestOracleEquivalence:
     @settings(max_examples=200, deadline=None)
     @given(records=lag_records())
     def test_lags_either_side_of_the_array_bound_match_brute_force(self, records):
-        rows = lambda stats: [
-            (s.group_key, s.count, s.min, s.q1, s.median, s.q3, s.max, s.negative_lags)
-            for s in stats
-        ]
-        assert rows(lag_stats_by_year(records)) == oracle.oracle_lag_stats_by_year(records)
-        assert rows(lag_stats_by_class(records, 4)) == oracle.oracle_lag_stats_by_class(records, 4)
+        assert lag_rows(lag_stats_by_year(records)) == oracle.oracle_lag_stats_by_year(records)
+        assert lag_rows(lag_stats_by_class(records, 4)) == oracle.oracle_lag_stats_by_class(records, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=lag_records(), data=st.data())
+    def test_halves_that_count_a_group_in_either_form_merge_to_brute_force(self, records, data):
+        # one half may count a group's days in an array, the other in a Counter
+        halves = Halves(records, data.draw(st.integers(0, len(records))))
+        assert lag_rows(lag_stats_by_year(halves)) == oracle.oracle_lag_stats_by_year(records)
+        assert lag_rows(lag_stats_by_class(halves, 4)) == oracle.oracle_lag_stats_by_class(records, 4)
 
     def test_permutation_invariance(self):
         records = random_records(150, seed=33)

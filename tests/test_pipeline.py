@@ -78,6 +78,17 @@ class TestCsv:
             "wku,title,app_date,issue_date,inventors,assignees,ipc_codes,references,claims\n"
         )
 
+    def test_a_held_header_is_written_once_before_the_first_rows(self, tmp_path):
+        out = io.StringIO()
+        sink = CsvSink(out, hold_header=True)
+        assert out.getvalue() == ""
+        for rows in ("1,a\n", "2,b\n"):
+            (tmp_path / "spool").write_text(rows)
+            sink.append(str(tmp_path / "spool"))
+        sink.write_header()
+        assert out.getvalue() == CsvSink.header + "1,a\n2,b\n"
+        assert sink.bytes_written == len(out.getvalue())
+
     def test_comma_in_title_is_quoted(self, fixture_records):
         record = fixture_records[0]
         altered = record.__class__(**{**record.__dict__, "title": "Widget, press"})
