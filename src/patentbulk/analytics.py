@@ -24,8 +24,8 @@ less, whatever the input's size; a corrupt date's lag of
 
 Each analysis reads its table from one tally of its input, a tuple of
 Counters or of defaultdicts of Counters or of arrays, so that the tally
-of one half of the input can be sent as :func:`_pieces` and merged into
-the other's (``pipeline._Halves``).
+of one half of the input, pickled back from a forked child, can be
+added to the other's by :func:`_merged` (``pipeline._Halves``).
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
 
 from .model import Grant, PatentRecord, first_grant_tuesday
 
 QUARTILE_RULE = "median-of-halves (Tukey hinges)"
-_PIECE_SIZE = 512  # counts in each of the :func:`_pieces` of a tally
 # lags below this many days may be counted in an array per group, the rest
 # by day: 2**14 days, 44.9 years, is longer than real pendencies, so a
 # corrupt date's lag costs one entry, not an array as long as the lag
@@ -109,33 +108,22 @@ def _tallied(records: Iterable[Patent], count: Callable[[Iterable[Patent]], tupl
     return records.tally(count) if hasattr(records, "tally") else count(records)
 
 
-def _pieces(tally: tuple) -> Iterator[tuple[int, Optional[Hashable], Union[dict, tuple]]]:
-    """``tally`` as (part, group, counts) of at most ``_PIECE_SIZE`` counts
-    each, group None in a part that is a Counter (no group key is None),
-    counts a dict of a Counter's items or (start, list) of an array's
-    counts from ``start``, for :func:`_merge`."""
-    for index, part in enumerate(tally):
-        for key, counts in part.items() if isinstance(part, defaultdict) else [(None, part)]:
+def _merged(tally: tuple, other: tuple) -> tuple:
+    """``tally`` with the counts of ``other``, a tally of the same analysis,
+    added to it: a Counter's by ``update``, a group's array day by day."""
+    for part, added in zip(tally, other):
+        if not isinstance(part, defaultdict):
+            part.update(added)
+            continue
+        for key, counts in added.items():
             if isinstance(counts, Counter):
-                items = iter(counts.items())
-                while piece := dict(islice(items, _PIECE_SIZE)):
-                    yield index, key, piece
+                part[key].update(counts)
             else:  # an array of lag-day counts
-                for start in range(0, len(counts), _PIECE_SIZE):
-                    yield index, key, (start, counts[start : start + _PIECE_SIZE].tolist())
-
-
-def _merge(tally: tuple, piece: tuple[int, Optional[Hashable], Union[dict, tuple]]) -> None:
-    """Add one of the :func:`_pieces` of another tally to ``tally``."""
-    index, key, counts = piece
-    part = tally[index] if key is None else tally[index][key]
-    if isinstance(counts, dict):
-        part.update(counts)
-        return
-    start, added = counts
-    part.extend([0] * (start + len(added) - len(part)))
-    for day, n in enumerate(added, start):
-        part[day] += n
+                merged = part[key]
+                merged.extend([0] * (len(counts) - len(merged)))
+                for day, n in enumerate(counts):
+                    merged[day] += n
+    return tally
 
 
 def _weeks(records: Iterable[Patent]) -> tuple[Counter]:
@@ -197,11 +185,6 @@ def _five_number(dense: Sequence[int], rare: Counter) -> tuple[float, float, flo
 
     lower, upper = median(0, (n + 1) // 2), median(n // 2, n)
     return float(at(0)), lower, median(0, n), upper, float(at(n - 1))
-
-
-def tukey_five_number(values: Iterable[int]) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max) with hinges from median-of-halves."""
-    return _five_number((), Counter(values))
 
 
 def _densify(

@@ -199,19 +199,6 @@ def _load_entry(final: Path) -> Optional[CacheEntry]:
     return entry
 
 
-def verify_entry(entry: CacheEntry) -> bool:
-    """Recompute the digest of the on-disk bytes; used by tests and repair."""
-    import hashlib
-    digest = hashlib.sha256()
-    with open(entry.cache_path, "rb") as handle:
-        while True:
-            block = handle.read(READ_SIZE)
-            if not block:
-                break
-            digest.update(block)
-    return "sha256:" + digest.hexdigest() == entry.content_digest
-
-
 def fetch(
     plan: FetchPlan,
     cache_dir: str,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
 import os
 import shutil
 import threading
@@ -39,7 +38,8 @@ from .model import (
 )
 
 # tempfile, pickle and xmlgrants are imported where they are used: `stats`
-# uses none of them, an APS `convert` no xmlgrants, a run of one job no pickle
+# uses no tempfile or xmlgrants, and pickle only in a split (:class:`_Halves`),
+# an APS `convert` no xmlgrants, a `convert` of one job no pickle
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
@@ -299,12 +299,11 @@ def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
 class _Halves:
     """The grants of the regular file at ``path``, read in one process when
     iterated.  ``tally(count)``, with a CPU idle and a :func:`_seam`, counts
-    the rows before the seam here and the rest in a forked child, which
-    sends its counts back in :func:`analytics._pieces` to be merged: at most
-    ``analytics._PIECE_SIZE`` counts each, a Counter's items or a slice of a
-    group's array of lag-day counts.  If either half fails, or the seam is
-    not the end of a CSV record, the child is killed and the whole file is
-    counted here, as in one process."""
+    the rows before the seam here and the rest in a forked child
+    (:class:`_Forked`), whose tally is unpickled as it arrives and added to
+    this one by :func:`analytics._merged`.  If either half fails, or the
+    seam is not the end of a CSV record, the child is killed and the whole
+    file is counted here, as in one process."""
 
     path: Union[str, Path]
     jsonl: bool
@@ -315,21 +314,12 @@ class _Halves:
     def tally(self, count: Callable[[Iterable[Grant]], tuple]) -> tuple:
         seam = _seam(self.path, self.jsonl) if _cpu_idle() else None
         rows = partial(_read_rows, self.path, grant_from_row, self.jsonl)
-
-        def send(out: IO[bytes]) -> None:
-            for piece in analytics._pieces(count(rows(seam))):
-                data = marshal.dumps(piece)
-                out.write(len(data).to_bytes(4, "little") + data)
-
-        # a bad row, a failed child or fork ends the with: count it all here
+        # a bad row or a failed child ends the with: count it all here
         if seam is not None:
-            with suppress(ValueError, fetchmod.IntegrityError, OSError), io.BufferedReader(
-                fetchmod.ForkedPipe(send, str(self.path))
-            ) as child:
-                tally = count(rows(end=seam))
-                for size in iter(lambda: int.from_bytes(child.read(4), "little"), 0):
-                    analytics._merge(tally, marshal.loads(child.read(size)))
-                return tally
+            with suppress(ValueError, fetchmod.IntegrityError, OSError), closing(
+                _Forked(lambda: count(rows(seam)), str(self.path))
+            ) as tail:
+                return analytics._merged(count(rows(end=seam)), tail())
         return count(self)
 
 
@@ -397,35 +387,34 @@ def _fetch_week(
 
 
 class _Forked:
-    """``call()`` run in a forked child (:class:`fetch.ForkedPipe`) whose
-    temp files go in ``tempdir``, and which pickles back the call's result
-    or its exception; calling this returns the one or raises the other.
-    A child that dies first raises IntegrityError naming ``name``.
-    ``close`` kills and reaps a child whose result was not taken.  If the
-    fork fails, calling this makes the call here."""
+    """``call()`` run in a forked child (:class:`fetch.ForkedPipe`), which
+    pickles back the call's result or its exception; calling this unpickles
+    it as it arrives and returns the one or raises the other.  A child that
+    dies first raises IntegrityError naming ``name``.  ``close`` kills and
+    reaps a child whose result was not taken.  If the fork fails, calling
+    this makes the call here."""
 
-    def __init__(self, call: Callable[[], T], name: str, tempdir: str) -> None:
+    def __init__(self, call: Callable[[], T], name: str) -> None:
         import pickle
-        import tempfile
 
         def send(out: IO[bytes]) -> None:
             global _forked_child
-            _forked_child, tempfile.tempdir = True, tempdir
+            _forked_child = True
             try:
                 outcome = True, call()
             except Exception as error:
                 outcome = False, error
             pickle.dump(outcome, out)
 
-        self._call, self._loads, self._child = call, pickle.loads, None
+        self._call, self._load, self._child = call, pickle.load, None
         with suppress(OSError):  # no child: the call is made here
             self._child = fetchmod.ForkedPipe(send, name)
 
     def __call__(self) -> T:
         if self._child is None:
             return self._call()
-        with self._child as child:
-            done, outcome = self._loads(child.readall())
+        with io.BufferedReader(self._child) as child:
+            done, outcome = self._load(child)
         if done:
             return outcome
         raise outcome
@@ -448,7 +437,8 @@ def _ordered_weeks(
     the next is forked only after the caller has taken the oldest, so
     finished weeks cannot pile up behind a slow one.  The children make
     their temp files in one directory, removed with the loop, which kills
-    and reaps the children not yet taken when it closes.
+    and reaps the children not yet taken when it closes; a step whose fork
+    failed runs here and makes them where this process does.
     """
     jobs, todo = max(1, config.jobs), iter(weeks)
     if jobs == 1:
@@ -456,9 +446,14 @@ def _ordered_weeks(
         return
     import tempfile
 
+    def forked_step(week: T) -> object:
+        if _forked_child:  # not a step whose fork failed
+            tempfile.tempdir = tempdir
+        return step(week, config)
+
     def start(week: T) -> tuple[T, _Forked]:
         name = week.label() if isinstance(week, WeekSpec) else str(week)
-        return week, _Forked(partial(step, week, config), name, tempdir)
+        return week, _Forked(partial(forked_step, week), name)
 
     with tempfile.TemporaryDirectory() as tempdir:
         pending = deque(map(start, islice(todo, jobs)))

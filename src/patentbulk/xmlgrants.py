@@ -178,6 +178,8 @@ def _assemble_ipcr(elem: ET.Element, parts: dict) -> str:
     head = section + class_num + subclass
     if group and subgroup:
         return "%s %s/%s" % (head, group, subgroup)
+    if len(group) > 3:  # alone, 2300 would read as a packed field, 230/0
+        return "%s %s/" % (head, group)
     return head + group
 
 

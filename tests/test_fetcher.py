@@ -1,5 +1,6 @@
 import datetime as dt
 import fcntl
+import hashlib
 import io
 import json
 import os
@@ -24,10 +25,14 @@ from patentbulk.fetch import (
     fetch,
     open_archive,
     resolve_plan,
-    verify_entry,
 )
 from patentbulk.model import SourceFormat, WeekSpec
 from patentbulk.pipeline import PipelineConfig, RunError, fetch_weeks
+
+
+def _digest(entry):
+    """The digest of the cached file's bytes, spelled as its sidecar's."""
+    return "sha256:" + hashlib.sha256(Path(entry.cache_path).read_bytes()).hexdigest()
 
 
 class TestResolvePlan:
@@ -81,7 +86,7 @@ class TestFetch:
         entry = fetch(plan, tmp_path, transport=fake_transport)
         assert entry.byte_size == len(payload)
         assert os.path.getsize(entry.cache_path) == len(payload)
-        assert verify_entry(entry)
+        assert _digest(entry) == entry.content_digest
 
         again = fetch(plan, tmp_path, transport=fake_transport)
         assert again == entry
@@ -96,7 +101,7 @@ class TestFetch:
         (served / "1976" / plan.cache_path).write_bytes(payload)
         entry = fetch(plan, tmp_path / "cache", retries=1)
         assert Path(entry.cache_path).read_bytes() == payload
-        assert entry.source_url == plan.url and verify_entry(entry)
+        assert entry.source_url == plan.url and _digest(entry) == entry.content_digest
         missing = resolve_plan(WeekSpec(1976, 2), served.as_uri())
         with pytest.raises(FetchError, match="giving up after 1 attempts: <urlopen error"):
             fetch(missing, tmp_path / "cache", retries=1)
@@ -228,7 +233,7 @@ class TestFetch:
                 return fake_transport.get(url)
 
         entry = fetch(plan, tmp_path, transport=FlakyStream(), sleep=lambda s: None)
-        assert verify_entry(entry)
+        assert _digest(entry) == entry.content_digest
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize(
@@ -269,7 +274,7 @@ class TestFetch:
         with pytest.raises(FetchError, match="not in cache"):
             fetch(plan, tmp_path, transport=fake_transport, retries=0)
         entry = fetch(plan, tmp_path, transport=fake_transport)
-        assert verify_entry(entry)
+        assert _digest(entry) == entry.content_digest
         assert json.loads((tmp_path / (plan.cache_path + ".meta.json")).read_text())["byte_size"] == (
             entry.byte_size
         )

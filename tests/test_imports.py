@@ -1,8 +1,11 @@
-"""Every imported name is used, and every private top-level name of the
-package is read: stdlib checks over the project's Python files."""
+"""Every imported name is used, every private top-level name of the
+package is read, and every public top-level function or class of it is
+read or exported: stdlib checks over the project's Python files."""
 
 import ast
 from pathlib import Path
+
+import patentbulk
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "tests", "perfbench")
@@ -135,3 +138,49 @@ def test_unread_private_name_found(tmp_path):
         [tmp_path / "a.py", tmp_path / "b.py"]
     )]
     assert unread == ["_b", "_Left"]
+
+
+def unread_public_names(paths: list[Path], exported: set[str]) -> list[str]:
+    """``path:line name`` for each public top-level ``def`` or ``class`` of
+    ``paths`` that none of ``paths`` reads and ``exported`` does not name."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in paths}
+    read = set().union(exported, *map(_read_names, trees.values()))
+    return [
+        "%s:%d %s" % (path, node.lineno, node.name)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name[:1] != "_" and node.name not in read
+    ]
+
+
+def test_no_public_name_left_unread():
+    # a name only the tests read is code that no command runs
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert unread_public_names(paths, set(patentbulk.__all__)) == []
+
+
+def test_unread_public_name_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "def helper():\n"
+        "    return Kept()\n"
+        "class Kept:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "def called():\n"
+        "    pass\n"
+        "def left():\n"
+        "    pass\n"
+        "class Left:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nfrom a import helper\nprint(a.called())\n")
+    unread = [item.rpartition(" ")[2] for item in unread_public_names(
+        [tmp_path / "a.py", tmp_path / "b.py"], {"exported"}
+    )]
+    assert unread == ["left", "Left"]

@@ -1060,10 +1060,10 @@ class TestStatsSplit:
         assert len(FORK_THREADS) == (pipeline._seam(path, jsonl) is not None)
         assert _children() == []
 
-    def test_each_piece_holds_at_most_piece_size_counts(self, tmp_path, two_cpus, monkeypatch):
+    def test_arrays_and_rare_lags_of_the_childs_half_merge_to_one_process(self, tmp_path, two_cpus):
         # 2,000 weeks, odd rows' lags over 3,000 days and even rows' each a
-        # day of its own above the array bound: in the child's half the
-        # weekly Counter, each lag array and A01B's rare lags fill pieces
+        # day of its own above the array bound: the child's half sends a
+        # large weekly Counter, lag arrays and many of A01B's rare lags
         path = tmp_path / "in.csv"
         rows = [",".join(pipeline.CSV_COLUMNS)]
         for n in range(4000):
@@ -1072,17 +1072,9 @@ class TestStatsSplit:
             rows.append("%d,t,%s,%s,,,A01B 1/00,," % (n, issue - dt.timedelta(days=lag), issue))
         path.write_text("\n".join(rows) + "\n")
         one_process = _stats_tables(path, False, one_process=True)
-        sizes, merge = [], analytics._merge
-
-        def logged(tally, piece):
-            counts = piece[2]
-            sizes.append((type(counts), len(counts if isinstance(counts, dict) else counts[1])))
-            merge(tally, piece)
-
-        monkeypatch.setattr(analytics, "_merge", logged)
+        FORK_THREADS.clear()
         assert _stats_tables(path, False) == one_process
-        assert max(size for _, size in sizes) == analytics._PIECE_SIZE
-        assert {kind for kind, size in sizes if size == analytics._PIECE_SIZE} == {dict, tuple}
+        assert FORK_THREADS == [1] * 4
         assert _children() == []
 
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
@@ -1115,12 +1107,32 @@ class TestStatsSplit:
         assert reads == [(0, pipeline._seam(path, False)), (0, None)] * 4
         assert "error" not in "".join(one_process)
 
+    def test_a_child_killed_before_it_sends_reads_the_file_again(
+        self, records_csv, two_cpus, monkeypatch
+    ):
+        one_process = _stats_tables(records_csv, False, one_process=True)
+        init = fetchmod.ForkedPipe.__init__
+
+        def killed(self, fill, name):  # the child dies before it can send its tally
+            init(self, fill, name)
+            os.kill(self._pid, signal.SIGKILL)
+
+        monkeypatch.setattr(fetchmod.ForkedPipe, "__init__", killed)
+        reads = self._reads(monkeypatch)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        FORK_THREADS.clear()
+        assert _stats_tables(records_csv, False) == one_process
+        assert FORK_THREADS == [1] * 4
+        assert reads == [(0, pipeline._seam(records_csv, False)), (0, None)] * 4
+        assert _children() == []
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
     def test_a_failing_merge_is_raised_not_read_again(self, records_csv, two_cpus, monkeypatch):
         # only a bad row, a failed child or a failed fork reads the file again
-        def broken(tally, piece):
+        def broken(tally, other):
             raise TypeError("merge")
 
-        monkeypatch.setattr(analytics, "_merge", broken)
+        monkeypatch.setattr(analytics, "_merged", broken)
         reads = self._reads(monkeypatch)
         with pytest.raises(TypeError, match="merge"):
             analytics.weekly_counts(pipeline.read_grants(records_csv))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import parse_aps, run_capped, sink_to_file
 from xml_oracle import oracle_split
-from patentbulk.model import ParseReport, SourceFormat
+from patentbulk.model import ParseReport, SourceFormat, ipc_parse
 from patentbulk.pipeline import CsvSink, JsonlSink, read_csv, read_jsonl
 from patentbulk.xmlgrants import (
     ElementMapping,
@@ -264,12 +264,16 @@ class TestParseGrantXml:
 
     @pytest.mark.parametrize(
         "groups, expected",
-        [(b"<main-group>295</main-group>", "C07D 295"), (b"", "C07D")],
-        ids=["no-subgroup", "no-group"],
+        [(b"<main-group>295</main-group>", "C07D 295"), (b"", "C07D"),
+         # C07D2300 or C07D 2300 would read as a fixed-tag packed field
+         (b"<main-group>2300</main-group>", "C07D 2300/"),
+         (b"<main-group>12345</main-group>", "C07D 12345/")],
+        ids=["no-subgroup", "no-group", "four-digit-group", "five-digit-group"],
     )
     def test_ipcr_without_subgroup_or_group(self, groups, expected):
         record = self.ipcr_record(groups)
         assert [c.canonical() for c in record.ipc_codes] == [expected]
+        assert [ipc_parse(c.canonical()) for c in record.ipc_codes] == list(record.ipc_codes)
 
     @pytest.mark.parametrize("sink, read", [(CsvSink, read_csv), (JsonlSink, read_jsonl)])
     def test_ipcr_lone_group_reads_back_unchanged(self, tmp_path, sink, read):
