@@ -106,7 +106,8 @@ class ApsParser:
         values to ``pending``, or lines before the first PATN, when
         ``pending`` is None.  After a claims header, the rest of the section
         is taken in one step when it holds no header and no blank value:
-        every rule would append each line's value to the claims."""
+        every rule would append each line's value to the claims.  Values are
+        rstripped there, as ``build_record`` would, unless a CR is left."""
         report = self.report
         lines = text.split("\n")
         if not lines[-1]:
@@ -142,9 +143,11 @@ class ApsParser:
                 if claims is not None:
                     rest = lines[index + 1 :]
                     if SECTION_HEADERS.isdisjoint(map(_TAG, rest)):
-                        values = list(map(_VALUE, rest))
-                        if "" not in map(str.strip, values):
-                            claims += values
+                        values = list(map(str.rstrip, map(_VALUE, rest)))
+                        if "" not in values:
+                            # a lone CR is a line break to build_record, and rstrip
+                            # would drop one that ends a value: pass those as read
+                            claims += map(_VALUE, rest) if "\r" in text else values
                             return
                 continue
 

@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import partial
-from typing import Callable, ContextManager, Optional, Sequence, TextIO
+from typing import IO, Callable, ContextManager, Optional, Sequence
 
 from . import analytics, aps, fetch as fetchmod, pipeline
 from .model import FIRST_YEAR, SourceFormat, WeekSpec, tuesdays_in_year
@@ -187,8 +187,9 @@ def _progress(quiet: bool):
     return lambda message: print(message, file=sys.stderr)
 
 
-def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
-    """Standard output, left open on exit, or ``path`` opened for writing.
+def _open_output(path: str, append: bool = False, binary: bool = False) -> ContextManager[IO]:
+    """Standard output, left open on exit, or ``path`` opened for writing,
+    as UTF-8 text with ``\n`` line ends or, with ``binary``, as bytes.
 
     A new or regular file is published (:func:`fetch.published`), so a
     failed command leaves no partial file and keeps an older one at
@@ -199,7 +200,8 @@ def _open_output(path: str, append: bool = False) -> ContextManager[TextIO]:
         return nullcontext(sys.stdout)
     in_place = append or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
     opener = open if in_place else fetchmod.published
-    return opener(path, "a" if append else "w", encoding="utf-8", newline="")
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    return opener(path, ("a" if append else "w") + ("b" if binary else ""), **text)
 
 
 def _list_failures(summary: pipeline.RunSummary) -> int:
@@ -228,7 +230,8 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) -> int:
     """Run ``run(sink, config)`` into the output, then report its summary."""
     config = _pipeline_config(args, encoding=args.encoding)
-    with _open_output(args.output, args.append) as out:
+    # a file takes each spool's bytes (Sink.append); standard output stays text
+    with _open_output(args.output, args.append, binary=True) as out:
         sink = pipeline.SINKS[args.format](out, write_header=not args.append, hold_header=True)
         summary = run(sink, config)
         sink.write_header()  # a run of weeks with no records still writes it

@@ -108,6 +108,7 @@ class UrllibTransport:
     def get(self, url: str) -> TransportResponse:
         # imported on first use: with http.client, email and ssl they would
         # add to the start-up of every command that does not download
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -120,12 +121,12 @@ class UrllibTransport:
 
         def chunks() -> Iterator[bytes]:
             try:
-                while True:
-                    block = response.read(READ_SIZE)
-                    if not block:
-                        return
+                while block := response.read(READ_SIZE):
                     yield block
-            except OSError as exc:
+                # http.client reads a body that ends before its Content-Length as whole
+                if getattr(response, "length", None):
+                    raise TransportError("body cut short, %d bytes missing" % response.length)
+            except (OSError, http.client.HTTPException) as exc:  # a drop; a cut chunked body
                 raise TransportError(str(exc)) from exc
             finally:
                 response.close()

@@ -424,12 +424,13 @@ def build_record(
     assignees: Iterable[str] = (),
     ipc_codes: Iterable[IpcCode] = (),
     references: Iterable[str] = (),
-    claims: str = "",
+    claims: Union[str, Sequence[str]] = "",
 ) -> PatentRecord:
     """Sanitize raw field text and assemble a record.
 
     List fields are sanitized element-wise with empties dropped; claims
-    keep their line structure.
+    keep their line structure.  The claims are a text, or its lines, which
+    give the claims of ``"\n".join(claims)``.
     """
 
     def clean(items: Iterable[str]) -> tuple[str, ...]:
@@ -444,8 +445,19 @@ def build_record(
         assignees=clean(assignees),
         ipc_codes=tuple(ipc_codes),
         references=clean(references),
-        claims=sanitize_field(claims, preserve_newlines=True),
+        claims=_claims_text(claims),
     )
+
+
+def _claims_text(claims: Union[str, Sequence[str]]) -> str:
+    """``sanitize_field`` of the claims, keeping newlines; lines that hold
+    no line break are rstripped and joined once, without the text's split."""
+    if isinstance(claims, str):
+        return sanitize_field(claims, preserve_newlines=True)
+    flat = "".join(claims)  # a line break found in it is a line's own
+    if "\n" in flat or "\r" in flat:
+        return sanitize_field("\n".join(claims), preserve_newlines=True)
+    return "\n".join(map(str.rstrip, claims)).strip("\n")
 
 
 class GrantParseError(Exception):
@@ -471,8 +483,8 @@ def record_fields(values: dict[str, list[str]], position: int, report: ParseRepo
     """Turn one patent's raw values, keyed by record field, into
     :func:`build_record`'s keyword arguments; both eras' parsers end here.
 
-    A scalar field takes its first value and the claims join theirs line
-    by line.  A patent without a WKU, or whose issue date is missing or
+    A scalar field takes its first value and the claims are passed as
+    their lines.  A patent without a WKU, or whose issue date is missing or
     invalid, raises GrantParseError.  A present but invalid application
     date is stored as absent and an unparseable IPC code is dropped, each
     with a warning in ``report``.  IPC codes de-duplicate by canonical
@@ -504,7 +516,7 @@ def record_fields(values: dict[str, list[str]], position: int, report: ParseRepo
             continue
         codes.setdefault(code.canonical(), code)
     fields.update((name, values.get(name, ())) for name in _STRING_LIST_COLUMNS)
-    fields.update(ipc_codes=codes.values(), claims="\n".join(values.get("claims", ())))
+    fields.update(ipc_codes=codes.values(), claims=values.get("claims", ()))
     return fields
 
 

@@ -128,21 +128,38 @@ class OutputError(OSError):
     """Appending a batch to a sink's output failed part-way."""
 
 
+def _write_all(out: IO[bytes], data: bytes) -> None:
+    """Write ``data`` to the binary file ``out``, whose raw ``write`` may
+    take only part of it."""
+    view, done = memoryview(data), 0
+    while done < len(data):
+        done += out.write(view[done:])
+
+
 class Sink:
     """Writes records to ``out`` with ``write(record)``, one line each, in
-    the format of a subclass, which sets ``header`` and defines ``write``.
-    Runs write each source to a spool file with :func:`spool_file`, maybe
-    in a forked child, through a sink of the same class with no header,
-    and copy it to ``out`` with :meth:`append`; ``bytes_written`` counts
-    the UTF-8 bytes of the header and of every spool appended, not those
-    of a direct ``write``.  With ``hold_header`` the header waits for the
-    first :meth:`append` or for :meth:`write_header`, so a run that fails
-    before either writes nothing to ``out``."""
+    the format of a subclass, which sets ``header`` and defines ``write``
+    over :meth:`put`.  ``out`` is a text stream, or a binary file
+    (``io.BufferedIOBase`` or ``io.RawIOBase``) that takes the text as
+    UTF-8 with ``\n`` line ends and is never closed here.  Runs write
+    each source to a spool file with :func:`spool_file`, maybe in a forked
+    child, through a sink of the same class with no header, and copy it
+    to ``out`` with :meth:`append`, as bytes to a binary file;
+    ``bytes_written`` counts the UTF-8 bytes of the header and of every
+    spool appended, not those of a direct ``write``.  With
+    ``hold_header`` the header waits for the first :meth:`append` or for
+    :meth:`write_header`, so a run that fails before either writes
+    nothing to ``out``."""
 
     header = ""  # the format's ASCII header, written first unless ``write_header`` is off
 
-    def __init__(self, out: TextIO, write_header: bool = True, hold_header: bool = False) -> None:
+    def __init__(
+        self, out: Union[TextIO, IO[bytes]], write_header: bool = True, hold_header: bool = False
+    ) -> None:
         self.out = out
+        self.binary = isinstance(out, (io.BufferedIOBase, io.RawIOBase))
+        # put(text) is every write of text to out: as UTF-8 bytes to a binary file
+        self.put = out.write if not self.binary else lambda text: _write_all(out, text.encode())
         self.held = self.header if write_header else ""
         self.bytes_written = len(self.held)
         if not hold_header:
@@ -151,18 +168,23 @@ class Sink:
     def write_header(self) -> None:
         """Write the header to ``out``, once."""
         if self.held:
-            self.out.write(self.held)
+            self.put(self.held)
             self.held = ""
 
     def append(self, name: str) -> None:
         """Copy the spool file ``name`` to ``out``, after the header if it
         is held, and delete it."""
         self.write_header()
-        with open(name, encoding="utf-8", newline="") as spool:
+        if self.binary:  # the spool's bytes, with no decode and re-encode
+            spool, write = open(name, "rb", buffering=0), partial(_write_all, self.out)
+        else:
+            spool, write = open(name, encoding="utf-8", newline=""), self.out.write
+        with spool:
             os.unlink(name)
             size = os.fstat(spool.fileno()).st_size
             try:
-                shutil.copyfileobj(spool, self.out)
+                while block := spool.read(READ_SIZE):
+                    write(block)
             except OSError as exc:
                 raise OutputError("writing the output failed: %s" % exc) from exc
         self.bytes_written += size
@@ -188,14 +210,14 @@ class CsvSink(Sink):
     header = ",".join(CSV_COLUMNS) + "\n"
 
     def write(self, record: PatentRecord) -> None:
-        self.out.write(",".join(map(_csv_cell, record_to_row(record))) + "\n")
+        self.put(",".join(map(_csv_cell, record_to_row(record))) + "\n")
 
 
 class JsonlSink(Sink):
     """One JSON object per line; list fields stay arrays."""
 
     def write(self, record: PatentRecord) -> None:
-        self.out.write(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
+        self.put(json.dumps(record_to_dict(record), ensure_ascii=False) + "\n")
 
 
 SINKS = {"csv": CsvSink, "jsonl": JsonlSink}  # each output format's sink, by name

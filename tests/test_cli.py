@@ -4,6 +4,8 @@ import json
 import os
 import random
 import re
+import runpy
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -69,6 +71,15 @@ class TestExitContract:
 
     def test_no_subcommand_exits_1(self, capsys):
         assert cli.run([]) == 1
+
+    # runpy warns that it runs a module already imported, as the package's is
+    @pytest.mark.filterwarnings("ignore:'patentbulk.cli' found in sys.modules:RuntimeWarning")
+    def test_module_run_as_main_exits_1_with_usage(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["patentbulk"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("patentbulk.cli", run_name="__main__")
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: patentbulk [-h] COMMAND ...\n")
 
     def test_unreadable_selection_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -343,6 +354,27 @@ class TestConvertLocal:
         assert err.startswith("error: ") and str(archive) in err
         assert sorted(tmp_path.iterdir()) == [archive, spool]
         assert list(spool.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "name, era", [("aps_two_patents.txt", "aps"), ("era_xml2.xml", "xml2"),
+                      ("era_xml4.xml", "xml4")],
+    )
+    def test_a_file_gets_the_bytes_of_stdout(self, name, era, format, jobs, data_dir, tmp_path,
+                                             capsys):
+        # a file takes each spool's bytes, standard output the text
+        argv = ["convert", "--input", str(data_dir / name), "--input", str(data_dir / name),
+                "--format-era", era, "--format", format, "--jobs", jobs, "--quiet"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        out_path = tmp_path / "out"
+        assert run_cli(argv + ["--output", str(out_path)], capsys) == (0, "", "")
+        assert out_path.read_bytes() == out.encode("utf-8")
+        if era == "aps":
+            golden = (data_dir / ("golden_two_patents." + format)).read_bytes()
+            header = golden.index(b"\n") + 1 if format == "csv" else 0
+            assert out_path.read_bytes() == golden + golden[header:]
 
     def test_jsonl_to_stdout(self, data_dir, capsys):
         code, out, _ = run_cli(

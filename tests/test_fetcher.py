@@ -1,6 +1,7 @@
 import datetime as dt
 import fcntl
 import hashlib
+import http.server
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import shutil
 import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -299,6 +301,74 @@ class TestFetch:
         assert len(fake_transport.requests) == 2  # downloaded again
         assert (again.byte_size, again.content_digest) == (entry.byte_size, entry.content_digest)
         assert fetchmod._load_entry(Path(entry.cache_path)) == again
+
+
+@contextmanager
+def _served(payload, chunked=False):
+    """A loopback HTTP server on one thread, its base URL and the paths
+    it was asked for.  With ``payload`` None each GET is a 404; else the
+    response announces ``payload``'s length, or a chunked body, sends
+    half of it and closes."""
+    paths = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            paths.append(self.path)
+            if payload is None:
+                self.send_error(404)
+                return
+            half = payload[: len(payload) // 2]
+            self.send_response(200)
+            if chunked:
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(half), half))
+            else:
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(half)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield "http://127.0.0.1:%d/data" % server.server_port, paths
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestUrllibTransport:
+    """The default transport over a loopback server."""
+
+    def test_a_404_fails_after_one_attempt(self, tmp_path):
+        with _served(None) as (base, paths):
+            plan = resolve_plan(WeekSpec(1976, 1), base)
+            with pytest.raises(FetchError) as excinfo:
+                fetch(plan, tmp_path, retries=3, sleep=lambda s: None)
+        assert excinfo.value.status == 404 and plan.url in str(excinfo.value)
+        assert len(paths) == 1
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["content-length", "chunked"])
+    def test_a_body_cut_short_is_retried_and_cached_nowhere(self, tmp_path, chunked):
+        payload = make_zip({"a.txt": bytes(range(256)) * 40})
+        missing = len(payload) - len(payload) // 2
+        reason = r"IncompleteRead" if chunked else "body cut short, %d bytes missing" % missing
+        with _served(payload, chunked) as (base, paths):
+            plan = resolve_plan(WeekSpec(1976, 1), base)
+            response = fetchmod.UrllibTransport().get(plan.url)
+            assert response.status == 200
+            with pytest.raises(TransportError, match=reason):
+                list(response.chunks)
+            with pytest.raises(FetchError, match="giving up after 2 attempts: " + reason):
+                fetch(plan, tmp_path, retries=2, sleep=lambda s: None)
+        assert len(paths) == 3
+        assert [p.name for p in tmp_path.iterdir()] == [plan.cache_path + ".lock"]
 
 
 class TestOpenArchive:

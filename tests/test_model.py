@@ -92,6 +92,51 @@ class TestSanitizeField:
         assert "; " not in sanitize_field(text)
 
 
+# claim lines as a parser may give them: pieces of text, line breaks of
+# either kind, items that end in or hold a line break, Unicode whitespace
+# (NEL, NBSP, ideographic space) and blank items, at either end too
+CLAIM_LINES = st.lists(
+    st.lists(
+        st.one_of(
+            st.text(max_size=4),
+            st.sampled_from(
+                ("\r", "\r\n", "\n", "\x85", "\xa0", "\u3000", " ", "\t", "abc", "  2. A")
+            ),
+        ),
+        max_size=4,
+    ).map("".join)
+)
+
+
+class TestClaimsLines:
+    """``build_record(claims=lines)``: the claims of the lines' text."""
+
+    def _claims(self, claims):
+        return build_record(wku="1", issue_date=dt.date(1976, 1, 6), claims=claims).claims
+
+    @given(CLAIM_LINES)
+    def test_lines_give_the_claims_of_their_text(self, lines):
+        assert self._claims(lines) == self._claims("\n".join(lines))
+
+    @given(CLAIM_LINES, st.sampled_from(("", " ", "\xa0", "\n", "\r")))
+    def test_blank_first_and_last_lines(self, lines, blank):
+        lines = [blank, *lines, blank]
+        assert self._claims(lines) == sanitize_field("\n".join(lines), preserve_newlines=True)
+
+    @pytest.mark.parametrize(
+        "lines, claims",
+        [
+            (["abc\n", "def"], "abc\n\ndef"),  # the break is read before the rstrip
+            (["a\r  ", "b"], "a\n\nb"),
+            (["a\rb", "c "], "a\nb\nc"),
+            (["", " 1. A", "\u3000", "  b\x85", ""], " 1. A\n\n  b"),
+            ((), ""),
+        ],
+    )
+    def test_breaks_inside_a_line(self, lines, claims):
+        assert self._claims(lines) == claims == self._claims("\n".join(lines))
+
+
 class TestMultivalue:
     def test_empty_list(self):
         assert join_multivalue([]) == ""

@@ -1374,7 +1374,8 @@ def _local_weeks(tmp_path, weeks=3, patents=40):
 class TestSinkAppend:
     """Each kind of output gets the same bytes and ``bytes_written``: a
     file, a file opened to append, a pipe, a file that compresses what is
-    written to it and a file in another encoding."""
+    written to it, a file in another encoding, and binary files, buffered
+    or raw, which take the spools' bytes."""
 
     def _expected(self, paths, sink_class, jobs):
         out = io.StringIO()
@@ -1429,6 +1430,46 @@ class TestSinkAppend:
             convert_files(paths, SourceFormat.APS, sink, PipelineConfig(jobs=jobs))
         assert (tmp_path / "out").read_bytes() == expected.decode("utf-8").encode("utf-16")
         assert sink.bytes_written == len(expected)
+
+    def test_binary_file_takes_the_utf8_of_the_text(self, tmp_path, sink_class, jobs):
+        paths = _local_weeks(tmp_path, weeks=2)
+        expected = self._expected(paths, sink_class, jobs)
+        out = io.BytesIO()
+        sink = sink_class(out, hold_header=True)
+        summary = convert_files(paths, SourceFormat.APS, sink, PipelineConfig(jobs=jobs))
+        assert out.getvalue() == expected
+        assert sink.bytes_written == summary.output_bytes == len(expected)
+        del sink
+        gc.collect()
+        assert not out.closed  # the caller's file, not the sink's
+        records = random_records(30, seed=4)
+        text, data = io.StringIO(), io.BytesIO()
+        for sink in sink_class(text), sink_class(data):
+            for record in records:
+                sink.write(record)
+        assert data.getvalue() == text.getvalue().encode("utf-8")
+
+    def test_raw_file_that_takes_part_of_each_write(self, tmp_path, sink_class, jobs):
+        class Trickle(io.RawIOBase):
+            """A raw output that takes at most 1000 bytes per write."""
+
+            def __init__(self):
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, block):
+                taken = bytes(block[:1000])
+                self.data += taken
+                return len(taken)
+
+        paths = _local_weeks(tmp_path, weeks=1)
+        expected = self._expected(paths, sink_class, jobs)
+        out = Trickle()
+        convert_files(paths, SourceFormat.APS, sink_class(out), PipelineConfig(jobs=jobs))
+        assert bytes(out.data) == expected and not out.closed
+        out.close()
 
 
 def _cache_week(cache, week, documents):

@@ -9,7 +9,9 @@ import pytest
 
 from patentbulk import xmlgrants
 from patentbulk.aps import ApsParser
-from patentbulk.model import GrantParseError, ParseReport, SourceFormat, record_fields
+from patentbulk.model import (
+    GrantParseError, ParseReport, SourceFormat, build_record, record_fields,
+)
 
 
 def fields(values, report=None):
@@ -26,7 +28,7 @@ class TestRecordFields:
 
     def test_claims_join_line_by_line(self):
         result = fields({"wku": ["1"], "issue_date": ["19760106"], "claims": ["a", "b"]})
-        assert result["claims"] == "a\nb"
+        assert build_record(**result).claims == "a\nb"
 
     @pytest.mark.parametrize(
         "values, reason",
