@@ -188,16 +188,18 @@ def _progress(quiet: bool):
 
 
 def _open_output(path: str, append: bool = False, binary: bool = False) -> ContextManager[IO]:
-    """Standard output, left open on exit, or ``path`` opened for writing,
-    as UTF-8 text with ``\n`` line ends or, with ``binary``, as bytes.
+    """Standard output (with ``binary`` its byte buffer, if it has one), left
+    open on exit, or ``path`` opened for writing, as UTF-8 text with ``\n``
+    line ends or, with ``binary``, as bytes.
 
     A new or regular file is published (:func:`fetch.published`), so a
     failed command leaves no partial file and keeps an older one at
     ``path``.  Appends and special files (``/dev/null``, symlinks, pipes)
     are written in place.
     """
-    if path == "-":
-        return nullcontext(sys.stdout)
+    if path == "-":  # flushed, so the text written so far stays before the bytes
+        sys.stdout.flush()
+        return nullcontext(getattr(sys.stdout, "buffer", sys.stdout) if binary else sys.stdout)
     in_place = append or os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path)
     opener = open if in_place else fetchmod.published
     text = {} if binary else {"encoding": "utf-8", "newline": ""}
@@ -230,11 +232,9 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _convert(args: argparse.Namespace, run: Callable[..., pipeline.RunSummary]) -> int:
     """Run ``run(sink, config)`` into the output, then report its summary."""
     config = _pipeline_config(args, encoding=args.encoding)
-    # a file takes each spool's bytes (Sink.append); standard output stays text
     with _open_output(args.output, args.append, binary=True) as out:
         sink = pipeline.SINKS[args.format](out, write_header=not args.append, hold_header=True)
         summary = run(sink, config)
-        sink.write_header()  # a run of weeks with no records still writes it
     if args.summary_json:
         with _open_output(args.summary_json) as out:
             out.write(json.dumps(summary.to_dict(), indent=2) + "\n")

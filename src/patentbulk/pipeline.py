@@ -508,7 +508,7 @@ def spool_file(path: Union[str, Path], format: SourceFormat, encoding: str, sink
     zipped = path.suffix.lower() == ".zip"
     handle, name = tempfile.mkstemp()
     try:
-        with open(handle, "w", encoding="utf-8", newline="") as spool, (
+        with open(handle, "wb", buffering=READ_SIZE) as spool, (
             _inflated(path) if zipped else open(path, "rb")
         ) as stream:
             compressed = path.stat().st_size

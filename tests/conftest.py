@@ -91,15 +91,15 @@ def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
     return sink.bytes_written
 
 
-def run_python(*args, timeout: float, **env: str) -> subprocess.CompletedProcess:
+def run_python(*args, timeout: float, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     """Run a new interpreter with ``args`` and ``env`` added to the
     environment; it imports the package this test run imported, installed
-    or not."""
+    or not.  Its output is captured as text, or as bytes if not ``text``."""
     package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, *map(str, args)],
         capture_output=True,
-        text=True,
+        text=text,
         timeout=timeout,
         env={**os.environ, "PYTHONPATH": package_parent, **env},
     )

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -363,7 +364,7 @@ class TestConvertLocal:
     )
     def test_a_file_gets_the_bytes_of_stdout(self, name, era, format, jobs, data_dir, tmp_path,
                                              capsys):
-        # a file takes each spool's bytes, standard output the text
+        # a file and standard output take each spool's bytes
         argv = ["convert", "--input", str(data_dir / name), "--input", str(data_dir / name),
                 "--format-era", era, "--format", format, "--jobs", jobs, "--quiet"]
         code, out, _ = run_cli(argv, capsys)
@@ -389,6 +390,75 @@ class TestConvertLocal:
         )
         assert code == 0
         assert json.loads(out)["wku"] == "07641234"
+
+    @staticmethod
+    def _cafe(data_dir, tmp_path):
+        """``era_xml4.xml`` whose title starts with ``Café — ``, which
+        neither Latin-1 nor ASCII can encode whole."""
+        text = (data_dir / "era_xml4.xml").read_text("utf-8")
+        path = tmp_path / "cafe.xml"
+        path.write_text(re.sub(r"(<invention-title[^>]*>)", r"\1Café — ", text, 1), "utf-8")
+        return path
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_standard_output_takes_utf8_whatever_its_encoding(
+        self, encoding, unbuffered, format, jobs, data_dir, tmp_path, capsys
+    ):
+        # with PYTHONUNBUFFERED set, standard output's buffer is a raw file
+        argv = ["convert", "--input", str(self._cafe(data_dir, tmp_path)), "--format-era", "xml4",
+                "--format", format, "--jobs", jobs, "--quiet"]
+        out_path = tmp_path / "out"
+        assert run_cli(argv + ["--output", str(out_path)], capsys) == (0, "", "")
+        expected = out_path.read_bytes()
+        assert "Café — Widget press".encode("utf-8") in expected
+        result = run_python("-m", "patentbulk.cli", *argv, timeout=60, text=False,
+                            PYTHONIOENCODING=encoding, PYTHONUNBUFFERED=unbuffered)
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_summary_follows_the_table_on_standard_output(
+        self, unbuffered, data_dir, tmp_path, capsys
+    ):
+        argv = ["convert", "--input", str(self._cafe(data_dir, tmp_path)), "--format-era", "xml4",
+                "--quiet"]
+        env = {"PYTHONIOENCODING": "latin-1", "PYTHONUNBUFFERED": unbuffered}
+        table = run_python("-m", "patentbulk.cli", *argv, timeout=60, text=False, **env)
+        assert table.returncode == 0
+        both = run_python("-m", "patentbulk.cli", *argv, "--summary-json", "-", timeout=60,
+                          text=False, **env)
+        assert both.returncode == 0 and both.stdout.startswith(table.stdout)
+        summary = json.loads(both.stdout[len(table.stdout):])
+        assert summary["output_bytes"] == len(table.stdout)
+        redirected = tmp_path / "table.csv"
+        redirected.write_bytes(table.stdout)
+        code, out, _ = run_cli(["stats", "weekly", "--input", str(redirected)], capsys)
+        assert code == 0 and out.splitlines()[1].endswith(",1")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_text_written_before_the_table_stays_before_it(self, unbuffered, data_dir, tmp_path):
+        source = self._cafe(data_dir, tmp_path)
+        argv = ["convert", "--input", str(source), "--format-era", "xml4", "--quiet"]
+        child = "import sys; from patentbulk import cli; print('before'); sys.exit(cli.run(%r))"
+        result = run_python("-c", child % argv, timeout=60, text=False,
+                            PYTHONUNBUFFERED=unbuffered)
+        table = run_python("-m", "patentbulk.cli", *argv, timeout=60, text=False).stdout
+        assert (result.returncode, result.stdout) == (0, b"before\n" + table)
+
+    def test_a_text_standard_output_gets_the_table_as_text(self, data_dir, tmp_path, capsys):
+        # a stream with no byte buffer, such as io.StringIO, takes text
+        argv = ["convert", "--input", str(self._cafe(data_dir, tmp_path)), "--format-era", "xml4",
+                "--quiet"]
+        out_path = tmp_path / "out"
+        assert run_cli(argv + ["--output", str(out_path)], capsys) == (0, "", "")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(argv + ["--summary-json", "-"]) == 0
+        table = out_path.read_text("utf-8")
+        assert out.getvalue().startswith(table)
+        assert json.loads(out.getvalue()[len(table):])["records_written"] == 1
 
     def test_zip_input(self, data_dir, tmp_path, capsys):
         archive = tmp_path / "week.zip"

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
+    DATA_DIR,
     FORK_THREADS,
     FakeTransport,
     make_zip,
@@ -38,7 +39,7 @@ from conftest import (
 )
 from patentbulk import analytics, cli, fetch as fetchmod, model, pipeline
 from patentbulk.fetch import fetch, resolve_plan
-from patentbulk.model import SourceFormat, WeekSpec
+from patentbulk.model import SourceFormat, WeekSpec, WrongFileTypeError
 from patentbulk.pipeline import (
     CsvSink,
     JsonlSink,
@@ -1352,6 +1353,35 @@ class TestConvertStream:
     def test_empty_paths_rejected(self, jobs):
         with pytest.raises(ValueError, match="paths must be non-empty"):
             convert_files([], SourceFormat.APS, CsvSink(io.StringIO()), PipelineConfig(jobs=jobs))
+
+
+# the fixtures of every era, whole and line by line, so that drawn bytes
+# hold PATN headers, <?xml prologs and documents of each era
+_FIXTURES = [
+    (DATA_DIR / name).read_bytes()
+    for name in ("aps_two_patents.txt", "era_aps.txt", "era_xml2.xml", "era_xml4.xml")
+]
+_FIXTURE_LINES = sorted({line for data in _FIXTURES for line in data.splitlines(keepends=True)})
+_ARCHIVE_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.one_of(
+        st.sampled_from(_FIXTURES), st.sampled_from(_FIXTURE_LINES), st.binary(max_size=16)
+    ), max_size=12).map(b"".join),
+)
+
+
+@pytest.mark.parametrize("era", list(SourceFormat))
+@settings(max_examples=200, deadline=None)
+@given(data=_ARCHIVE_BYTES)
+def test_random_bytes_give_records_or_wrong_file_type(era, data):
+    records, report = pipeline.parse_archive_stream(io.BytesIO(data), era)
+    try:
+        emitted = sum(1 for _ in records)
+    except WrongFileTypeError:
+        return
+    units = report.patn_sections if era is SourceFormat.APS else report.slices_seen
+    assert report.records_emitted == emitted
+    assert report.records_emitted + report.records_skipped == units
 
 
 def _local_weeks(tmp_path, weeks=3, patents=40):
