@@ -33,11 +33,10 @@ from __future__ import annotations
 import datetime as dt
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TextIO, Union
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .model import Grant, PatentRecord, first_grant_tuesday
 
@@ -59,21 +58,19 @@ _DENSIFY_AT = frozenset(2**n for n in range(5, 64))
 Patent = Union[PatentRecord, Grant]
 
 
-@dataclass(frozen=True)
-class WeeklyCount:
+# the rows of the analyses' tables, each a named tuple of its table's columns in order
+class WeeklyCount(NamedTuple):
     year: int
     week: int
     count: int
 
 
-@dataclass(frozen=True)
-class ClassCount:
+class ClassCount(NamedTuple):
     subclass_key: str
     count: int
 
 
-@dataclass(frozen=True)
-class LagStats:
+class LagStats(NamedTuple):
     """Quartile summary of lag days for one group.
 
     ``count`` covers the non-negative lags the quartiles summarize;
@@ -328,22 +325,15 @@ def write_table(rows: Iterable[tuple], header: Sequence[str], out: TextIO) -> No
 
 
 def weekly_table(stats: Sequence[WeeklyCount], out: TextIO) -> None:
-    write_table(((s.year, s.week, s.count) for s in stats), ("year", "week", "count"), out)
+    write_table(stats, ("year", "week", "count"), out)
 
 
 def classes_table(stats: Sequence[ClassCount], out: TextIO) -> None:
-    write_table(((s.subclass_key, s.count) for s in stats), ("subclass", "count"), out)
+    write_table(stats, ("subclass", "count"), out)
 
 
 LAG_HEADER = ("group", "count", "min", "q1", "median", "q3", "max", "negative_lags")
 
 
 def lag_table(stats: Sequence[LagStats], out: TextIO) -> None:
-    write_table(
-        (
-            (s.group_key, s.count, s.min, s.q1, s.median, s.q3, s.max, s.negative_lags)
-            for s in stats
-        ),
-        LAG_HEADER,
-        out,
-    )
+    write_table(stats, LAG_HEADER, out)

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from typing import IO, Callable, ContextManager, Optional, Sequence
 
@@ -26,7 +26,25 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, at the width ``shutil.get_terminal_size`` gives
+    (``COLUMNS``, else standard output's terminal, else 80) less 2, found
+    without importing shutil, which argparse would load for every command."""
+
+    def __init__(self, prog: str) -> None:
+        columns = 0
+        with suppress(KeyError, ValueError):
+            columns = max(int(os.environ["COLUMNS"]), 0)
+        if not columns:
+            with suppress(AttributeError, ValueError, OSError):
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        super().__init__(prog, width=(columns or 80) - 2)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     # usage errors exit 1, not argparse's default 2 (2 means partial failure)
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -263,7 +281,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     format = args.input_format
     if format is None:
-        format = "jsonl" if args.input.endswith((".jsonl", ".ndjson")) else "csv"
+        format = "jsonl" if args.input.lower().endswith((".jsonl", ".ndjson")) else "csv"
     # both formats decode only the three fields the analyses read
     # a regular file may be tallied in two processes, each reading a half
     records = pipeline.read_grants(args.input, jsonl=format == "jsonl")

@@ -21,9 +21,8 @@ import signal
 import time
 import zlib
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, BinaryIO, Callable, Iterator, Optional, Protocol, Union
+from typing import IO, BinaryIO, Callable, Iterator, NamedTuple, Optional, Protocol, Union
 
 from .model import READ_SIZE, SourceFormat, WeekSpec
 
@@ -68,8 +67,7 @@ class TransportError(Exception):
     """Network-level failure (DNS, connect, mid-stream drop); retryable."""
 
 
-@dataclass(frozen=True)
-class FetchPlan:
+class FetchPlan(NamedTuple):
     """Everything needed to locate and cache one weekly file."""
 
     week: WeekSpec
@@ -79,8 +77,7 @@ class FetchPlan:
     issue_date: dt.date
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     cache_path: str
     source_url: str
     byte_size: int

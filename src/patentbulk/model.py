@@ -12,7 +12,6 @@ from __future__ import annotations
 import datetime as dt
 import re
 import string
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import IO, AnyStr, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -120,22 +119,32 @@ def tuesdays_in_year(year: int) -> int:
     return ((dt.date(year, 12, 31) - first_grant_tuesday(year)).days // 7) + 1
 
 
-@dataclass(frozen=True, order=True)
-class WeekSpec:
+def _checked(cls: type, values: Iterable) -> tuple:
+    """``cls(*values)``: ``_make``, so ``_replace``, that checks as ``__new__`` does."""
+    return cls(*values)
+
+
+class _WeekFields(NamedTuple):
+    year: int
+    week: int
+
+
+class WeekSpec(_WeekFields):
     """One weekly bulk file, identified by (year, week index).
 
     Week ``w`` is the w-th grant Tuesday of the year; ordering is
     lexicographic on (year, week).
     """
 
-    year: int
-    week: int
+    __slots__ = ()
+    _make = classmethod(_checked)
 
-    def __post_init__(self) -> None:
-        if self.year < FIRST_YEAR:
-            raise ValueError("bulk grant data starts in %d, got year %d" % (FIRST_YEAR, self.year))
-        if not 1 <= self.week <= 53:
-            raise ValueError("week must be in 1..53, got %d" % self.week)
+    def __new__(cls, year: int, week: int) -> WeekSpec:
+        if year < FIRST_YEAR:
+            raise ValueError("bulk grant data starts in %d, got year %d" % (FIRST_YEAR, year))
+        if not 1 <= week <= 53:
+            raise ValueError("week must be in 1..53, got %d" % week)
+        return super().__new__(cls, year, week)
 
     def issue_date(self) -> dt.date:
         """Grant Tuesday this week maps to; raises if the year runs out."""
@@ -197,26 +206,29 @@ def cut_before(source: Union[IO[AnyStr], Iterable[AnyStr]], key: AnyStr) -> Iter
 MAX_REPORT_MESSAGES = 100
 
 
-@dataclass
 class ParseReport:
     """Counters and anomalies accumulated over one parse, either era.
 
     A position is a line number for the fixed-tag era and a document
     ordinal for the XML eras.  Each era's own counters stay 0 for the
-    other era.
+    other era: ``lines_read``, ``patn_sections`` and ``skipped_fields``
+    the fixed-tag era's, ``slices_seen`` and ``entity_substitutions`` XML's.
     """
 
-    records_emitted: int = 0
-    records_skipped: int = 0
-    warnings_total: int = 0
-    warnings: list[tuple[int, str]] = field(default_factory=list)
-    # fixed-tag era
-    lines_read: int = 0
-    patn_sections: int = 0
-    skipped_fields: int = 0
-    # XML eras
-    slices_seen: int = 0
-    entity_substitutions: int = 0
+    def __init__(
+        self, records_emitted: int = 0, records_skipped: int = 0, warnings_total: int = 0,
+        warnings: Optional[list[tuple[int, str]]] = None, lines_read: int = 0,
+        patn_sections: int = 0, skipped_fields: int = 0, slices_seen: int = 0,
+        entity_substitutions: int = 0,
+    ) -> None:
+        self.records_emitted, self.records_skipped = records_emitted, records_skipped
+        self.warnings_total, self.warnings = warnings_total, [] if warnings is None else warnings
+        self.lines_read, self.patn_sections = lines_read, patn_sections
+        self.skipped_fields, self.slices_seen = skipped_fields, slices_seen
+        self.entity_substitutions = entity_substitutions
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     @property
     def record_errors_total(self) -> int:
@@ -294,18 +306,26 @@ def _normalize_ipc_remainder(rest: str) -> str:
     return collapsed
 
 
-@dataclass(frozen=True)
-class IpcCode:
-    """Structured International Patent Classification symbol."""
-
+class _IpcFields(NamedTuple):
     section: str
     class_num: str
     subclass: Optional[str]
     remainder: str = ""
 
-    def __post_init__(self) -> None:
-        if _unjoinable(self.canonical()):
-            raise IpcParseError("IPC code holds the delimiter or a newline: %r" % self.canonical())
+
+class IpcCode(_IpcFields):
+    """Structured International Patent Classification symbol."""
+
+    __slots__ = ()
+    _make = classmethod(_checked)
+
+    def __new__(
+        cls, section: str, class_num: str, subclass: Optional[str], remainder: str = ""
+    ) -> IpcCode:
+        code = super().__new__(cls, section, class_num, subclass, remainder)
+        if _unjoinable(code.canonical()):
+            raise IpcParseError("IPC code holds the delimiter or a newline: %r" % code.canonical())
+        return code
 
     def canonical(self) -> str:
         head = self.section + self.class_num + (self.subclass or "")
@@ -365,15 +385,7 @@ _ONE_LINE_COLUMNS = tuple(name for name, kind in COLUMNS if kind == TEXT)
 _STRING_LIST_COLUMNS = tuple(name for name, kind in COLUMNS if kind == LIST)
 
 
-@dataclass(frozen=True)
-class PatentRecord:
-    """One granted patent in the unified nine-field rectangular schema.
-
-    Immutable after construction and safe to share across workers.  Use
-    :func:`build_record` to construct from raw parser output; the
-    constructor itself validates the sanitization invariants.
-    """
-
+class _RecordFields(NamedTuple):
     wku: str
     title: str
     app_date: Optional[dt.date]
@@ -384,17 +396,37 @@ class PatentRecord:
     references: tuple[str, ...]
     claims: str
 
-    def __post_init__(self) -> None:
-        if not self.wku or self.wku != self.wku.strip():
+
+class PatentRecord(_RecordFields):
+    """One granted patent in the unified nine-field rectangular schema.
+
+    Immutable after construction and safe to share across workers.  Use
+    :func:`build_record` to construct from raw parser output; the
+    constructor itself validates the sanitization invariants.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked)
+
+    def __new__(
+        cls, wku: str, title: str, app_date: Optional[dt.date], issue_date: dt.date,
+        inventors: tuple[str, ...], assignees: tuple[str, ...], ipc_codes: tuple[IpcCode, ...],
+        references: tuple[str, ...], claims: str,
+    ) -> PatentRecord:
+        record = super().__new__(
+            cls, wku, title, app_date, issue_date, inventors, assignees, ipc_codes, references, claims
+        )
+        if not wku or wku != wku.strip():
             raise ValueError("wku must be non-empty with no surrounding whitespace")
         for name in _ONE_LINE_COLUMNS:
-            if "\n" in getattr(self, name) or "\r" in getattr(self, name):
+            if "\n" in getattr(record, name) or "\r" in getattr(record, name):
                 raise ValueError("%s may not contain newlines" % name)
         # an IpcCode checks its own canonical form
         for name in _STRING_LIST_COLUMNS:
-            for item in getattr(self, name):
+            for item in getattr(record, name):
                 if _unjoinable(item):
                     raise ValueError("%s element empty or not sanitized: %r" % (name, item))
+        return record
 
     @property
     def subclass_keys(self) -> tuple[str, ...]:

@@ -11,11 +11,9 @@ import csv
 import io
 import json
 import os
-import shutil
 import threading
 from collections import deque
 from contextlib import closing, nullcontext, suppress
-from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -37,9 +35,9 @@ from .model import (
     row_from_dict,
 )
 
-# tempfile, pickle and xmlgrants are imported where they are used: `stats`
-# uses no tempfile or xmlgrants, and pickle only in a split (:class:`_Halves`),
-# an APS `convert` no xmlgrants, a `convert` of one job no pickle
+# tempfile, shutil, pickle and xmlgrants are imported where they are used:
+# `stats` uses no tempfile, shutil or xmlgrants, and pickle only in a split
+# (:class:`_Halves`), an APS `convert` no xmlgrants, a `convert` of one job no pickle
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
@@ -72,20 +70,22 @@ _COUNTS = (
 )
 
 
-@dataclass
 class RunSummary:
     """Outcome of one collection run, printable and JSON-serializable."""
 
-    weeks_requested: int = 0
-    weeks_fetched: int = 0
-    weeks_failed: list[tuple[WeekSpec, str]] = dataclass_field(default_factory=list)
-    records_written: int = 0
-    warnings_total: int = 0
-    duplicate_wkus: int = 0
-    output_bytes: int = 0
-    input_bytes_compressed: int = 0
-    input_bytes_decompressed: int = 0
-    _wkus: set[str] = dataclass_field(default_factory=set, init=False, repr=False, compare=False)
+    def __init__(
+        self, weeks_requested: int = 0, weeks_fetched: int = 0,
+        weeks_failed: Optional[list[tuple[WeekSpec, str]]] = None, records_written: int = 0,
+        warnings_total: int = 0, duplicate_wkus: int = 0, output_bytes: int = 0,
+        input_bytes_compressed: int = 0, input_bytes_decompressed: int = 0,
+    ) -> None:
+        self.weeks_requested, self.weeks_fetched = weeks_requested, weeks_fetched
+        self.weeks_failed = [] if weeks_failed is None else weeks_failed
+        self.records_written, self.warnings_total = records_written, warnings_total
+        self.duplicate_wkus, self.output_bytes = duplicate_wkus, output_bytes
+        self.input_bytes_compressed = input_bytes_compressed
+        self.input_bytes_decompressed = input_bytes_decompressed
+        self._wkus: set[str] = set()
 
     def append(self, spooled: Spooled, sink: Sink) -> None:
         """Append a source spooled by :func:`spool_file` to ``sink`` and count
@@ -317,7 +317,6 @@ def _seam(path: Union[str, Path], jsonl: bool) -> Optional[int]:
     return None
 
 
-@dataclass
 class _Halves:
     """The grants of the regular file at ``path``, read in one process when
     iterated.  ``tally(count)``, with a CPU idle and a :func:`_seam`, counts
@@ -327,8 +326,8 @@ class _Halves:
     seam is not the end of a CSV record, the child is killed and the whole
     file is counted here, as in one process."""
 
-    path: Union[str, Path]
-    jsonl: bool
+    def __init__(self, path: Union[str, Path], jsonl: bool) -> None:
+        self.path, self.jsonl = path, jsonl
 
     def __iter__(self) -> Iterator[Grant]:
         return _read_rows(self.path, grant_from_row, self.jsonl)
@@ -354,18 +353,21 @@ def read_grants(source: Union[str, Path, TextIO], jsonl: bool = False) -> Iterab
     return _read_rows(source, grant_from_row, jsonl)
 
 
-@dataclass
 class PipelineConfig:
-    cache_dir: str = "patentbulk-cache"
-    base_url: str = fetchmod.DEFAULT_BASE_URL
-    transport: Optional[fetchmod.Transport] = None
-    jobs: int = 1
-    encoding: str = aps.DEFAULT_ENCODING
-    retries: int = 3
-    progress: Optional[Callable[[str], None]] = None
+    """How a run fetches and parses; the CLI reads its defaults here."""
 
-    def __post_init__(self) -> None:
-        aps.text_encoding(self.encoding)  # a bad name fails here, before any fetch or open
+    cache_dir, jobs, retries = "patentbulk-cache", 1, 3
+
+    def __init__(
+        self, cache_dir: str = cache_dir, base_url: str = fetchmod.DEFAULT_BASE_URL,
+        transport: Optional[fetchmod.Transport] = None, jobs: int = jobs,
+        encoding: str = aps.DEFAULT_ENCODING, retries: int = retries,
+        progress: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        aps.text_encoding(encoding)  # a bad name fails here, before any fetch or open
+        self.cache_dir, self.base_url, self.transport = cache_dir, base_url, transport
+        self.jobs, self.encoding, self.retries = jobs, encoding, retries
+        self.progress = progress
 
 
 def _emit_progress(config: PipelineConfig, message: str) -> None:
@@ -529,6 +531,7 @@ def _inflated(path: Path) -> IO[bytes]:
     """``fetch.open_archive(path)``; while :func:`_cpu_idle`, a pipe that a
     forked child fills from it, 64 KiB at a time, ahead of the parse.  If
     the fork fails, the archive is inflated in this process."""
+    import shutil
     stream = fetchmod.open_archive(path)
     if not _cpu_idle():
         return stream

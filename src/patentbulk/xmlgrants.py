@@ -23,10 +23,9 @@ import json
 import re
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     CSV_COLUMNS,
@@ -42,8 +41,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class XmlDocSlice:
+class XmlDocSlice(NamedTuple):
     """Bytes of exactly one embedded XML document plus its file position."""
 
     data: bytes

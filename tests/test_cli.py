@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -227,6 +228,35 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in expected_flags:
             assert flag in out
+
+    @pytest.mark.parametrize("columns,terminal", [
+        (None, None), ("120", None), ("30", None), ("0", None), ("-4", None), ("wide", None),
+        (None, 100), (None, 0), ("-4", 100), ("90", 100),
+    ])
+    def test_width_as_argparse_finds_it(self, columns, terminal, capsys, monkeypatch):
+        # COLUMNS, else standard output's terminal, else 80, as argparse reads
+        # them through shutil.get_terminal_size, which stats does not load
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+
+        def terminal_size(fd):
+            if terminal is None:
+                raise OSError("not a terminal")
+            return os.terminal_size((terminal, 24))
+
+        monkeypatch.setattr(os, "get_terminal_size", terminal_size)
+
+        def helps():
+            for command in ([], ["fetch"], ["convert"], ["get"], ["stats"]):
+                with pytest.raises(SystemExit):
+                    cli.run([*command, "--help"])
+                yield capsys.readouterr().out
+
+        ours = list(helps())
+        monkeypatch.setattr(cli, "_HelpFormatter", argparse.HelpFormatter)
+        assert list(helps()) == ours
 
 
 class TestRetries:
@@ -1007,6 +1037,17 @@ class TestStats:
         code, out, _ = run_cli(["stats", "weekly", "--input", str(out_path)], capsys)
         assert code == 0
         assert "1976,1,2" in out
+
+    @pytest.mark.parametrize("name", ["pat.JSONL", "pat.Jsonl", "pat.NDJSON", "pat.ndjson"])
+    def test_jsonl_suffix_sniffed_in_any_case(self, name, data_dir, tmp_path, capsys):
+        out_path = tmp_path / name
+        run_cli(
+            ["convert", "--input", str(data_dir / "aps_two_patents.txt"),
+             "--format-era", "aps", "--format", "jsonl", "--output", str(out_path), "--quiet"],
+            capsys,
+        )
+        code, out, err = run_cli(["stats", "weekly", "--input", str(out_path)], capsys)
+        assert (code, out, err) == (0, "year,week,count\n1976,1,2\n", "")
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(

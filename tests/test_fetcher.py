@@ -10,7 +10,6 @@ import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -135,7 +134,7 @@ class TestFetch:
             shutil.copy(cached.cache_path, final)
             shutil.copy(fetchmod._meta_path(Path(cached.cache_path)), fetchmod._meta_path(final))
             fcntl.flock(lock, fcntl.LOCK_UN)
-            assert result.result(timeout=10) == replace(cached, cache_path=str(final))
+            assert result.result(timeout=10) == cached._replace(cache_path=str(final))
         assert transport.requests == []
 
     def test_zero_attempts_read_the_cache_alone(self, tmp_path, fake_transport):

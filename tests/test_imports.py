@@ -75,6 +75,30 @@ def test_unused_import_found(tmp_path):
     assert unused == ["os", "loads"]
 
 
+def _imported_modules(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(module, line)`` of each absolute import in ``tree``."""
+    return [
+        (name, node.lineno)
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+            else []
+        )
+    ]
+
+
+def test_no_module_imports_dataclasses():
+    # it loads inspect, ast, dis and tokenize: about 1 MB of every command's peak RSS
+    imports = [
+        (module.partition(".")[0], "%s:%d" % (path.name, line))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, line in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert "typing" in dict(imports)  # the scan sees the imports
+    assert [where for module, where in imports if module == "dataclasses"] == []
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     """``(name, line)`` of each name that starts with one ``_`` and that a
     top-level ``def``, ``class`` or assignment of ``tree`` binds."""

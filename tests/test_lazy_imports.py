@@ -1,8 +1,9 @@
 """Each command imports only what it runs: ``import patentbulk`` loads no
-submodule, ``stats`` loads no archive, hashing, XML, temp-file or pool
-code, an APS ``convert`` no XML mapper, and no run a pool.  Each check
-runs in a new interpreter started with ``-S``, so that no site hook has
-loaded a module first."""
+submodule, ``stats`` loads no archive, hashing, XML, temp-file, pool or
+``shutil`` code, an APS ``convert`` no XML mapper, no run a pool, and no
+command ``dataclasses`` or its ``inspect`` chain.  Each check runs in a
+new interpreter started with ``-S``, so that no site hook has loaded a
+module first."""
 
 import json
 from pathlib import Path
@@ -25,9 +26,11 @@ status = cli.run(sys.argv[1:])
 print(json.dumps([status, sorted(sys.modules)]))
 """
 
+# no command runs these, which cost about 1 MB of every command's peak RSS
+UNRUN = ("dataclasses", "inspect")
 # neither stats nor an APS convert runs any of these
 HEAVY = ("hashlib", "_hashlib", "zipfile", "tempfile", "xml.etree.ElementTree",
-         "concurrent.futures", "patentbulk.xmlgrants")
+         "concurrent.futures", "patentbulk.xmlgrants", *UNRUN)
 
 
 def loaded_after(*argv):
@@ -46,7 +49,8 @@ def test_stats_loads_no_archive_hashing_xml_or_pool_code(tmp_path):
                                    "--output", str(tmp_path / "lags.csv"), "--quiet")
     assert status == 0 and (tmp_path / "lags.csv").stat().st_size > 0
     assert "patentbulk.analytics" in modules
-    assert sorted(modules.intersection(HEAVY)) == []
+    # argparse would import shutil, with bz2 and lzma, for its help width
+    assert sorted(modules.intersection((*HEAVY, "shutil", "bz2", "lzma"))) == []
 
 
 def test_aps_convert_loads_no_xml_mapper(data_dir, tmp_path):
@@ -60,6 +64,16 @@ def test_aps_convert_loads_no_xml_mapper(data_dir, tmp_path):
     assert "zipfile" in modules
     # one job: no thread or process pool either
     assert sorted(modules.intersection(HEAVY)) == ["tempfile", "zipfile"]
+
+
+def test_xml_convert_loads_no_dataclasses(data_dir, tmp_path):
+    out = tmp_path / "out.csv"
+    status, modules = loaded_after("convert", "--input", str(data_dir / "era_xml4.xml"),
+                                   "--format-era", "xml4", "--jobs", "1",
+                                   "--output", str(out), "--quiet")
+    assert status == 0 and out.read_bytes().count(b"\n") > 1
+    assert "patentbulk.xmlgrants" in modules
+    assert sorted(modules.intersection(UNRUN)) == []
 
 
 def test_two_jobs_load_no_pool(data_dir, tmp_path):

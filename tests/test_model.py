@@ -446,6 +446,41 @@ class TestPatentRecord:
         assert record_from_row(row_from_dict(record_to_dict(record))) == record
 
 
+class TestValueTypes:
+    """Records, IPC codes and week specs are named tuples whose constructor
+    checks their fields."""
+
+    def _values(self):
+        record = build_record(wku="1", issue_date=dt.date(1976, 1, 6),
+                              ipc_codes=[ipc_parse("C07D 295/12")])
+        return record, record.ipc_codes[0], WeekSpec(1976, 1)
+
+    def test_immutable(self):
+        for value, name in zip(self._values(), ("title", "remainder", "week")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_replace_checks_as_the_constructor_does(self):
+        record, code, week = self._values()
+        assert week._replace(week=53) == WeekSpec(1976, 53)
+        assert code._replace(remainder="1/00").canonical() == "C07D 1/00"
+        assert record._replace(title="Widget").title == "Widget"
+        with pytest.raises(ValueError, match="week must be in 1..53"):
+            week._replace(week=54)
+        with pytest.raises(IpcParseError, match="delimiter"):
+            code._replace(remainder="1/00; X")
+        with pytest.raises(ValueError, match="title may not contain newlines"):
+            record._replace(title="two\nlines")
+
+    def test_equal_values_hash_alike(self):
+        for value in self._values():
+            copy = type(value)(*value)
+            assert copy == value == tuple(value) and hash(copy) == hash(value)
+            assert copy._asdict() == dict(zip(value._fields, value))
+
+
 class TestParseReport:
     def test_skip_counts_one_record_and_one_warning(self):
         report = ParseReport()
@@ -454,6 +489,15 @@ class TestParseReport:
         assert report.records_skipped == report.record_errors_total == 1
         assert report.warnings_total == 2
         assert report.warnings == [(7, "dropped"), (8, "kept")]
+
+    def test_equal_when_every_count_and_message_is(self):
+        first, second = ParseReport(), ParseReport()
+        for report in (first, second):
+            report.warn(3, "kept")
+        assert first == second and not first != second
+        second.lines_read += 1
+        assert first != second
+        assert first != vars(first) and ParseReport.__hash__ is None
 
     def test_messages_capped_while_total_counts_on(self):
         report = ParseReport()

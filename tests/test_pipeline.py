@@ -17,7 +17,6 @@ import tempfile
 import threading
 import time
 import warnings
-import weakref
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,7 +36,7 @@ from conftest import (
     run_python,
     sink_to_file,
 )
-from patentbulk import analytics, cli, fetch as fetchmod, model, pipeline
+from patentbulk import analytics, cli, fetch as fetchmod, model, pipeline, xmlgrants
 from patentbulk.fetch import fetch, resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec, WrongFileTypeError
 from patentbulk.pipeline import (
@@ -92,7 +91,7 @@ class TestCsv:
 
     def test_comma_in_title_is_quoted(self, fixture_records):
         record = fixture_records[0]
-        altered = record.__class__(**{**record.__dict__, "title": "Widget, press"})
+        altered = record.__class__(**{**record._asdict(), "title": "Widget, press"})
         out = io.StringIO()
         CsvSink(out).write(altered)
         assert '"Widget, press"' in out.getvalue()
@@ -340,7 +339,9 @@ class TestGetBulkPatentData:
         assert len(log.read_text().split()) == 6
 
     @pytest.mark.parametrize("jobs", [1, 3])
-    def test_at_most_two_records_alive_at_each_write(self, aps_fixture_text, tmp_path, jobs):
+    def test_at_most_two_records_alive_at_each_write(
+        self, aps_fixture_text, tmp_path, monkeypatch, jobs
+    ):
         weeks = [WeekSpec(1976, w) for w in range(1, 7)]
         first_patent = aps_fixture_text[: aps_fixture_text.index("PATN", 1)]
         transport = FakeTransport({
@@ -351,14 +352,24 @@ class TestGetBulkPatentData:
             for week in weeks
         })
         log = tmp_path / "alive.log"
-        written = []
+        alive = [0]  # records built and not yet freed, in this process
+
+        class TrackedRecord(model.PatentRecord):  # a tuple: no weak reference
+            def __new__(cls, *args, **kwargs):
+                alive[0] += 1
+                return super().__new__(cls, *args, **kwargs)
+
+            def __del__(self):
+                alive[0] -= 1
 
         class TrackingSink(CsvSink):
             def write(self, record):
-                written.append(weakref.ref(record))
+                assert type(record) is TrackedRecord
                 with open(log, "a") as handle:  # forked workers write here too
-                    handle.write("%d\n" % sum(ref() is not None for ref in written))
+                    handle.write("%d\n" % alive[0])
                 super().write(record)
+
+        monkeypatch.setattr(model, "PatentRecord", TrackedRecord)
 
         summary = get_bulk_patent_data(
             weeks, TrackingSink(io.StringIO()), _config(tmp_path, transport, jobs=jobs)
@@ -1314,6 +1325,38 @@ class TestExceptionsCrossProcesses:
         copy = pickle.loads(pickle.dumps(error))
         assert type(copy) is type(error)
         assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))
+
+
+# one value of each class that a forked child may pickle back or that a
+# caller may send: the results, reports and configs of a run
+VALUES = [
+    WeekSpec(1976, 2),
+    model.ParseReport(records_emitted=2, warnings=[(3, "kept")], slices_seen=2),
+    model.ipc_parse("C07D 295/12"),
+    model.build_record(wku="1", issue_date=dt.date(1976, 1, 6), title="t",
+                       ipc_codes=[model.ipc_parse("A01B 1/00")], claims="a\nb"),
+    resolve_plan(WeekSpec(2005, 1)),
+    fetchmod.CacheEntry("ipg050104.zip", "file:///ipg050104.zip", 3, "sha256:00", "now"),
+    xmlgrants.XmlDocSlice(b"<?xml?>", 4),
+    analytics.WeeklyCount(1976, 1, 2),
+    analytics.ClassCount("C07D", 3),
+    analytics.LagStats("C07D", 1, 365.0, 365.0, 365.0, 365.0, 365.0, 2),
+    pipeline.RunSummary(weeks_requested=2, weeks_fetched=1,
+                        weeks_failed=[(WeekSpec(1976, 1), "HTTP 404")], records_written=4),
+    pipeline._Halves("grants.csv", True),
+    PipelineConfig(cache_dir="c", jobs=2, retries=0),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda value: type(value).__name__)
+def test_value_pickle_round_trip(value):
+    # as _Forked sends a result: pickle.dump into a pipe, pickle.load out of it
+    pipe = io.BytesIO()
+    pickle.dump(value, pipe)
+    pipe.seek(0)
+    copy = pickle.load(pipe)
+    assert type(copy) is type(value)
+    assert vars(copy) == vars(value) if hasattr(value, "__dict__") else copy == value
 
 
 class TestConvertStream:
