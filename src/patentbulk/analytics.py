@@ -15,11 +15,13 @@ data-quality column rather than silently dropped.  Each group counts its
 lag days in a Counter, about 64 bytes an entry.  Once the Counter holds
 32 days or more, and its days below ``_DENSE_DAYS`` fill more than one
 day in ``_DENSITY`` of a span after the end of the group's array (empty
-at first), their counts move to that array of 4-byte counts indexed by
-the day.  Its quartiles are read from the running totals of those
-counts.  So memory holds, per group, at most about 64 bytes per distinct
-lag day, and 4 bytes per day of the span its array covers once that is
-less, whatever the input's size; a corrupt date's lag of
+at first), their counts move to that array of counts indexed by the
+day.  The array's cells are the narrowest that hold its counts: 1 byte
+at first, then 2 and 4 from the first count that would overflow them
+(:func:`_add`).  Its quartiles are read from the running totals of
+those counts.  So memory holds, per group, at most about 64 bytes per
+distinct lag day, and 1 to 4 bytes per day of the span its array covers
+once that is less, whatever the input's size; a corrupt date's lag of
 ``_DENSE_DAYS`` or more stays one Counter entry.
 
 Each analysis reads its table from one tally of its input, a tuple of
@@ -46,9 +48,12 @@ QUARTILE_RULE = "median-of-halves (Tukey hinges)"
 # corrupt date's lag costs one entry, not an array as long as the lag
 _DENSE_DAYS = 2**14
 # a group's days move from its Counter to its array once they fill more
-# than one day in this many: an array's 4 bytes a day against about 64 an
-# entry of a Counter keyed by lag days above 256
+# than one day in this many: sized for the array's widest cells, 4 bytes a
+# day, against about 64 an entry of a Counter keyed by lag days above 256,
+# so an array never costs more than the Counter it replaces
 _DENSITY = 16
+# the cell types of a group's array, narrowest first: 1, 2 and 4 bytes
+_CELLS = "BHI"
 # the sizes of a group's Counter at which its days may move to its array:
 # the powers of two, so each day is looked at a few times, from 32, as a
 # smaller Counter costs at most 2 KB
@@ -115,11 +120,14 @@ def _merged(tally: tuple, other: tuple) -> tuple:
         for key, counts in added.items():
             if isinstance(counts, Counter):
                 part[key].update(counts)
-            else:  # an array of lag-day counts
+            else:  # an array of lag-day counts, its cells maybe wider
                 merged = part[key]
                 merged.extend([0] * (len(counts) - len(merged)))
                 for day, n in enumerate(counts):
-                    merged[day] += n
+                    try:
+                        merged[day] += n
+                    except OverflowError:
+                        merged = _add(part, key, day, n)
     return tally
 
 
@@ -184,6 +192,21 @@ def _five_number(dense: Sequence[int], rare: Counter) -> tuple[float, float, flo
     return float(at(0)), lower, median(0, n), upper, float(at(n - 1))
 
 
+def _add(dense: dict[Hashable, Sequence[int]], key: Hashable, day: int, n: int) -> Sequence[int]:
+    """Add ``n`` to the count of ``day`` in group ``key``'s array, which
+    is first replaced in ``dense`` by copies in wider cells until the sum
+    fits; past 4-byte cells, OverflowError.  Returns the array."""
+    counts = dense[key]
+    for wider in _CELLS[_CELLS.index(counts.typecode) + 1 :]:
+        try:
+            counts[day] += n
+            return counts
+        except OverflowError:
+            counts = dense[key] = type(counts)(wider, counts)
+    counts[day] += n
+    return counts
+
+
 def _densify(
     dense: dict[Hashable, Sequence[int]], days: dict[Hashable, Counter], key: Hashable
 ) -> None:
@@ -198,10 +221,9 @@ def _densify(
     end = max(filled, default=0)
     if not end:
         return
-    counts = dense[key]
-    counts.extend([0] * (end - start))
+    dense[key].extend([0] * (end - start))
     for day in low[: bisect_right(low, end - 1)]:
-        counts[day] = later.pop(day)
+        _add(dense, key, day, later.pop(day))
     if later:
         days[key] = Counter(later)  # a dict sized for the days left
     else:
@@ -219,7 +241,7 @@ def _group_lags(
     from array import array  # here, so that only the lag analyses load it
 
     records_per_key: Counter = Counter()
-    dense: dict[Hashable, Sequence[int]] = defaultdict(partial(array, "I"))
+    dense: dict[Hashable, Sequence[int]] = defaultdict(partial(array, _CELLS[0]))
     negatives: Counter = Counter()
     days: dict[Hashable, Counter] = defaultdict(Counter)
     for record in records:
@@ -232,7 +254,10 @@ def _group_lags(
             if lag < 0:
                 negatives[key] += 1
             elif lag < len(counts := dense.get(key, ())):
-                counts[lag] += 1
+                try:
+                    counts[lag] += 1
+                except OverflowError:
+                    _add(dense, key, lag, 1)
             else:
                 counts = days[key]
                 counts[lag] += 1
@@ -252,7 +277,7 @@ def _lag_stats(tally: tuple, keys: Iterable[Hashable]) -> list[LagStats]:
         lags, later = dense.get(key, ()), days.get(key, Counter())
         # the halves of a split may have counted a day in an array and a Counter
         for day in [day for day in later if day < len(lags)]:
-            lags[day] += later.pop(day)
+            lags = _add(dense, key, day, later.pop(day))
         count = sum(lags) + later.total()
         stats.append(LagStats(key, count, *_five_number(lags, later), negatives[key]))
     return stats

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from contextlib import nullcontext, suppress
 from functools import partial
 from typing import IO, Callable, ContextManager, Optional, Sequence
 
-from . import analytics, aps, fetch as fetchmod, pipeline
+from . import aps, fetch as fetchmod, pipeline
 from .model import FIRST_YEAR, SourceFormat, WeekSpec, tuesdays_in_year
 
 ENV_BASE_URL = "PATENTBULK_BASE_URL"
@@ -147,13 +148,14 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
                         help="also write the run summary as JSON ('-' for stdout)")
 
 
-# each stats analysis by name: its tally of the grant rows at --top k, looked up
-# in analytics at each call (where a tracer may wrap it), and its table writer
+# each stats analysis by name: given the analytics module, which stats alone
+# imports, the grant rows and --top k, its table and the table's writer, both
+# looked up in the module at each call (where a tracer may wrap them)
 _ANALYSES = {
-    "weekly": (lambda rows, k: analytics.weekly_counts(rows), analytics.weekly_table),
-    "classes": (lambda rows, k: analytics.top_ipc_subclasses(rows, k), analytics.classes_table),
-    "lag-by-class": (lambda rows, k: analytics.lag_stats_by_class(rows, k), analytics.lag_table),
-    "lag-by-year": (lambda rows, k: analytics.lag_stats_by_year(rows), analytics.lag_table),
+    "weekly": lambda an, rows, k: (an.weekly_counts(rows), an.weekly_table),
+    "classes": lambda an, rows, k: (an.top_ipc_subclasses(rows, k), an.classes_table),
+    "lag-by-class": lambda an, rows, k: (an.lag_stats_by_class(rows, k), an.lag_table),
+    "lag-by-year": lambda an, rows, k: (an.lag_stats_by_year(rows), an.lag_table),
 }
 
 
@@ -279,6 +281,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from . import analytics
+
     format = args.input_format
     if format is None:
         format = "jsonl" if args.input.lower().endswith((".jsonl", ".ndjson")) else "csv"
@@ -288,8 +292,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     # the table is computed before --output is opened, so an unreadable
     # input leaves no output file behind
-    analyse, write_table = _ANALYSES[args.analysis]
-    stats = analyse(records, args.top)
+    stats, write_table = _ANALYSES[args.analysis](analytics, records, args.top)
     with _open_output(args.output) as out:
         write_table(stats, out)
     if not args.quiet and write_table is analytics.lag_table:
@@ -323,6 +326,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    """The ``patentbulk`` command: :func:`run`, with SIGTERM (``kill``)
+    raising SystemExit(143) where the command is, so that it unwinds as
+    Ctrl-C does: the temp output and spool files are removed and the
+    forked children killed and reaped on the way out."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(run())
 
 

@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TextIO, TypeVar, Union
 
-from . import analytics, aps, fetch as fetchmod
+from . import aps, fetch as fetchmod
 from .model import (
     CSV_COLUMNS,
     Grant,
@@ -35,9 +35,10 @@ from .model import (
     row_from_dict,
 )
 
-# tempfile, shutil, pickle and xmlgrants are imported where they are used:
-# `stats` uses no tempfile, shutil or xmlgrants, and pickle only in a split
-# (:class:`_Halves`), an APS `convert` no xmlgrants, a `convert` of one job no pickle
+# tempfile, shutil, pickle, xmlgrants and analytics are imported where they are
+# used: `stats` uses no tempfile, shutil or xmlgrants, and pickle only in a split
+# (:class:`_Halves`), an APS `convert` no xmlgrants, a `convert` of one job no
+# pickle, and no command but `stats` analytics
 
 # Claims cells routinely exceed the csv module's default field cap.
 csv.field_size_limit(64 * 1024 * 1024)
@@ -333,6 +334,8 @@ class _Halves:
         return _read_rows(self.path, grant_from_row, self.jsonl)
 
     def tally(self, count: Callable[[Iterable[Grant]], tuple]) -> tuple:
+        from . import analytics
+
         seam = _seam(self.path, self.jsonl) if _cpu_idle() else None
         rows = partial(_read_rows, self.path, grant_from_row, self.jsonl)
         # a bad row or a failed child ends the with: count it all here

@@ -91,17 +91,20 @@ def sink_to_file(path, sink_class, records, mode="w", **sink_args) -> int:
     return sink.bytes_written
 
 
-def run_python(*args, timeout: float, text: bool = True, **env: str) -> subprocess.CompletedProcess:
-    """Run a new interpreter with ``args`` and ``env`` added to the
-    environment; it imports the package this test run imported, installed
-    or not.  Its output is captured as text, or as bytes if not ``text``."""
+def python_command(*args, **env: str) -> dict:
+    """The ``args`` and ``env`` keywords of :mod:`subprocess` that run a new
+    interpreter with ``args`` and ``env`` added to the environment; it
+    imports the package this test run imported, installed or not."""
     package_parent = str(Path(patentbulk.__file__).resolve().parent.parent)
+    return {"args": [sys.executable, *map(str, args)],
+            "env": {**os.environ, "PYTHONPATH": package_parent, **env}}
+
+
+def run_python(*args, timeout: float, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """Run :func:`python_command`'s interpreter to its end; its output is
+    captured as text, or as bytes if not ``text``."""
     return subprocess.run(
-        [sys.executable, *map(str, args)],
-        capture_output=True,
-        text=text,
-        timeout=timeout,
-        env={**os.environ, "PYTHONPATH": package_parent, **env},
+        **python_command(*args, **env), capture_output=True, text=text, timeout=timeout
     )
 
 

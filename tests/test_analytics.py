@@ -2,8 +2,10 @@ import datetime as dt
 import io
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import cycle, islice
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,6 +359,95 @@ class TestOracleEquivalence:
             for s in stats:
                 assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
                 assert s.count >= 1
+
+
+ISSUE = dt.date(2001, 12, 25)
+TWO_BYTES = 2**16 - 1  # the largest count a 2-byte cell holds
+
+
+def lag_grants(key, day, n=1):
+    """``n`` grants of subclass ``key`` issued ``day`` days after their application."""
+    return [Grant(ISSUE, ISSUE - dt.timedelta(days=day), (key,))] * n
+
+
+def by_class(grants):
+    return analytics._group_lags(attrgetter("subclass_keys"), grants)
+
+
+def assert_halves_merge_to_the_whole(a, b):
+    """The lag stats of the tallies of ``a`` and ``b`` merged, and of
+    ``a + b`` tallied whole, equal the oracle's of sorted lists; returns
+    the merged tally's arrays."""
+    merged, whole = analytics._merged(by_class(a), by_class(b)), by_class(a + b)
+    expected = oracle.oracle_lag_stats(a + b, attrgetter("subclass_keys"))
+    rows = [(key,) + expected[key] for key in sorted(expected)]
+    assert lag_rows(analytics._lag_stats(merged, sorted(merged[0]))) == rows
+    assert lag_rows(analytics._lag_stats(whole, sorted(whole[0]))) == rows
+    return merged[1]
+
+
+@st.composite
+def lag_halves(draw):
+    """Grants of one to three subclasses in a drawn order, cut in two: each
+    group has a run of days from 0, which from 32 days on moves to an array,
+    and drawn days counted a few times or either side of a 1-byte cell's 255."""
+    grants = []
+    for key in ("A01B", "C07D", "H04L")[: draw(st.integers(1, 3))]:
+        for day in range(draw(st.sampled_from([0, 31, 40]))):
+            grants += lag_grants(key, day)
+        counts = st.integers(1, 3) | st.integers(250, 260)
+        for day, n in draw(st.dictionaries(st.integers(0, 80), counts, max_size=6)).items():
+            grants += lag_grants(key, day, n)
+    random.Random(draw(st.integers(0, 2**16))).shuffle(grants)
+    cut = draw(st.integers(0, len(grants)))
+    return grants[:cut], grants[cut:]
+
+
+class TestCountCells:
+    """A group's array starts in 1-byte cells and is copied to wider ones
+    by the first count that overflows them, in any of the four stores: a
+    lag counted, a Counter's days moved to the array, a half's array
+    merged, and a half's Counter day added to the other's array."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(halves=lag_halves())
+    def test_halves_merge_to_the_whole_and_the_oracle(self, halves):
+        assert_halves_merge_to_the_whole(*halves)
+
+    @pytest.mark.parametrize("count", [TWO_BYTES, TWO_BYTES + 1])
+    @pytest.mark.parametrize("heavy_first", [False, True])
+    def test_one_day_past_two_byte_cells_in_one_process(self, count, heavy_first):
+        # the array of days 0-31 exists before day 5's repeats are counted,
+        # or a Counter already holding all of them moves to it
+        run = [grant for day in range(32) for grant in lag_grants("A01B", day)]
+        heavy = lag_grants("A01B", 5, count - 1)
+        grants = heavy + run if heavy_first else run + heavy
+        (cells,) = assert_halves_merge_to_the_whole(grants, []).values()
+        assert cells.typecode == ("H" if count == TWO_BYTES else "I")
+        assert (cells[5], sum(cells)) == (count, count + 31)
+
+    @pytest.mark.parametrize("second_has_an_array", [True, False])
+    def test_one_day_past_two_byte_cells_over_two_halves(self, second_has_an_array):
+        # day 5 counted 40,000 times in the first half's 2-byte cells and
+        # 25,536 times in the second's, or in its Counter without an array
+        run = [grant for day in range(32) for grant in lag_grants("A01B", day)]
+        first = run + lag_grants("A01B", 5, 40_000 - 1)
+        second = lag_grants("A01B", 5, TWO_BYTES + 1 - 40_000 - second_has_an_array)
+        second += run if second_has_an_array else []
+        assert by_class(first)[1]["A01B"].typecode == "H"
+        assert [cells.typecode for cells in by_class(second)[1].values()] == (
+            ["H"] if second_has_an_array else []
+        )
+        (cells,) = assert_halves_merge_to_the_whole(first, second).values()
+        assert (cells.typecode, cells[5]) == ("I", TWO_BYTES + 1)
+
+    def test_counts_past_four_byte_cells_raise(self):
+        dense = {"A01B": array("B", [255, 0])}
+        assert analytics._add(dense, "A01B", 1, 2**32 - 1)[1] == 2**32 - 1
+        assert dense["A01B"].typecode == "I" and list(dense["A01B"]) == [255, 2**32 - 1]
+        with pytest.raises(OverflowError):
+            analytics._add(dense, "A01B", 1, 1)
+        assert list(dense["A01B"]) == [255, 2**32 - 1]
 
 
 class TestTables:

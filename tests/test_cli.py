@@ -7,6 +7,9 @@ import os
 import random
 import re
 import runpy
+import select
+import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,7 +19,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FORK_THREADS, FakeTransport, make_zip, random_record, random_records, run_python, sink_to_file
+from conftest import (
+    FORK_THREADS, FakeTransport, make_zip, python_command, random_record, random_records, run_python,
+    sink_to_file,
+)
 from patentbulk import analytics, cli, pipeline
 from patentbulk.fetch import FetchError, resolve_plan
 from patentbulk.model import SourceFormat, WeekSpec
@@ -344,6 +350,55 @@ class TestConvertLocal:
         )
         assert code == 0
         assert out_path.read_bytes() == (data_dir / "golden_two_patents.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sigterm_unwinds_as_ctrl_c_does(self, jobs, tmp_path):
+        # the input is a FIFO that the command opens twice, to check it before
+        # the output's temp file exists and to parse it after; its parse then
+        # waits for input, at --jobs 2 in a forked child
+        fifo, out, spools = tmp_path / "week.txt", tmp_path / "out.csv", tmp_path / "spools"
+        os.mkfifo(fifo)
+        spools.mkdir()
+        command = subprocess.Popen(
+            **python_command("-m", "patentbulk.cli", "convert", "--input", fifo, "--format-era",
+                             "aps", "--jobs", jobs, "--output", out, "--quiet", TMPDIR=str(spools)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+
+        def no_reader(fd, timeout_ms):  # a write end polls POLLERR once no reader holds the FIFO
+            poller = select.poll()
+            poller.register(fd, select.POLLERR)
+            return poller.poll(timeout_ms) != []
+
+        def timed_out(signum, frame):
+            raise TimeoutError("the command did not open its input")
+
+        writer, previous = None, signal.signal(signal.SIGALRM, timed_out)
+        try:
+            signal.alarm(60)  # each open of a FIFO's write end waits for a reader
+            check = os.open(fifo, os.O_WRONLY)
+            assert no_reader(check, 60_000)
+            os.close(check)
+            writer = os.open(fifo, os.O_WRONLY)
+            signal.alarm(0)
+            assert [p.name for p in tmp_path.glob("*.tmp")] == ["out.csv.%d.tmp" % command.pid]
+            assert os.listdir(spools) != []
+            command.send_signal(signal.SIGTERM)
+            assert command.wait(60) == 143
+            assert command.stderr.read() == b""
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["spools", "week.txt"]
+            assert os.listdir(spools) == []
+            # a child left running would still be reading the input
+            assert no_reader(writer, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            if writer is not None:
+                os.close(writer)
+            if command.poll() is None:
+                command.kill()
+                command.wait(60)
+            command.stderr.close()
 
     def test_two_jobs_write_the_bytes_of_one(self, data_dir, tmp_path, capsys):
         fixture = data_dir / "aps_two_patents.txt"

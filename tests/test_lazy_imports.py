@@ -1,9 +1,9 @@
 """Each command imports only what it runs: ``import patentbulk`` loads no
 submodule, ``stats`` loads no archive, hashing, XML, temp-file, pool or
-``shutil`` code, an APS ``convert`` no XML mapper, no run a pool, and no
-command ``dataclasses`` or its ``inspect`` chain.  Each check runs in a
-new interpreter started with ``-S``, so that no site hook has loaded a
-module first."""
+``shutil`` code, an APS ``convert`` no XML mapper or analyses, no run a
+pool, and no command ``dataclasses`` or its ``inspect`` chain.  Each
+check runs in a new interpreter started with ``-S``, so that no site hook
+has loaded a module first."""
 
 import json
 from pathlib import Path
@@ -64,6 +64,8 @@ def test_aps_convert_loads_no_xml_mapper(data_dir, tmp_path):
     assert "zipfile" in modules
     # one job: no thread or process pool either
     assert sorted(modules.intersection(HEAVY)) == ["tempfile", "zipfile"]
+    # nor the analyses, which only stats runs
+    assert "patentbulk.analytics" not in modules
 
 
 def test_xml_convert_loads_no_dataclasses(data_dir, tmp_path):
